@@ -286,9 +286,12 @@ def _fold_by_tracking(bipoly: BivariatePoly, seed_series: Series) -> float:
     vanishes along the branch, i.e. where the branch collides with another
     root of P(g, .).  Here the collision is threefold and pinches a real
     pair into the complex plane, so the stable detector is the moment the
-    pair leaves the real axis: the squared imaginary part grows linearly in
-    g past the collision, and bisection plus one linear extrapolation pins
-    the collision point far below the requested tolerance.
+    pair leaves the real axis.  The roots near the branch are recomputed in
+    200-bit arithmetic: a scan in steps of 0.005 from the safe zone finds the
+    first g where their largest imaginary part exceeds 1e-18, and bisection
+    on that same threshold shrinks the bracket to 1e-13.  The threshold puts
+    the returned point slightly past the collision, because the imaginary
+    part only grows like (g - g_fold)^{3/2}.
     """
     import numpy as np
 
@@ -319,7 +322,6 @@ def _fold_by_tracking(bipoly: BivariatePoly, seed_series: Series) -> float:
     # for double precision; 200-bit roots make the departure unambiguous
     from mpmath import mp, mpf
 
-    mp.prec = 200
     exact_by_j: dict = {}
     for (i, j), c in bipoly.terms:
         exact_by_j.setdefault(j, []).append((i, c))
@@ -337,25 +339,26 @@ def _fold_by_tracking(bipoly: BivariatePoly, seed_series: Series) -> float:
             raise BranchMismatchError("root cluster disappeared during tracking")
         return max(abs(mp.im(r)) for r in near)
 
-    im_tol = mpf("1e-18")
-    lo = mpf(g_safe)
-    hi = None
-    g_scan = lo
-    for _ in range(200):
-        g_scan = g_scan + mpf("0.005")
-        if max_imag(g_scan) > im_tol:
-            hi = g_scan
-            break
-        lo = g_scan
-    if hi is None:
-        raise BranchMismatchError("no branch collision found while tracking")
-    while hi - lo > mpf("1e-13"):
-        mid = (lo + hi) / 2
-        if max_imag(mid) > im_tol:
-            hi = mid
-        else:
-            lo = mid
-    return float((lo + hi) / 2)
+    with mp.workprec(200):
+        im_tol = mpf("1e-18")
+        lo = mpf(g_safe)
+        hi = None
+        g_scan = lo
+        for _ in range(200):
+            g_scan = g_scan + mpf("0.005")
+            if max_imag(g_scan) > im_tol:
+                hi = g_scan
+                break
+            lo = g_scan
+        if hi is None:
+            raise BranchMismatchError("no branch collision found while tracking")
+        while hi - lo > mpf("1e-13"):
+            mid = (lo + hi) / 2
+            if max_imag(mid) > im_tol:
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
 
 
 def flype_singularity(tolerance: float = 1e-10) -> FlypeSingularity:

@@ -22,14 +22,21 @@ Two engines produce identical numbers:
   glued surface incrementally.  Gluing two half-edges on the same boundary
   cycle splits it (possibly completing faces); gluing across two cycles of
   the same component adds a handle, which is exactly the move the planar
-  mode prunes.  Interchangeability of the not-yet-touched labeled vertices
-  is exploited by branching once with an integer multiplicity instead of
-  once per label, which never changes any invariant of the completions.
+  mode prunes.  The Wick factor ``4^V V!`` is a symmetry the search
+  divides out as it goes: the not-yet-touched labeled vertices are
+  interchangeable (the ``V!``), so touching one branches once with an
+  integer multiplicity instead of once per label; and the rotations of a
+  vertex that preserve its strand wiring (all four for a crossing, the
+  half-turn for a tangency; the ``4^V``) map the completions of one glued
+  leg onto those of another, so a fresh vertex is glued once per rotation
+  orbit of its legs, weighted by the orbit size.  Neither changes any
+  invariant of the completions.
 
 Work may be split over processes on the first gluing choices; partial
 tables are merged by exact integer addition, so results are independent of
 scheduling.  The worker count comes from the LINKCENSUS_THREADS environment
-variable (default: hardware parallelism).
+variable (default: hardware parallelism) and never exceeds the CPU count or
+the number of split tasks.
 
 One counting convention worth stating: a planar gluing already stands for
 the two diagrams related by swapping every over/under choice, so the counts
@@ -224,12 +231,12 @@ def double_factorial(n: int) -> int:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("LINKCENSUS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """The requested worker count, at least 1 and at most the CPU count."""
+    cpus = os.cpu_count() or 1
+    if threads is None:
+        env = os.environ.get("LINKCENSUS_THREADS")
+        threads = int(env) if env else cpus
+    return max(1, min(int(threads), cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +434,16 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
 
     ``strand_offsets`` encodes the internal strand wiring as a map of the
     legs 0..3 (e.g. crossings map j -> j+2 mod 4).  Fresh vertices are
-    interchangeable, so touching one branches once with multiplicity equal to
-    the number still untouched; disallowing seeds (``allow_seed=False``)
-    restricts to gluings without vacuum components.  Returns the cells dict,
-    or (with ``depth_cap``) the list of branch prefixes at that depth.
+    interchangeable as labels, so touching one branches once with
+    multiplicity equal to the number still untouched.  They are also
+    interchangeable under the rotations ``j -> j+k mod 4`` that preserve the
+    wiring, so only one leg per rotation orbit is glued, with the orbit size
+    as a further multiplicity (one orbit of 4 for a crossing, two orbits of 2
+    for a tangency).  Disallowing seeds (``allow_seed=False``) restricts to
+    gluings without vacuum components; seeds are for closed diagrams only.
+    Returns the cells dict, or (with ``depth_cap``) the list of branch
+    prefixes at that depth; a prefix names a fresh-vertex branch ``-1 - j``
+    by its representative leg ``j``.
 
     The recursion keeps, with O(1) amortized rollback per gluing:
 
@@ -452,6 +465,8 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
     free half-edges while anything else is still open.  Every surviving leaf
     is then a connected four-point diagram.
     """
+    if allow_seed and legs:
+        raise ValueError("seeded (vacuum) components need a closed diagram (legs=0)")
     S = legs + 4 * V
     HEAD = S
     match = [-1] * S
@@ -484,6 +499,12 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
     collect = depth_cap is not None
     plen = len(prefix)
     off0, off1, off2, off3 = strand_offsets
+    # the rotations j -> j+k of a vertex that keep its strand wiring form a
+    # subgroup of Z4 of order nrot; its orbits on the legs are the residues
+    # mod 4 // nrot, each of nrot legs, so legs 0 .. 4 // nrot - 1 stand for all
+    nrot = sum(all(strand_offsets[(j + k) & 3] == (strand_offsets[j] + k) & 3
+                   for j in range(4)) for k in range(4))
+    orbit_legs = range(4 // nrot)
 
     def freelist_append(x: int) -> None:
         last = fpv[HEAD]
@@ -555,7 +576,8 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
             vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E, plen=plen,
             prefix=prefix, collect=collect, depth_cap=depth_cap,
             planar_only=planar_only, gamma_only=gamma_only,
-            track_internal=track_internal, allow_seed=allow_seed, twopi=twopi):
+            track_internal=track_internal, allow_seed=allow_seed, twopi=twopi,
+            nrot=nrot, orbit_legs=orbit_legs):
         s0 = fnx[HEAD]
         if s0 == HEAD:
             if ninst < V:
@@ -862,7 +884,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
         # -- candidates on a fresh vertex: splice its other three legs in --
         if ninst < V:
             m = V - ninst
-            wfresh = weight * m
+            wfresh = weight * m * nrot
             b0 = legs + 4 * ninst
             slot = ninst
             a = s0
@@ -876,7 +898,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
             rs = a
             while spar[rs] != rs:
                 rs = spar[rs]
-            for j in range(4):
+            for j in orbit_legs:
                 if forced is not None and forced != -1 - j:
                     continue
                 b = b0 + j
@@ -1111,6 +1133,7 @@ def _run_fast(V, legs, strand_offsets, planar_only, allow_seed, twopi,
         (V, legs, strand_offsets, planar_only, allow_seed, twopi, gamma_only, prefix)
         for prefix in prefixes
     ]
+    workers = max(1, min(workers, len(tasks)))
     merged: dict = {}
     import multiprocessing as mp
 
@@ -1156,6 +1179,8 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
     model = model or VertexModel.one_matrix()
     if type_counts is None:
         type_counts = {model.vertex_types[0].name: num_vertices}
+    if any(count < 0 for count in type_counts.values()):
+        raise ValueError("vertex type counts must be nonnegative")
     V = sum(type_counts.values())
     if V != num_vertices:
         raise ValueError("type_counts must sum to num_vertices")

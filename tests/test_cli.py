@@ -110,6 +110,15 @@ def test_domain_error_exits_two(capsys):
     assert "ceiling" in captured.err
 
 
+def test_enumerate_rejects_more_tangencies_than_vertices(capsys):
+    # 5 tangencies among 2 vertices would leave -3 crossings
+    code = cli.main(["enumerate", "--vertices", "2", "--tangencies", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
 def test_run_config_dataclass():
     config = cli.RunConfig(command="series", model="raw", order=2)
     assert cli.run(config) == 0

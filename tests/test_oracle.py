@@ -2,6 +2,8 @@
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -107,6 +109,100 @@ def test_disconnected_cells_from_connected_convolution():
         assert merged == rebuilt
 
 
+# -- rotation-orbit branching against the reference engine, both wirings -----------
+
+WIRINGS = [CROSSING, TANGENCY]
+
+
+@cache
+def _reference(vertex_type, V, legs):
+    """Reference cells with no filter; every search mode is a slice of them."""
+    return _enumerate_plain((vertex_type.strand_pairs,) * V, legs, False, False)
+
+
+def _slice(cells, keep):
+    return {key: count for key, count in cells.items() if keep(key)}
+
+
+def _twopi_reference(vertex_type, V, planar):
+    """Connected four-leg cells split by two-particle irreducibility, trying
+    every pair of internal edges as a cut."""
+    patterns = (vertex_type.strand_pairs,) * V
+    cells = {}
+    for m in oc.iter_pairings(V, 4):
+        if oc._has_vacuum_component(m, 4, V) or not oc._four_leg_connected(m, 4, V):
+            continue
+        faces, kin, kext, _ = oc.classify_pairing(m, patterns, 4)
+        genus = (2 - (V + 1) + (2 + 2 * V) - faces) // 2
+        if planar and genus:
+            continue
+        edges = [((s - 4) // 4, (m[s] - 4) // 4) for s in range(4, 4 + 4 * V) if s < m[s]]
+        leg_at = [(m[e] - 4) // 4 for e in range(4)]
+        reducible = any(oc._cut_splits_two_two(V, edges, leg_at, i, j)
+                        for i, j in combinations(range(len(edges)), 2))
+        key = (genus, kin, kext, True, not reducible)
+        cells[key] = cells.get(key, 0) + 1
+    return cells
+
+
+@pytest.mark.parametrize("vertex_type", WIRINGS, ids=lambda vt: vt.name)
+@pytest.mark.parametrize("V,planar", [(1, False), (2, False), (3, False),
+                                      (1, True), (2, True), (3, True), (4, True)])
+def test_orbit_engine_matches_reference_closed(vertex_type, V, planar):
+    off = oc._strand_offsets(vertex_type)
+    want = _reference(vertex_type, V, 0)
+    if planar:
+        want = _slice(want, lambda key: key[0] == 0)
+    assert oc._fast_search(V, 0, off, planar, True, False) == want
+    assert oc._fast_search(V, 0, off, planar, False, False) == _slice(want, lambda key: key[2])
+
+
+@pytest.mark.parametrize("vertex_type", WIRINGS, ids=lambda vt: vt.name)
+@pytest.mark.parametrize("V,legs", [(0, 2), (1, 2), (2, 2), (3, 2),
+                                    (0, 4), (1, 4), (2, 4), (3, 4)])
+@pytest.mark.parametrize("planar", [False, True])
+def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
+    off = oc._strand_offsets(vertex_type)
+    want = _reference(vertex_type, V, legs)
+    if planar:
+        want = _slice(want, lambda key: key[0] == 0)
+    assert oc._fast_search(V, legs, off, planar, False, False) == want
+    if legs == 2:
+        return
+    gamma = _slice(want, lambda key: key[3])
+    assert oc._fast_search(V, 4, off, planar, False, False, gamma_only=True) == gamma
+    twopi = oc._fast_search(V, 4, off, planar, False, True, gamma_only=True)
+    merged = {}
+    for (h, kin, kext, conn4, _flag), count in twopi.items():
+        key = (h, kin, kext, conn4, None)
+        merged[key] = merged.get(key, 0) + count
+    assert merged == gamma
+    if V <= 2:
+        assert twopi == _twopi_reference(vertex_type, V, planar)
+
+
+@pytest.mark.parametrize("vertex_type", WIRINGS, ids=lambda vt: vt.name)
+@pytest.mark.parametrize("legs,planar,allow_seed,gamma_only", [
+    (0, False, True, False), (0, True, False, False), (2, False, False, False),
+    (4, True, False, True)])
+def test_prefix_split_merges_to_serial(vertex_type, legs, planar, allow_seed, gamma_only):
+    off = oc._strand_offsets(vertex_type)
+    args = (4, legs, off, planar, allow_seed, False, gamma_only)
+    prefixes = oc._fast_search(*args, depth_cap=2)
+    assert len(set(prefixes)) == len(prefixes) > 1
+    total = {}
+    for prefix in prefixes:
+        for key, value in oc._fast_search(*args, prefix=prefix).items():
+            total[key] = total.get(key, 0) + value
+    assert total == oc._fast_search(*args)
+
+
+def test_seeds_need_a_closed_diagram():
+    # a seeded component has no legs, so seeds only make sense with legs=0
+    with pytest.raises(ValueError, match="legs=0"):
+        oc._fast_search(2, 4, (2, 3, 0, 1), True, True, False, gamma_only=True)
+
+
 def test_relabeling_invariance_mixed_model():
     orders = [
         (CROSSING.strand_pairs, TANGENCY.strand_pairs, CROSSING.strand_pairs),
@@ -194,7 +290,6 @@ def test_twopi_tangles_renormalize_to_skeleton_form():
     assert reduced_2pi.coeffs == (0, 1, 0, 0)
 
 
-@pytest.mark.slow
 def test_twopi_tangles_renormalize_to_skeleton_form_deeper():
     from linkcensus import flype
 
@@ -263,3 +358,36 @@ def test_multiprocess_merge_matches_sequential():
     seq = oc.enumerate_pairings(4, planar_only=True).cells
     par = oc._run_fast(4, 0, (2, 3, 0, 1), True, True, False, False, threads=2)
     assert par == seq
+
+
+def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
+    class SerialPool:
+        """Stands in for the process pool: records its size, starts nothing."""
+
+        sizes = []
+
+        def __init__(self, max_workers, mp_context=None):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(oc, "ProcessPoolExecutor", SerialPool)
+    args = (4, 0, (2, 3, 0, 1), True, True, False, False)
+    serial = oc._fast_search(*args)
+    ntasks = len(oc._fast_search(*args, depth_cap=2))
+
+    monkeypatch.setattr(oc.os, "cpu_count", lambda: 2)
+    assert oc._run_fast(*args, threads=500) == serial
+    monkeypatch.setenv("LINKCENSUS_THREADS", "500")
+    assert oc._run_fast(*args, threads=None) == serial
+    monkeypatch.setattr(oc.os, "cpu_count", lambda: 10**6)
+    assert oc._run_fast(*args, threads=10**6) == serial
+    assert SerialPool.sizes == [2, 2, ntasks]
+    assert oc._resolve_threads(0) == 1
