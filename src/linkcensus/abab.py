@@ -92,8 +92,8 @@ def g2_reduced(vmax: int, **kwargs) -> Series:
     return onematrix.substitute_renormalized(g2_raw(vmax, **kwargs), t, legs=2)
 
 
-def two_color_series(order: int, *, reduced: bool = False, ceiling: int = oracle.DEFAULT_CEILING,
-                     threads: int | None = None) -> Series:
+def two_color_series(order: int, *, reduced: bool = False,
+                     ceiling: int = oracle.DEFAULT_CEILING) -> Series:
     """Two-color diagram-counting series from the oracle at loop weight 2.
 
     Raw: the free energy of the two-color model.  Reduced: integral of a
@@ -102,12 +102,12 @@ def two_color_series(order: int, *, reduced: bool = False, ceiling: int = oracle
     marked-vertex identity, cross-checked against direct enumeration in the
     test suite).
     """
-    raw = oracle.free_energy_series(order, n=2, ceiling=ceiling, threads=threads)
+    raw = oracle.free_energy_series(order, n=2, ceiling=ceiling)
     if not reduced:
         return raw
     # color-summed raw four-point series from the marked-vertex identity
     g4_sum_raw = 4 * derivative(raw)
-    t = renormalization(order - 1, ceiling=ceiling, threads=threads)
+    t = renormalization(order - 1, ceiling=ceiling)
     g4_sum_reduced = onematrix.substitute_renormalized(g4_sum_raw, t, legs=4)
     return integrate(g4_sum_reduced / 4)
 

@@ -231,10 +231,10 @@ class ComponentTable:
         )
 
 
-def component_decomposition(order: int, *, ceiling: int = oracle.DEFAULT_CEILING,
-                            threads: int | None = None) -> ComponentTable:
+def component_decomposition(order: int, *,
+                            ceiling: int = oracle.DEFAULT_CEILING) -> ComponentTable:
     """Stratify the oracle's diagram counts by number of link components."""
-    polys = oracle.free_energy_polynomials(order, ceiling=ceiling, threads=threads)
+    polys = oracle.free_energy_polynomials(order, ceiling=ceiling)
     return ComponentTable(by_order={0: {}, **polys})
 
 

@@ -8,10 +8,11 @@ constants   print the constants table
 crosscheck  closed forms vs. the enumeration oracle; nonzero exit on mismatch
 asymptotics ratio-method growth/exponent estimate with full diagnostics
 
-Exit codes: 0 success, 1 crosscheck mismatch, 2 usage error.  The worker
-count for enumerations comes from --threads or LINKCENSUS_THREADS (default:
-hardware parallelism; never more than the CPU count); identical
-configurations produce byte-identical output whatever the worker count.
+Exit codes: 0 success, 1 crosscheck mismatch, 2 usage error, 3 a library
+self-check failed (a lost or ambiguous series branch in the flype
+singularity analysis, or an out-of-range arithmetic residual); codes 2 and 3
+print a one-line ``error:`` message on stderr.  Enumerations run in a single
+process, so identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class RunConfig:
     sequence: str = "reduced-links"
     terms: int = 12
     output: str = "json"         # json | csv
-    threads: int | None = None
 
 
 def _series_for(config: RunConfig) -> Series:
@@ -64,12 +64,11 @@ def _series_for(config: RunConfig) -> Series:
     if model == "on":
         if what != "links":
             raise ValueError("loop-weight series are computed for links")
-        return oracle.free_energy_series(order, n=config.n, threads=config.threads)
+        return oracle.free_energy_series(order, n=config.n)
     if model == "two-color":
         if what != "links":
             raise ValueError("two-color series are computed for links")
-        return abab.two_color_series(order, reduced=config.reduced,
-                                     threads=config.threads)
+        return abab.two_color_series(order, reduced=config.reduced)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -92,12 +91,10 @@ def _cmd_enumerate(config: RunConfig) -> int:
                   "tangency": config.tangencies}
         table = oracle.enumerate_pairings(
             config.vertices, oracle.VertexModel.generalized(), type_counts=counts,
-            planar_only=config.planar, connected_only=config.connected,
-            threads=config.threads)
+            planar_only=config.planar, connected_only=config.connected)
     else:
         table = oracle.enumerate_pairings(
-            config.vertices, planar_only=config.planar,
-            connected_only=config.connected, threads=config.threads)
+            config.vertices, planar_only=config.planar, connected_only=config.connected)
     if config.output == "csv":
         sys.stdout.write(oracle.count_table_csv([table]))
     else:
@@ -127,14 +124,12 @@ def _cmd_constants(config: RunConfig) -> int:
 def _cmd_crosscheck(config: RunConfig) -> int:
     """Closed forms against the oracle, coefficient by coefficient."""
     vmax = config.vmax
-    threads = config.threads
     checks = [
         ("free-energy", onematrix.free_energy_raw_series(vmax),
-         oracle.free_energy_series(vmax, threads=threads)),
-        ("two-point", onematrix.g2_raw_series(vmax),
-         oracle.g2_series(vmax, threads=threads)),
+         oracle.free_energy_series(vmax)),
+        ("two-point", onematrix.g2_raw_series(vmax), oracle.g2_series(vmax)),
         ("connected-four-point", onematrix.gamma_raw_series(vmax),
-         oracle.gamma_series(vmax, threads=threads)),
+         oracle.gamma_series(vmax)),
     ]
     for name, closed, counted in checks:
         for p in range(vmax + 1):
@@ -144,7 +139,7 @@ def _cmd_crosscheck(config: RunConfig) -> int:
                 return 1
         print(f"ok {name}: coefficients agree through g^{vmax}")
     for V in range(1, vmax + 1):
-        table = oracle.enumerate_pairings(V, threads=threads)
+        table = oracle.enumerate_pairings(V)
         expected = oracle.double_factorial(4 * V - 1)
         if table.total() != expected:
             print(f"MISMATCH pairing total at V={V}: {table.total()} != {expected}")
@@ -196,8 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="linkcensus",
         description="Exact counting of alternating link/tangle diagrams and flype classes.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: LINKCENSUS_THREADS or hardware)")
+    # accepted and ignored, so that scripts written for the former worker-count
+    # option still parse; enumeration is single-process
+    parser.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_series = sub.add_parser("series", help="print a generating function")
@@ -245,6 +241,9 @@ def main(argv=None) -> int:
     except (ValueError, oracle.CeilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (flype.BranchMismatchError, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -32,11 +32,10 @@ Two engines produce identical numbers:
   orbit of its legs, weighted by the orbit size.  Neither changes any
   invariant of the completions.
 
-Work may be split over processes on the first gluing choices; partial
-tables are merged by exact integer addition, so results are independent of
-scheduling.  The worker count comes from the LINKCENSUS_THREADS environment
-variable (default: hardware parallelism) and never exceeds the CPU count or
-the number of split tasks.
+Enumeration runs in one process, in one depth-first search per table.
+Finished tables are cached for the life of the process (closed tables keyed
+by the vertex wiring, not the type name) and hand out read-only ``cells``
+mappings.
 
 One counting convention worth stating: a planar gluing already stands for
 the two diagrams related by swapping every over/under choice, so the counts
@@ -45,11 +44,11 @@ here carry no additional factor of two and consumers must not divide again.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 
 from .series import Series
 
@@ -150,12 +149,13 @@ class CountTable:
 
     ``cells`` maps ``(genus, strands, connected)`` to the number of labeled
     pairings; for disconnected entries the genus is the sum over components.
+    It is read-only: the same mapping is handed to every caller.
     """
 
     vertex_counts: tuple  # ((type name, count), ...)
     planar_only: bool
     connected_only: bool
-    cells: dict
+    cells: Mapping
 
     @property
     def num_vertices(self) -> int:
@@ -185,13 +185,13 @@ class TwoPointTable:
     two_particle_irreducible)`` to counts; the last entry is None unless the
     2PI filter was requested, and ``four_leg_connected`` flags the diagrams
     where all four legs hang off a single internal component (the connected
-    four-point part).
+    four-point part).  Like `CountTable.cells`, ``cells`` is read-only.
     """
 
     num_vertices: int
     legs: int
     planar_only: bool
-    cells: dict
+    cells: Mapping
 
     def coefficient(self, n: Fraction | int = 1, *, connected_four: bool | None = None,
                     color_boundary: bool = False, twopi: bool | None = None) -> Fraction:
@@ -228,15 +228,6 @@ def double_factorial(n: int) -> int:
         out *= n
         n -= 2
     return out
-
-
-def _resolve_threads(threads: int | None) -> int:
-    """The requested worker count, at least 1 and at most the CPU count."""
-    cpus = os.cpu_count() or 1
-    if threads is None:
-        env = os.environ.get("LINKCENSUS_THREADS")
-        threads = int(env) if env else cpus
-    return max(1, min(int(threads), cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +420,7 @@ def _four_leg_connected(matching, legs, V) -> bool:
 
 
 def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
-                 twopi, gamma_only=False, prefix=(), depth_cap=None):
+                 twopi, gamma_only=False):
     """Incremental enumeration for a single vertex species.
 
     ``strand_offsets`` encodes the internal strand wiring as a map of the
@@ -441,9 +432,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
     as a further multiplicity (one orbit of 4 for a crossing, two orbits of 2
     for a tangency).  Disallowing seeds (``allow_seed=False``) restricts to
     gluings without vacuum components; seeds are for closed diagrams only.
-    Returns the cells dict, or (with ``depth_cap``) the list of branch
-    prefixes at that depth; a prefix names a fresh-vertex branch ``-1 - j``
-    by its representative leg ``j``.
+    Returns the cells dict.
 
     The recursion keeps, with O(1) amortized rollback per gluing:
 
@@ -493,11 +482,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
             vx[legs + 4 * i + j] = i
 
     cells: dict = {}
-    prefixes: list = []
-    path: list = []
     E = S // 2
-    collect = depth_cap is not None
-    plen = len(prefix)
     off0, off1, off2, off3 = strand_offsets
     # the rotations j -> j+k of a vertex that keep its strand wiring form a
     # subgroup of Z4 of order nrot; its orbits on the legs are the residues
@@ -570,11 +555,10 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
             x = ipar[x]
         return x
 
-    def rec(depth, weight, ninst, ncomp, faces, kint, kext, nfree,
+    def rec(weight, ninst, ncomp, faces, kint, kext, nfree,
             match=match, nxt=nxt, prv=prv, cyc=cyc, csz=csz, fnx=fnx, fpv=fpv,
             par=par, psz=psz, ipar=ipar, ifree=ifree, spar=spar, sext=sext,
-            vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E, plen=plen,
-            prefix=prefix, collect=collect, depth_cap=depth_cap,
+            vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E,
             planar_only=planar_only, gamma_only=gamma_only,
             track_internal=track_internal, allow_seed=allow_seed, twopi=twopi,
             nrot=nrot, orbit_legs=orbit_legs):
@@ -585,24 +569,9 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
                 # start vacuum components and are only allowed when wanted
                 if not allow_seed and (ninst > 0 or legs > 0):
                     return
-                if collect and depth == depth_cap:
-                    prefixes.append(tuple(path))
-                    return
-                if depth < plen and prefix[depth] != -9:
-                    return
                 seed(ninst)
-                if collect:
-                    path.append(-9)
-                rec(depth + 1, weight, ninst + 1, ncomp + 1, faces, kint, kext,
-                    nfree + 4)
-                if collect:
-                    path.pop()
+                rec(weight, ninst + 1, ncomp + 1, faces, kint, kext, nfree + 4)
                 unseed(ninst)
-                return
-            if collect:
-                # a leaf above the cap becomes a complete prefix: the workers,
-                # not the collector, do every tally
-                prefixes.append(tuple(path))
                 return
             # ---- leaf ----
             if legs == 0:
@@ -622,11 +591,6 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
             cells[key] = cells.get(key, 0) + weight
             return
 
-        if collect and depth == depth_cap:
-            prefixes.append(tuple(path))
-            return
-        forced = prefix[depth] if depth < plen else None
-
         ca = cyc[s0]
         if planar_only:
             ra = vx[s0]
@@ -640,14 +604,10 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
         else:
             ir0 = -1
             ifree0 = 0
-        depth1 = depth + 1
 
         # -- candidates among already-active stubs --
         t = fnx[s0]
         while t != HEAD:
-            if forced is not None and t != forced:
-                t = fnx[t]
-                continue
             cb = cyc[t]
             if ca != cb and planar_only:
                 rb = vx[t]
@@ -842,11 +802,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
                     relabel_to = drop
                     csz[keep] = na + nb - 2
 
-            if collect:
-                path.append(t)
-            rec(depth1, weight, ninst, ncomp2, faces2, kint2, kext2, nfree - 2)
-            if collect:
-                path.pop()
+            rec(weight, ninst, ncomp2, faces2, kint2, kext2, nfree - 2)
 
             # ---- undo ----
             if new_cid:
@@ -899,8 +855,6 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
             while spar[rs] != rs:
                 rs = spar[rs]
             for j in orbit_legs:
-                if forced is not None and forced != -1 - j:
-                    continue
                 b = b0 + j
                 # free list: a out, the three new legs in (ids ascend past all)
                 fnx[fpv[a]] = fnx[a]
@@ -974,11 +928,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
                 cyc[f3] = ca
                 csz[ca] = old_ca + 2
 
-                if collect:
-                    path.append(-1 - j)
-                rec(depth1, wfresh, ninst + 1, ncomp, faces, kint, kext, nfree + 2)
-                if collect:
-                    path.pop()
+                rec(wfresh, ninst + 1, ncomp, faces, kint, kext, nfree + 2)
 
                 # ---- undo ----
                 csz[ca] = old_ca
@@ -1021,9 +971,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
         leg_at = [vx[match[e]] for e in range(legs)]
         return _has_two_two_cut(V, edges, leg_at)
 
-    rec(0, 1, 0, 0, 0, 0, 0, legs)
-    if collect:
-        return prefixes
+    rec(1, 0, 0, 0, 0, 0, legs)
     return cells
 
 
@@ -1116,35 +1064,6 @@ def _cut_splits_two_two(V, edges, leg_at, e1, e2) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fast_task(args):
-    return _fast_search(*args)
-
-
-def _run_fast(V, legs, strand_offsets, planar_only, allow_seed, twopi,
-              gamma_only, threads):
-    workers = _resolve_threads(threads)
-    if workers <= 1 or V < 4:
-        return _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
-                            twopi, gamma_only)
-    depth_cap = 2
-    prefixes = _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
-                            twopi, gamma_only, depth_cap=depth_cap)
-    tasks = [
-        (V, legs, strand_offsets, planar_only, allow_seed, twopi, gamma_only, prefix)
-        for prefix in prefixes
-    ]
-    workers = max(1, min(workers, len(tasks)))
-    merged: dict = {}
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        for part in pool.map(_fast_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))):
-            for key, value in part.items():
-                merged[key] = merged.get(key, 0) + value
-    return merged
-
-
 _CLOSED_CACHE: dict = {}
 _TWOPOINT_CACHE: dict = {}
 
@@ -1167,8 +1086,8 @@ def _check_ceiling(V: int, ceiling: int) -> None:
 
 def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
                        type_counts: dict | None = None, planar_only: bool = False,
-                       connected_only: bool = False, ceiling: int = DEFAULT_CEILING,
-                       threads: int | None = None) -> CountTable:
+                       connected_only: bool = False,
+                       ceiling: int = DEFAULT_CEILING) -> CountTable:
     """Count every gluing of closed diagrams at the given vertex content.
 
     For a single vertex species ``num_vertices`` suffices; for mixed species
@@ -1189,30 +1108,27 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
     _check_ceiling(V, ceiling)
     active = [(model.by_name(name), count) for name, count in sorted(type_counts.items())
               if count > 0]
-    key = (tuple((vt.name, c) for vt, c in active), planar_only, connected_only)
-    cached = _CLOSED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if len(active) == 1:
-        vt = active[0][0]
-        cells = _run_fast(V, 0, _strand_offsets(vt), planar_only,
-                          not connected_only, False, False, threads)
-    else:
-        patterns = []
-        for vt, count in active:
-            patterns.extend([vt.strand_pairs] * count)
-        cells = _enumerate_plain(tuple(patterns), 0, planar_only, connected_only)
+    # the counts depend on the wiring, not on what the caller named it
+    key = (tuple((_strand_offsets(vt), c) for vt, c in active), planar_only, connected_only)
+    cells = _CLOSED_CACHE.get(key)
+    if cells is None:
+        if len(active) == 1:
+            cells = _fast_search(V, 0, _strand_offsets(active[0][0]), planar_only,
+                                 not connected_only, False)
+        else:
+            patterns = []
+            for vt, count in active:
+                patterns.extend([vt.strand_pairs] * count)
+            cells = _enumerate_plain(tuple(patterns), 0, planar_only, connected_only)
+        cells = _CLOSED_CACHE[key] = MappingProxyType(dict(sorted(cells.items())))
     counts = tuple((vt.name, count) for vt, count in active)
-    table = CountTable(vertex_counts=counts, planar_only=planar_only,
-                       connected_only=connected_only, cells=dict(sorted(cells.items())))
-    _CLOSED_CACHE[key] = table
-    return table
+    return CountTable(vertex_counts=counts, planar_only=planar_only,
+                      connected_only=connected_only, cells=cells)
 
 
 def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
                     twopi: bool = False, gamma_only: bool = False,
-                    ceiling: int = DEFAULT_CEILING,
-                    threads: int | None = None) -> TwoPointTable:
+                    ceiling: int = DEFAULT_CEILING) -> TwoPointTable:
     """Count gluings with one marked boundary carrying ``legs`` half-edges.
 
     ``gamma_only`` restricts the search (with pruning) to connected four-point
@@ -1229,10 +1145,10 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
     cached = _TWOPOINT_CACHE.get(key)
     if cached is not None:
         return cached
-    cells = _run_fast(num_vertices, legs, _strand_offsets(CROSSING), planar_only,
-                      False, twopi, gamma_only, threads)
-    table = TwoPointTable(num_vertices=num_vertices, legs=legs,
-                          planar_only=planar_only, cells=dict(sorted(cells.items())))
+    cells = _fast_search(num_vertices, legs, _strand_offsets(CROSSING), planar_only,
+                         False, twopi, gamma_only)
+    table = TwoPointTable(num_vertices=num_vertices, legs=legs, planar_only=planar_only,
+                          cells=MappingProxyType(dict(sorted(cells.items()))))
     _TWOPOINT_CACHE[key] = table
     return table
 
@@ -1253,8 +1169,7 @@ def loop_polynomial(table: CountTable) -> dict:
             for k, c in sorted(table.connected_planar_by_strands().items())}
 
 
-def free_energy_polynomials(vmax: int, *, ceiling: int = DEFAULT_CEILING,
-                            threads: int | None = None) -> dict:
+def free_energy_polynomials(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> dict:
     """Free-energy coefficients as polynomials in the loop weight n.
 
     Returns ``{V: {k: coefficient of n^k}}`` for 1 <= V <= vmax, from the
@@ -1263,36 +1178,34 @@ def free_energy_polynomials(vmax: int, *, ceiling: int = DEFAULT_CEILING,
     out: dict = {}
     for V in range(1, vmax + 1):
         table = enumerate_pairings(V, planar_only=True, connected_only=True,
-                                   ceiling=ceiling, threads=threads)
+                                   ceiling=ceiling)
         out[V] = loop_polynomial(table)
     return out
 
 
 def free_energy_series(vmax: int, n: Fraction | int = 1, *,
-                       ceiling: int = DEFAULT_CEILING,
-                       threads: int | None = None) -> Series:
+                       ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle free-energy series at loop weight ``n`` (exact)."""
     n = Fraction(n)
-    polys = free_energy_polynomials(vmax, ceiling=ceiling, threads=threads)
+    polys = free_energy_polynomials(vmax, ceiling=ceiling)
     coeffs = [Fraction(0)] * (vmax + 1)
     for V, poly in polys.items():
         coeffs[V] = sum((c * n**k for k, c in poly.items()), Fraction(0))
     return Series.from_coeffs(coeffs, vmax)
 
 
-def g2_series(vmax: int, n: Fraction | int = 1, *, ceiling: int = DEFAULT_CEILING,
-              threads: int | None = None) -> Series:
+def g2_series(vmax: int, n: Fraction | int = 1, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle two-point series with a fixed external color (planar)."""
     n = Fraction(n)
     coeffs = []
     for V in range(vmax + 1):
-        table = two_point_table(V, 2, ceiling=ceiling, threads=threads)
+        table = two_point_table(V, 2, ceiling=ceiling)
         coeffs.append(table.coefficient(n))
     return Series.from_coeffs(coeffs, vmax)
 
 
 def g4_series(vmax: int, n: Fraction | int = 1, *, color_boundary: bool = False,
-              ceiling: int = DEFAULT_CEILING, threads: int | None = None) -> Series:
+              ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle four-point series (planar).
 
     With ``color_boundary`` the boundary loops are also weighted by ``n``,
@@ -1302,29 +1215,25 @@ def g4_series(vmax: int, n: Fraction | int = 1, *, color_boundary: bool = False,
     n = Fraction(n)
     coeffs = []
     for V in range(vmax + 1):
-        table = two_point_table(V, 4, ceiling=ceiling, threads=threads)
+        table = two_point_table(V, 4, ceiling=ceiling)
         coeffs.append(table.coefficient(n, color_boundary=color_boundary))
     return Series.from_coeffs(coeffs, vmax)
 
 
-def gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING,
-                 threads: int | None = None) -> Series:
+def gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle connected four-point (tangle) series, one color, planar."""
     coeffs = []
     for V in range(vmax + 1):
-        table = two_point_table(V, 4, gamma_only=True, ceiling=ceiling,
-                                threads=threads)
+        table = two_point_table(V, 4, gamma_only=True, ceiling=ceiling)
         coeffs.append(table.coefficient(1, connected_four=True))
     return Series.from_coeffs(coeffs, vmax)
 
 
-def twopi_gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING,
-                       threads: int | None = None) -> Series:
+def twopi_gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle series of two-particle-irreducible tangles (one color, planar)."""
     coeffs = []
     for V in range(vmax + 1):
-        table = two_point_table(V, 4, twopi=True, gamma_only=True,
-                                ceiling=ceiling, threads=threads)
+        table = two_point_table(V, 4, twopi=True, gamma_only=True, ceiling=ceiling)
         coeffs.append(table.coefficient(1, connected_four=True, twopi=True))
     return Series.from_coeffs(coeffs, vmax)
 

@@ -273,9 +273,9 @@ class Series:
 
 
 def _common(a: Series, b: Series) -> tuple[int, str]:
-    order = min(a.order, b.order)
-    var = a.var if a.var == b.var else a.var
-    return order, var
+    if a.var != b.var:
+        raise SeriesError(f"series in {a.var!r} and {b.var!r} do not combine")
+    return min(a.order, b.order), a.var
 
 
 def add(a: Series, b: Series) -> Series:

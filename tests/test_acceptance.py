@@ -3,9 +3,9 @@
 Each test prints one PASS/FAIL line (run pytest with -s to watch them).  The
 oracle checks of criterion 1 reach V = 6 and the totals of criterion 2 reach
 V = 5; tables are computed once per session and shared through the
-module-level caches.  Only the V = 6 total of criterion 2 (about 45 s of
-all-genus enumeration on one core) stays behind the LINKCENSUS_SLOW_TESTS
-switch.
+module-level caches.  Only the V = 6 total of criterion 2 (about 20 s of
+all-genus enumeration in one process on a 2-core VM) stays behind the
+LINKCENSUS_SLOW_TESTS switch.
 """
 
 import math

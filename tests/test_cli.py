@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from linkcensus import cli
+from linkcensus import cli, flype
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +68,40 @@ def test_enumerate_is_deterministic_across_worker_counts(capsys):
     _, out1 = run_cli(capsys, "--threads", "1", "enumerate", "--vertices", "3")
     _, out2 = run_cli(capsys, "--threads", "2", "enumerate", "--vertices", "3")
     assert out1 == out2
+
+
+def test_threads_option_is_accepted_and_ignored(capsys):
+    # --threads is kept so that older invocations parse; enumeration is single-process
+    _, plain = run_cli(capsys, "enumerate", "--vertices", "3")
+    code, threaded = run_cli(capsys, "--threads", "2", "enumerate", "--vertices", "3")
+    assert code == 0
+    assert threaded == plain
+    assert "--threads" not in cli._build_parser().format_help()
+
+
+def test_threads_environment_variable_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("LINKCENSUS_THREADS", "abc")
+    code, out = run_cli(capsys, "enumerate", "--vertices", "2")
+    assert code == 0
+    assert "2,crossing=2," in out
+
+
+@pytest.mark.parametrize("failure", [
+    flype.BranchMismatchError("no quintic factor matches the series branch"),
+    ArithmeticError("residual out of range"),
+])
+def test_library_self_check_failure_exits_three(capsys, monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(flype, "flype_singularity", fail)
+    code = cli.main(["constants", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(failure) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_constants_table(capsys):

@@ -70,6 +70,17 @@ def test_division_by_nonunit_rejected():
         div(Series.one(3), Series.identity(3))
 
 
+def test_mismatched_variables_rejected():
+    g = Series.from_coeffs([1, 2], 3)
+    w = Series.from_coeffs([1, 1], 3, var="W")
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(SeriesError, match="'g' and 'W'"):
+            op(g, w)
+        with pytest.raises(SeriesError, match="'W' and 'g'"):
+            op(w, g)
+    assert (w + 1).var == w.var == (w * w).var == (1 / w).var
+
+
 def test_ring_axioms_on_random_series():
     rng = random.Random(20260808)
     for _ in range(40):
