@@ -24,7 +24,6 @@ from . import onematrix, oracle
 from .series import Series, derivative, integrate
 
 __all__ = [
-    "TwoColorPoint",
     "CriticalConstants",
     "critical_constants",
     "two_color_series",
@@ -33,22 +32,6 @@ __all__ = [
     "g2_reduced",
     "reduced_growth_estimate",
 ]
-
-
-@dataclass(frozen=True)
-class TwoColorPoint:
-    """Couplings of the two-color model; counting happens on alpha = beta."""
-
-    alpha: float
-    beta: float
-    t: float = 1.0
-
-    @classmethod
-    def counting_line(cls, g: float, t: float = 1.0) -> "TwoColorPoint":
-        return cls(alpha=g, beta=g, t=t)
-
-    def on_counting_line(self) -> bool:
-        return self.alpha == self.beta
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,10 @@ def solve_unit_two_point(g2_raw: Series) -> Series:
         if t_next == t:
             break
         t = t_next
+    else:
+        raise ArithmeticError(
+            f"unit two-point fixed point did not converge in {order + 1} sweeps"
+        )
     return t
 
 

@@ -13,24 +13,21 @@ Wick normalization ``4^V V!`` per vertex type, are the exact coefficients of
 the counting series cross-checked against the closed forms elsewhere in the
 package.
 
-Two engines produce identical numbers:
-
-* a plain reference engine that walks every matching and classifies each
-  leaf from scratch — transparent, supports mixed vertex types, used for
-  validation and for small mixed-model runs;
-* a fast engine that maintains the boundary structure of the partially
-  glued surface incrementally.  Gluing two half-edges on the same boundary
-  cycle splits it (possibly completing faces); gluing across two cycles of
-  the same component adds a handle, which is exactly the move the planar
-  mode prunes.  The Wick factor ``4^V V!`` is a symmetry the search
-  divides out as it goes: the not-yet-touched labeled vertices are
-  interchangeable (the ``V!``), so touching one branches once with an
-  integer multiplicity instead of once per label; and the rotations of a
-  vertex that preserve its strand wiring (all four for a crossing, the
-  half-turn for a tangency; the ``4^V``) map the completions of one glued
-  leg onto those of another, so a fresh vertex is glued once per rotation
-  orbit of its legs, weighted by the orbit size.  Neither changes any
-  invariant of the completions.
+Every table, for one vertex species or several, comes from one engine that
+maintains the boundary structure of the partially glued surface
+incrementally.  Gluing two half-edges on the same boundary cycle splits it
+(possibly completing faces); gluing across two cycles of the same component
+adds a handle, which is exactly the move the planar mode prunes.  The Wick
+factor ``4^V V!`` per species is a symmetry the search divides out as it
+goes: the not-yet-touched labeled vertices of one species are
+interchangeable (the ``V!``), so touching one branches once per species with
+an integer multiplicity instead of once per label; and the rotations of a
+vertex that preserve its strand wiring (all four for a crossing, the
+half-turn for a tangency; the ``4^V``) map the completions of one glued leg
+onto those of another, so a fresh vertex is glued once per rotation orbit of
+its legs, weighted by the orbit size.  Neither changes any invariant of the
+completions.  The tests check the engine cell for cell against a plain
+engine that classifies every matching from scratch.
 
 Enumeration runs in one process, in one depth-first search per table.
 Finished tables are cached for the life of the process (closed tables keyed
@@ -56,7 +53,6 @@ __all__ = [
     "CeilingError",
     "VertexType",
     "VertexModel",
-    "PairingDiagram",
     "CountTable",
     "TwoPointTable",
     "CROSSING",
@@ -73,8 +69,6 @@ __all__ = [
     "twopi_gamma_series",
     "count_table_csv",
     "double_factorial",
-    "iter_pairings",
-    "classify_pairing",
 ]
 
 DEFAULT_CEILING = 6
@@ -124,23 +118,6 @@ class VertexModel:
             if vt.name == name:
                 return vt
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class PairingDiagram:
-    """A single gluing: a fixed-point-free involution on the half-edges."""
-
-    num_vertices: int
-    vertex_assignment: tuple  # VertexType per vertex
-    matching: tuple  # matching[s] = partner half-edge of s
-
-    def __post_init__(self) -> None:
-        m = self.matching
-        if len(m) != 4 * self.num_vertices:
-            raise ValueError("matching must cover exactly the 4V half-edges")
-        for s, t in enumerate(m):
-            if t == s or m[t] != s:
-                raise ValueError("matching is not a fixed-point-free involution")
 
 
 @dataclass(frozen=True)
@@ -231,207 +208,26 @@ def double_factorial(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# plain reference engine
+# enumeration engine
 # ---------------------------------------------------------------------------
 
 
-def classify_pairing(matching, vertex_patterns, legs: int = 0):
-    """Classify one gluing: (faces, internal loops, boundary loops, internal components).
+def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False):
+    """Incremental enumeration over labeled vertices of one or more species.
 
-    ``matching`` covers ``legs`` boundary half-edges (ids 0..legs-1, one marked
-    boundary vertex) followed by blocks of 4 per internal vertex.
-    ``vertex_patterns`` lists the strand pairing of each internal vertex.
-    """
-    V = len(vertex_patterns)
-    S = legs + 4 * V
-
-    # rotation permutation: cyclic within the boundary and within each vertex
-    sigma = list(range(S))
-    if legs:
-        for j in range(legs):
-            sigma[j] = (j + 1) % legs
-    for v in range(V):
-        b = legs + 4 * v
-        for j in range(4):
-            sigma[b + j] = b + (j + 1) % 4
-
-    # faces: cycles of sigma∘matching
-    faces = 0
-    seen = [False] * S
-    for s in range(S):
-        if seen[s]:
-            continue
-        faces += 1
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = sigma[matching[x]]
-
-    # strand transition involution
-    strand = list(range(S))
-    if legs == 2:
-        strand[0], strand[1] = 1, 0
-    elif legs == 4:
-        strand[0], strand[1], strand[2], strand[3] = 2, 3, 0, 1
-    for v, pattern in enumerate(vertex_patterns):
-        b = legs + 4 * v
-        for p, q in pattern:
-            strand[b + p] = b + q
-            strand[b + q] = b + p
-
-    loops_internal = 0
-    loops_boundary = 0
-    seen = [False] * S
-    for s in range(S):
-        if seen[s]:
-            continue
-        x = s
-        touches_boundary = False
-        while not seen[x]:
-            seen[x] = True
-            if x < legs:
-                touches_boundary = True
-            y = strand[x]
-            seen[y] = True
-            if y < legs:
-                touches_boundary = True
-            x = matching[y]
-        if touches_boundary:
-            loops_boundary += 1
-        else:
-            loops_internal += 1
-
-    # internal components (the marked boundary never counts as a connector)
-    parent = list(range(V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for s in range(legs, S):
-        t = matching[s]
-        if t >= legs:
-            a, b = find((s - legs) // 4), find((t - legs) // 4)
-            if a != b:
-                parent[a] = b
-    comps = len({find(v) for v in range(V)})
-    return faces, loops_internal, loops_boundary, comps
-
-
-def iter_pairings(num_vertices: int, legs: int = 0):
-    """Yield every matching of the ``legs + 4*num_vertices`` half-edges."""
-    S = legs + 4 * num_vertices
-    matching = [-1] * S
-
-    def rec(free: list):
-        if not free:
-            yield tuple(matching)
-            return
-        a = free[0]
-        rest = free[1:]
-        for i, b in enumerate(rest):
-            matching[a], matching[b] = b, a
-            yield from rec(rest[:i] + rest[i + 1 :])
-        matching[a] = -1
-
-    yield from rec(list(range(S)))
-
-
-def _enumerate_plain(vertex_patterns, legs, planar_only, connected_only):
-    """Reference counting: classify every matching at the leaf."""
-    V = len(vertex_patterns)
-    cells: dict = {}
-    E = (legs + 4 * V) // 2
-    for matching in iter_pairings(V, legs):
-        faces, kin, kext, comps = classify_pairing(matching, vertex_patterns, legs)
-        if legs == 0:
-            # disallow boundaryless diagrams with marked... nothing: closed diagram
-            chi = V - E + faces
-            genus2 = 2 * comps - chi
-            genus = genus2 // 2
-            connected = comps == 1
-            if connected_only and not connected:
-                continue
-            if planar_only and genus != 0:
-                continue
-            key = (genus, kin, connected)
-        else:
-            # every internal component must touch the boundary (vacuum parts cancel)
-            if V and _has_vacuum_component(matching, legs, V):
-                continue
-            chi = (V + 1) - E + faces
-            genus = (2 - chi) // 2
-            if planar_only and genus != 0:
-                continue
-            conn4 = legs == 4 and _four_leg_connected(matching, legs, V)
-            key = (genus, kin, kext, conn4, None)
-        cells[key] = cells.get(key, 0) + 1
-    return cells
-
-
-def _has_vacuum_component(matching, legs, V) -> bool:
-    parent = list(range(V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    touches = [False] * V
-    for s in range(legs, legs + 4 * V):
-        t = matching[s]
-        if t < legs:
-            touches[(s - legs) // 4] = True
-        elif s < t:
-            a, b = find((s - legs) // 4), find((t - legs) // 4)
-            if a != b:
-                parent[a] = b
-    reached = [False] * V
-    for v in range(V):
-        if touches[v]:
-            reached[find(v)] = True
-    return any(not reached[find(v)] for v in range(V))
-
-
-def _four_leg_connected(matching, legs, V) -> bool:
-    if any(matching[e] < legs for e in range(legs)):
-        return False
-    parent = list(range(V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for s in range(legs, legs + 4 * V):
-        t = matching[s]
-        if t >= legs and s < t:
-            a, b = find((s - legs) // 4), find((t - legs) // 4)
-            if a != b:
-                parent[a] = b
-    roots = {find((matching[e] - legs) // 4) for e in range(legs)}
-    return len(roots) == 1
-
-
-# ---------------------------------------------------------------------------
-# fast engine
-# ---------------------------------------------------------------------------
-
-
-def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
-                 twopi, gamma_only=False):
-    """Incremental enumeration for a single vertex species.
-
-    ``strand_offsets`` encodes the internal strand wiring as a map of the
-    legs 0..3 (e.g. crossings map j -> j+2 mod 4).  Fresh vertices are
-    interchangeable as labels, so touching one branches once with
-    multiplicity equal to the number still untouched.  They are also
-    interchangeable under the rotations ``j -> j+k mod 4`` that preserve the
-    wiring, so only one leg per rotation orbit is glued, with the orbit size
-    as a further multiplicity (one orbit of 4 for a crossing, two orbits of 2
-    for a tangency).  Disallowing seeds (``allow_seed=False``) restricts to
-    gluings without vacuum components; seeds are for closed diagrams only.
+    ``species`` lists ``(strand_offsets, count)`` in label order: the first
+    ``count`` labels carry the first wiring, and so on.  ``strand_offsets``
+    encodes a wiring as a map of the legs 0..3 (e.g. crossings map
+    j -> j+2 mod 4).  Untouched vertices of one species are interchangeable
+    as labels, so touching a fresh vertex branches once per species with
+    multiplicity equal to the number of that species still untouched.  They
+    are also interchangeable under the rotations ``j -> j+k mod 4`` that
+    preserve the wiring, so only one leg per rotation orbit is glued, with
+    the orbit size as a further multiplicity (one orbit of 4 for a crossing,
+    two orbits of 2 for a tangency).  A seed starts a new component on the
+    lowest untouched label, so its species is the first with vertices left
+    and its weight is 1.  Disallowing seeds (``allow_seed=False``) restricts
+    to gluings without vacuum components; seeds are for closed diagrams only.
     Returns the cells dict.
 
     The recursion keeps, with O(1) amortized rollback per gluing:
@@ -456,6 +252,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
     """
     if allow_seed and legs:
         raise ValueError("seeded (vacuum) components need a closed diagram (legs=0)")
+    V = sum(count for _, count in species)
     S = legs + 4 * V
     HEAD = S
     match = [-1] * S
@@ -483,13 +280,17 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
 
     cells: dict = {}
     E = S // 2
-    off0, off1, off2, off3 = strand_offsets
-    # the rotations j -> j+k of a vertex that keep its strand wiring form a
-    # subgroup of Z4 of order nrot; its orbits on the legs are the residues
-    # mod 4 // nrot, each of nrot legs, so legs 0 .. 4 // nrot - 1 stand for all
-    nrot = sum(all(strand_offsets[(j + k) & 3] == (strand_offsets[j] + k) & 3
-                   for j in range(4)) for k in range(4))
-    orbit_legs = range(4 // nrot)
+    # per species, flat for the hot loop: its index, its wiring, and its
+    # rotation orbits; ``left`` counts its untouched vertices.  The rotations
+    # j -> j+k of a vertex that keep its strand wiring form a subgroup of Z4
+    # of order nrot; its orbits on the legs are the residues mod 4 // nrot,
+    # each of nrot legs, so legs 0 .. 4 // nrot - 1 stand for all
+    kinds = []
+    for sp, (off, _count) in enumerate(species):
+        nrot = sum(all(off[(j + k) & 3] == (off[j] + k) & 3 for j in range(4))
+                   for k in range(4))
+        kinds.append((sp, *off, nrot, range(4 // nrot)))
+    left = [count for _, count in species]
 
     def freelist_append(x: int) -> None:
         last = fpv[HEAD]
@@ -517,7 +318,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
 
     ncid_box = [1 if legs else 0]
 
-    def seed(slot: int) -> None:
+    def seed(slot: int, strand_offsets) -> None:
         # start a brand-new component on a fresh vertex (cold path)
         b = legs + 4 * slot
         cid = ncid_box[0]
@@ -561,7 +362,7 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
             vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E,
             planar_only=planar_only, gamma_only=gamma_only,
             track_internal=track_internal, allow_seed=allow_seed, twopi=twopi,
-            nrot=nrot, orbit_legs=orbit_legs):
+            kinds=kinds, left=left):
         s0 = fnx[HEAD]
         if s0 == HEAD:
             if ninst < V:
@@ -569,9 +370,15 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
                 # start vacuum components and are only allowed when wanted
                 if not allow_seed and (ninst > 0 or legs > 0):
                     return
-                seed(ninst)
+                # the lowest untouched label: the first species with some left
+                sp = 0
+                while not left[sp]:
+                    sp += 1
+                left[sp] -= 1
+                seed(ninst, species[sp][0])
                 rec(weight, ninst + 1, ncomp + 1, faces, kint, kext, nfree + 4)
                 unseed(ninst)
+                left[sp] += 1
                 return
             # ---- leaf ----
             if legs == 0:
@@ -839,8 +646,6 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
 
         # -- candidates on a fresh vertex: splice its other three legs in --
         if ninst < V:
-            m = V - ninst
-            wfresh = weight * m * nrot
             b0 = legs + 4 * ninst
             slot = ninst
             a = s0
@@ -854,103 +659,110 @@ def _fast_search(V, legs, strand_offsets, planar_only, allow_seed,
             rs = a
             while spar[rs] != rs:
                 rs = spar[rs]
-            for j in orbit_legs:
-                b = b0 + j
-                # free list: a out, the three new legs in (ids ascend past all)
-                fnx[fpv[a]] = fnx[a]
-                fpv[fnx[a]] = fpv[a]
-                for x in range(b0, b0 + 4):
-                    if x == b:
-                        continue
-                    last = fpv[HEAD]
-                    fnx[last] = x
-                    fpv[x] = last
-                    fnx[x] = HEAD
-                    fpv[HEAD] = x
-                match[a] = b
-                match[b] = a
-                # strand wiring of the fresh vertex; segment through b joins rs
-                spar[b0] = b0
-                spar[b0 + 1] = b0 + 1
-                spar[b0 + 2] = b0 + 2
-                spar[b0 + 3] = b0 + 3
-                sext[b0] = sext[b0 + 1] = sext[b0 + 2] = sext[b0 + 3] = False
-                if off0 > 0:
-                    spar[b0 + off0] = b0
-                if off1 > 1:
-                    spar[b0 + off1] = b0 + 1
-                if off2 > 2:
-                    spar[b0 + off2] = b0 + 2
-                if off3 > 3:
-                    spar[b0 + off3] = b0 + 3
-                rt = b
-                while spar[rt] != rt:
-                    rt = spar[rt]
-                spar[rt] = rs
-                # components: the fresh slot hangs off a's component
-                par[slot] = rva
-                psz[rva] += 1
-                psz_rva_bump = rva
-                if ria >= 0:
-                    # fresh vertex: 4 new internal stubs, 2 consumed by the glue
-                    ipar[slot] = ria
-                    if track_internal:
-                        ifree[ria] += 2
-                else:
+            for sp, off0, off1, off2, off3, nrot, orbit_legs in kinds:
+                m = left[sp]
+                if not m:
+                    continue
+                wfresh = weight * m * nrot
+                left[sp] = m - 1
+                for j in orbit_legs:
+                    b = b0 + j
+                    # free list: a out, the three new legs in (ids ascend past all)
+                    fnx[fpv[a]] = fnx[a]
+                    fpv[fnx[a]] = fpv[a]
+                    for x in range(b0, b0 + 4):
+                        if x == b:
+                            continue
+                        last = fpv[HEAD]
+                        fnx[last] = x
+                        fpv[x] = last
+                        fnx[x] = HEAD
+                        fpv[HEAD] = x
+                    match[a] = b
+                    match[b] = a
+                    # strand wiring of the fresh vertex; segment through b joins rs
+                    spar[b0] = b0
+                    spar[b0 + 1] = b0 + 1
+                    spar[b0 + 2] = b0 + 2
+                    spar[b0 + 3] = b0 + 3
+                    sext[b0] = sext[b0 + 1] = sext[b0 + 2] = sext[b0 + 3] = False
+                    if off0 > 0:
+                        spar[b0 + off0] = b0
+                    if off1 > 1:
+                        spar[b0 + off1] = b0 + 1
+                    if off2 > 2:
+                        spar[b0 + off2] = b0 + 2
+                    if off3 > 3:
+                        spar[b0 + off3] = b0 + 3
+                    rt = b
+                    while spar[rt] != rt:
+                        rt = spar[rt]
+                    spar[rt] = rs
+                    # components: the fresh slot hangs off a's component
+                    par[slot] = rva
+                    psz[rva] += 1
+                    psz_rva_bump = rva
+                    if ria >= 0:
+                        # fresh vertex: 4 new internal stubs, 2 consumed by the glue
+                        ipar[slot] = ria
+                        if track_internal:
+                            ifree[ria] += 2
+                    else:
+                        ipar[slot] = slot
+                        if track_internal:
+                            ifree[slot] = 3
+                    # boundary: replace a by the three new legs, in rotation order
+                    pa = prv[a]
+                    sa = nxt[a]
+                    f1 = b0 + ((j + 1) & 3)
+                    f2 = b0 + ((j + 2) & 3)
+                    f3 = b0 + ((j + 3) & 3)
+                    old_ca = csz[ca]
+                    if old_ca == 1:
+                        nxt[f1] = f2
+                        prv[f2] = f1
+                        nxt[f2] = f3
+                        prv[f3] = f2
+                        nxt[f3] = f1
+                        prv[f1] = f3
+                    else:
+                        nxt[pa] = f1
+                        prv[f1] = pa
+                        nxt[f1] = f2
+                        prv[f2] = f1
+                        nxt[f2] = f3
+                        prv[f3] = f2
+                        nxt[f3] = sa
+                        prv[sa] = f3
+                    cyc[f1] = ca
+                    cyc[f2] = ca
+                    cyc[f3] = ca
+                    csz[ca] = old_ca + 2
+
+                    rec(wfresh, ninst + 1, ncomp, faces, kint, kext, nfree + 2)
+
+                    # ---- undo ----
+                    csz[ca] = old_ca
+                    if old_ca > 1:
+                        nxt[pa] = a
+                        prv[sa] = a
+                    psz[psz_rva_bump] -= 1
+                    par[slot] = slot
                     ipar[slot] = slot
-                    if track_internal:
-                        ifree[slot] = 3
-                # boundary: replace a by the three new legs, in rotation order
-                pa = prv[a]
-                sa = nxt[a]
-                f1 = b0 + ((j + 1) & 3)
-                f2 = b0 + ((j + 2) & 3)
-                f3 = b0 + ((j + 3) & 3)
-                old_ca = csz[ca]
-                if old_ca == 1:
-                    nxt[f1] = f2
-                    prv[f2] = f1
-                    nxt[f2] = f3
-                    prv[f3] = f2
-                    nxt[f3] = f1
-                    prv[f1] = f3
-                else:
-                    nxt[pa] = f1
-                    prv[f1] = pa
-                    nxt[f1] = f2
-                    prv[f2] = f1
-                    nxt[f2] = f3
-                    prv[f3] = f2
-                    nxt[f3] = sa
-                    prv[sa] = f3
-                cyc[f1] = ca
-                cyc[f2] = ca
-                cyc[f3] = ca
-                csz[ca] = old_ca + 2
-
-                rec(wfresh, ninst + 1, ncomp, faces, kint, kext, nfree + 2)
-
-                # ---- undo ----
-                csz[ca] = old_ca
-                if old_ca > 1:
-                    nxt[pa] = a
-                    prv[sa] = a
-                psz[psz_rva_bump] -= 1
-                par[slot] = slot
-                ipar[slot] = slot
-                if ria >= 0 and track_internal:
-                    ifree[ria] -= 2
-                spar[rt] = rt
-                match[a] = -1
-                match[b] = -1
-                for x in range(b0 + 3, b0 - 1, -1):
-                    if x == b:
-                        continue
-                    last = fpv[x]
-                    fnx[last] = HEAD
-                    fpv[HEAD] = last
-                fpv[fnx[a]] = a
-                fnx[fpv[a]] = a
+                    if ria >= 0 and track_internal:
+                        ifree[ria] -= 2
+                    spar[rt] = rt
+                    match[a] = -1
+                    match[b] = -1
+                    for x in range(b0 + 3, b0 - 1, -1):
+                        if x == b:
+                            continue
+                        last = fpv[x]
+                        fnx[last] = HEAD
+                        fpv[HEAD] = last
+                    fpv[fnx[a]] = a
+                    fnx[fpv[a]] = a
+                left[sp] = m
 
     def _leaf_four_connected() -> bool:
         roots = set()
@@ -1091,9 +903,10 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
     """Count every gluing of closed diagrams at the given vertex content.
 
     For a single vertex species ``num_vertices`` suffices; for mixed species
-    pass ``type_counts`` (name -> count).  ``planar_only`` restricts to genus
-    zero (with pruning during the search), ``connected_only`` to single-
-    component gluings.
+    pass ``type_counts`` (name -> count).  Either way one search runs, with
+    the species labeled in order of their type names.  ``planar_only``
+    restricts to genus zero (with pruning during the search),
+    ``connected_only`` to single-component gluings.
     """
     model = model or VertexModel.one_matrix()
     if type_counts is None:
@@ -1109,17 +922,11 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
     active = [(model.by_name(name), count) for name, count in sorted(type_counts.items())
               if count > 0]
     # the counts depend on the wiring, not on what the caller named it
-    key = (tuple((_strand_offsets(vt), c) for vt, c in active), planar_only, connected_only)
+    species = tuple((_strand_offsets(vt), c) for vt, c in active)
+    key = (species, planar_only, connected_only)
     cells = _CLOSED_CACHE.get(key)
     if cells is None:
-        if len(active) == 1:
-            cells = _fast_search(V, 0, _strand_offsets(active[0][0]), planar_only,
-                                 not connected_only, False)
-        else:
-            patterns = []
-            for vt, count in active:
-                patterns.extend([vt.strand_pairs] * count)
-            cells = _enumerate_plain(tuple(patterns), 0, planar_only, connected_only)
+        cells = _fast_search(0, species, planar_only, not connected_only, False)
         cells = _CLOSED_CACHE[key] = MappingProxyType(dict(sorted(cells.items())))
     counts = tuple((vt.name, count) for vt, count in active)
     return CountTable(vertex_counts=counts, planar_only=planar_only,
@@ -1145,7 +952,7 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
     cached = _TWOPOINT_CACHE.get(key)
     if cached is not None:
         return cached
-    cells = _fast_search(num_vertices, legs, _strand_offsets(CROSSING), planar_only,
+    cells = _fast_search(legs, [(_strand_offsets(CROSSING), num_vertices)], planar_only,
                          False, twopi, gamma_only)
     table = TwoPointTable(num_vertices=num_vertices, legs=legs, planar_only=planar_only,
                           cells=MappingProxyType(dict(sorted(cells.items()))))

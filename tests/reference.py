@@ -1,0 +1,187 @@
+"""Plain reference engine for the oracle tests.
+
+It walks every matching of the half-edges and classifies each one from
+scratch: no incremental state, no pruning, no symmetry.  That makes it slow,
+(4V + legs - 1)!! leaves per table, and easy to read.  The tests compare the
+oracle's search with it cell for cell.
+"""
+
+from __future__ import annotations
+
+
+def classify_pairing(matching, vertex_patterns, legs: int = 0):
+    """Classify one gluing: (faces, internal loops, boundary loops, internal components).
+
+    ``matching`` covers ``legs`` boundary half-edges (ids 0..legs-1, one marked
+    boundary vertex) followed by blocks of 4 per internal vertex.
+    ``vertex_patterns`` lists the strand pairing of each internal vertex.
+    """
+    V = len(vertex_patterns)
+    S = legs + 4 * V
+
+    # rotation permutation: cyclic within the boundary and within each vertex
+    sigma = list(range(S))
+    if legs:
+        for j in range(legs):
+            sigma[j] = (j + 1) % legs
+    for v in range(V):
+        b = legs + 4 * v
+        for j in range(4):
+            sigma[b + j] = b + (j + 1) % 4
+
+    # faces: cycles of sigma∘matching
+    faces = 0
+    seen = [False] * S
+    for s in range(S):
+        if seen[s]:
+            continue
+        faces += 1
+        x = s
+        while not seen[x]:
+            seen[x] = True
+            x = sigma[matching[x]]
+
+    # strand transition involution
+    strand = list(range(S))
+    if legs == 2:
+        strand[0], strand[1] = 1, 0
+    elif legs == 4:
+        strand[0], strand[1], strand[2], strand[3] = 2, 3, 0, 1
+    for v, pattern in enumerate(vertex_patterns):
+        b = legs + 4 * v
+        for p, q in pattern:
+            strand[b + p] = b + q
+            strand[b + q] = b + p
+
+    loops_internal = 0
+    loops_boundary = 0
+    seen = [False] * S
+    for s in range(S):
+        if seen[s]:
+            continue
+        x = s
+        touches_boundary = False
+        while not seen[x]:
+            seen[x] = True
+            if x < legs:
+                touches_boundary = True
+            y = strand[x]
+            seen[y] = True
+            if y < legs:
+                touches_boundary = True
+            x = matching[y]
+        if touches_boundary:
+            loops_boundary += 1
+        else:
+            loops_internal += 1
+
+    # internal components (the marked boundary never counts as a connector)
+    parent = list(range(V))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for s in range(legs, S):
+        t = matching[s]
+        if t >= legs:
+            a, b = find((s - legs) // 4), find((t - legs) // 4)
+            if a != b:
+                parent[a] = b
+    comps = len({find(v) for v in range(V)})
+    return faces, loops_internal, loops_boundary, comps
+
+
+def iter_pairings(num_vertices: int, legs: int = 0):
+    """Yield every matching of the ``legs + 4*num_vertices`` half-edges."""
+    S = legs + 4 * num_vertices
+    matching = [-1] * S
+
+    def rec(free: list):
+        if not free:
+            yield tuple(matching)
+            return
+        a = free[0]
+        rest = free[1:]
+        for i, b in enumerate(rest):
+            matching[a], matching[b] = b, a
+            yield from rec(rest[:i] + rest[i + 1 :])
+        matching[a] = -1
+
+    yield from rec(list(range(S)))
+
+
+def _enumerate_plain(vertex_patterns, legs, planar_only, connected_only):
+    """Reference counting: classify every matching at the leaf."""
+    V = len(vertex_patterns)
+    cells: dict = {}
+    E = (legs + 4 * V) // 2
+    for matching in iter_pairings(V, legs):
+        faces, kin, kext, comps = classify_pairing(matching, vertex_patterns, legs)
+        if legs == 0:
+            chi = V - E + faces
+            genus2 = 2 * comps - chi
+            genus = genus2 // 2
+            connected = comps == 1
+            if connected_only and not connected:
+                continue
+            if planar_only and genus != 0:
+                continue
+            key = (genus, kin, connected)
+        else:
+            # every internal component must touch the boundary (vacuum parts cancel)
+            if V and _has_vacuum_component(matching, legs, V):
+                continue
+            chi = (V + 1) - E + faces
+            genus = (2 - chi) // 2
+            if planar_only and genus != 0:
+                continue
+            conn4 = legs == 4 and _four_leg_connected(matching, legs, V)
+            key = (genus, kin, kext, conn4, None)
+        cells[key] = cells.get(key, 0) + 1
+    return cells
+
+
+def _has_vacuum_component(matching, legs, V) -> bool:
+    parent = list(range(V))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    touches = [False] * V
+    for s in range(legs, legs + 4 * V):
+        t = matching[s]
+        if t < legs:
+            touches[(s - legs) // 4] = True
+        elif s < t:
+            a, b = find((s - legs) // 4), find((t - legs) // 4)
+            if a != b:
+                parent[a] = b
+    reached = [False] * V
+    for v in range(V):
+        if touches[v]:
+            reached[find(v)] = True
+    return any(not reached[find(v)] for v in range(V))
+
+
+def _four_leg_connected(matching, legs, V) -> bool:
+    if any(matching[e] < legs for e in range(legs)):
+        return False
+    parent = list(range(V))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for s in range(legs, legs + 4 * V):
+        t = matching[s]
+        if t >= legs and s < t:
+            a, b = find((s - legs) // 4), find((t - legs) // 4)
+            if a != b:
+                parent[a] = b
+    roots = {find((matching[e] - legs) // 4) for e in range(legs)}
+    return len(roots) == 1

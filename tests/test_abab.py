@@ -71,8 +71,3 @@ def test_reduced_growth_estimate_brackets_expected_value():
     estimate = abab.reduced_growth_estimate(5)
     assert 6.0 < estimate < 8.0
 
-
-def test_counting_line_point():
-    point = abab.TwoColorPoint.counting_line(0.1)
-    assert point.on_counting_line()
-    assert not abab.TwoColorPoint(0.1, 0.2).on_counting_line()

@@ -1,10 +1,12 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
+import itertools
 import json
 
 import pytest
 
-from linkcensus import cli, flype
+from linkcensus import cli, flype, onematrix
+from linkcensus.series import Series
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +66,14 @@ def test_enumerate_mixed_model(capsys):
     assert "crossing=1;tangency=1" in out
 
 
+def test_enumerate_mixed_model_at_four_vertices(capsys):
+    code, out = run_cli(capsys, "enumerate", "--vertices", "4", "--tangencies", "2")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert all(row.startswith("4,crossing=2;tangency=2,") for row in rows)
+    assert sum(int(row.rsplit(",", 1)[1]) for row in rows) == 15 * 13 * 11 * 9 * 7 * 5 * 3
+
+
 def test_enumerate_is_deterministic_across_worker_counts(capsys):
     _, out1 = run_cli(capsys, "--threads", "1", "enumerate", "--vertices", "3")
     _, out2 = run_cli(capsys, "--threads", "2", "enumerate", "--vertices", "3")
@@ -102,6 +112,18 @@ def test_library_self_check_failure_exits_three(capsys, monkeypatch, failure):
     assert captured.err.startswith("error: ")
     assert str(failure) in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_unconverged_renormalization_exits_three(capsys, monkeypatch):
+    shifts = itertools.count(2)
+    monkeypatch.setattr(onematrix, "compose",
+                        lambda outer, inner: Series.constant(next(shifts), outer.order))
+    code = cli.main(["series", "--model", "two-color", "--reduced", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ArithmeticError: ")
+    assert "did not converge" in captured.err
 
 
 def test_constants_table(capsys):

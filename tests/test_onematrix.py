@@ -1,5 +1,6 @@
 """Closed forms of the quartic model, raw and renormalized, plus spectral data."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -91,6 +92,15 @@ def test_unit_two_point_constraint_holds_to_order_ten():
 def test_renormalization_recovered_from_raw_two_point():
     order = 10
     assert om.solve_unit_two_point(om.g2_raw_series(order)) == om.t_series(order)
+
+
+def test_unconverged_renormalization_is_refused(monkeypatch):
+    # a map with no fixed point: every sweep returns a new constant
+    shifts = itertools.count(2)
+    monkeypatch.setattr(om, "compose",
+                        lambda outer, inner: Series.constant(next(shifts), outer.order))
+    with pytest.raises(ArithmeticError, match="did not converge in 5 sweeps"):
+        om.solve_unit_two_point(om.g2_raw_series(4))
 
 
 @pytest.mark.parametrize("t", [F(2, 3), F(1), F(5, 4), F(2)])

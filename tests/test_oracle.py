@@ -10,7 +10,9 @@ import pytest
 
 from linkcensus import onematrix as om
 from linkcensus import oracle as oc
-from linkcensus.oracle import CROSSING, TANGENCY, _enumerate_plain
+from linkcensus.oracle import CROSSING, TANGENCY
+from reference import (_enumerate_plain, _four_leg_connected, _has_vacuum_component,
+                       classify_pairing, iter_pairings)
 
 F = Fraction
 
@@ -130,10 +132,10 @@ def _twopi_reference(vertex_type, V, planar):
     every pair of internal edges as a cut."""
     patterns = (vertex_type.strand_pairs,) * V
     cells = {}
-    for m in oc.iter_pairings(V, 4):
-        if oc._has_vacuum_component(m, 4, V) or not oc._four_leg_connected(m, 4, V):
+    for m in iter_pairings(V, 4):
+        if _has_vacuum_component(m, 4, V) or not _four_leg_connected(m, 4, V):
             continue
-        faces, kin, kext, _ = oc.classify_pairing(m, patterns, 4)
+        faces, kin, kext, _ = classify_pairing(m, patterns, 4)
         genus = (2 - (V + 1) + (2 + 2 * V) - faces) // 2
         if planar and genus:
             continue
@@ -154,8 +156,9 @@ def test_orbit_engine_matches_reference_closed(vertex_type, V, planar):
     want = _reference(vertex_type, V, 0)
     if planar:
         want = _slice(want, lambda key: key[0] == 0)
-    assert oc._fast_search(V, 0, off, planar, True, False) == want
-    assert oc._fast_search(V, 0, off, planar, False, False) == _slice(want, lambda key: key[2])
+    species = [(off, V)]
+    assert oc._fast_search(0, species, planar, True, False) == want
+    assert oc._fast_search(0, species, planar, False, False) == _slice(want, lambda key: key[2])
 
 
 @pytest.mark.parametrize("vertex_type", WIRINGS, ids=lambda vt: vt.name)
@@ -163,16 +166,16 @@ def test_orbit_engine_matches_reference_closed(vertex_type, V, planar):
                                     (0, 4), (1, 4), (2, 4), (3, 4)])
 @pytest.mark.parametrize("planar", [False, True])
 def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
-    off = oc._strand_offsets(vertex_type)
+    species = [(oc._strand_offsets(vertex_type), V)]
     want = _reference(vertex_type, V, legs)
     if planar:
         want = _slice(want, lambda key: key[0] == 0)
-    assert oc._fast_search(V, legs, off, planar, False, False) == want
+    assert oc._fast_search(legs, species, planar, False, False) == want
     if legs == 2:
         return
     gamma = _slice(want, lambda key: key[3])
-    assert oc._fast_search(V, 4, off, planar, False, False, gamma_only=True) == gamma
-    twopi = oc._fast_search(V, 4, off, planar, False, True, gamma_only=True)
+    assert oc._fast_search(4, species, planar, False, False, gamma_only=True) == gamma
+    twopi = oc._fast_search(4, species, planar, False, True, gamma_only=True)
     merged = {}
     for (h, kin, kext, conn4, _flag), count in twopi.items():
         key = (h, kin, kext, conn4, None)
@@ -185,7 +188,7 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
 def test_seeds_need_a_closed_diagram():
     # a seeded component has no legs, so seeds only make sense with legs=0
     with pytest.raises(ValueError, match="legs=0"):
-        oc._fast_search(2, 4, (2, 3, 0, 1), True, True, False, gamma_only=True)
+        oc._fast_search(4, [((2, 3, 0, 1), 2)], True, True, False, gamma_only=True)
 
 
 def test_relabeling_invariance_mixed_model():
@@ -204,6 +207,82 @@ def test_mixed_model_total_and_planar_cells():
     assert table.total() == oc.double_factorial(7)
     planar_conn = {k: v for k, v in table.cells.items() if k[2] and k[0] == 0}
     assert planar_conn == {(0, 1, True): 20, (0, 2, True): 16}
+
+
+# -- several vertex species in one search --------------------------------------------
+
+THIRD = oc.VertexType("third", ((0, 3), (1, 2)), "k")
+SPLITS = [counts for V in (2, 3)
+          for counts in [(c, t, V - c - t) for c in range(V + 1) for t in range(V + 1 - c)]
+          if sum(1 for count in counts if count) >= 2]
+
+
+@cache
+def _mixed_reference(counts):
+    patterns = []
+    for vt, count in zip((CROSSING, TANGENCY, THIRD), counts):
+        patterns.extend([vt.strand_pairs] * count)
+    return _enumerate_plain(tuple(patterns), 0, False, False)
+
+
+@pytest.mark.parametrize("counts", SPLITS, ids=lambda counts: "-".join(map(str, counts)))
+@pytest.mark.parametrize("planar", [False, True])
+def test_species_engine_matches_reference(counts, planar):
+    species = [(oc._strand_offsets(vt), count)
+               for vt, count in zip((CROSSING, TANGENCY, THIRD), counts)]
+    want = _mixed_reference(counts)
+    if planar:
+        want = _slice(want, lambda key: key[0] == 0)
+    assert oc._fast_search(0, species, planar, True, False) == want
+    assert oc._fast_search(0, species, planar, False, False) == _slice(want, lambda key: key[2])
+    # the counts do not depend on which species holds the lowest labels
+    assert oc._fast_search(0, species[::-1], planar, True, False) == want
+
+
+def test_mixed_disconnected_cells_from_connected_convolution():
+    """Two-species labeled first-block recursion: the block holding the
+    lowest label (a crossing while any are left) rebuilds every cell."""
+    vmax = 4
+    model = oc.VertexModel.generalized()
+
+    def table(a, b, connected_only):
+        counts = {"crossing": a, "tangency": b}
+        return oc.enumerate_pairings(a + b, model, type_counts=counts,
+                                     connected_only=connected_only).cells
+
+    contents = [(a, b) for a in range(vmax + 1) for b in range(vmax + 1 - a) if a + b]
+    conn = {ab: table(*ab, True) for ab in contents}
+
+    @cache
+    def convolve(a, b):
+        if a == b == 0:
+            return {(0, 0): 1}
+        out = {}
+        for s, u in contents:
+            if s > a or u > b:
+                continue
+            if a and not s:
+                continue  # the lowest label is a crossing, so its block has one
+            ways = math.comb(a - 1, s - 1) * math.comb(b, u) if a else math.comb(b - 1, u - 1)
+            for (h1, k1, _c), c1 in conn[(s, u)].items():
+                for (h2, k2), c2 in convolve(a - s, b - u).items():
+                    key = (h1 + h2, k1 + k2)
+                    out[key] = out.get(key, 0) + ways * c1 * c2
+        return out
+
+    for a, b in contents:
+        merged = {}
+        for (h, k, _conn), c in table(a, b, False).items():
+            merged[(h, k)] = merged.get((h, k), 0) + c
+        assert merged == convolve(a, b)
+
+
+@pytest.mark.parametrize("tangencies", [1, 2, 3])
+def test_mixed_total_at_four_vertices(tangencies):
+    table = oc.enumerate_pairings(4, oc.VertexModel.generalized(),
+                                  type_counts={"crossing": 4 - tangencies,
+                                               "tangency": tangencies})
+    assert table.total() == oc.double_factorial(15)
 
 
 # -- two-point tables and series -----------------------------------------------------
@@ -299,20 +378,13 @@ def test_vertex_model_validation():
         oc.VertexModel((oc.VertexType("bad", ((0, 1), (1, 2)), "x"),))
 
 
-def test_pairing_diagram_validation():
-    with pytest.raises(ValueError):
-        oc.PairingDiagram(1, (CROSSING,), (1, 0, 3, 3))
-    diagram = oc.PairingDiagram(1, (CROSSING,), (1, 0, 3, 2))
-    assert diagram.num_vertices == 1
-
-
 def test_iter_pairings_counts():
-    assert sum(1 for _ in oc.iter_pairings(1)) == 3
-    assert sum(1 for _ in oc.iter_pairings(1, legs=2)) == 15
+    assert sum(1 for _ in iter_pairings(1)) == 3
+    assert sum(1 for _ in iter_pairings(1, legs=2)) == 15
 
 
 def test_classify_pairing_single_crossing():
-    faces, kin, kext, comps = oc.classify_pairing((1, 0, 3, 2), (CROSSING.strand_pairs,))
+    faces, kin, kext, comps = classify_pairing((1, 0, 3, 2), (CROSSING.strand_pairs,))
     assert (faces, kin, comps) == (3, 1, 1)
 
 
