@@ -255,9 +255,7 @@ class ConstantRow:
 
 def raw_growth() -> float:
     """Growth of raw diagram counts: reciprocal of the branch point of a^2."""
-    # the radicand of the endpoint closed form is 1 - 12 g
-    root = sp.Rational(1, 12)
-    return float(1 / root)
+    return float(1 / onematrix.RAW_CRITICAL_G)
 
 
 def reduced_cubic_growth() -> tuple:
@@ -278,11 +276,12 @@ def constants_report(reduced_terms: int = 12) -> list:
     """Every headline constant, computed here, next to its reference value."""
     rows = []
 
+    growth_raw = raw_growth()
     rows.append(ConstantRow(
         name="raw-growth",
         paper_value=12.0,
-        computed_value=raw_growth(),
-        abs_error=abs(raw_growth() - 12.0),
+        computed_value=growth_raw,
+        abs_error=abs(growth_raw - 12.0),
         anchor="branch point of the raw endpoint parameter",
     ))
 

@@ -24,7 +24,9 @@ exact series, and Newton-expanding the branch of a single quintic polynomial
 relation obtained by eliminating the radicals with exact resultants — and it
 refuses to answer if the two disagree.  The dominant singularity is then
 certified algebraically from the discriminant of the quintic and confirmed
-numerically by tracking the branch to its fold point.
+by tracking the branch to its fold, where exact real-root counts of the
+quintic at rational points locate the collision of the branch with its
+partner root.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def _quintic_sympy():
     quintic = None
     for factor, _mult in sp.factor_list(resultant)[1]:
         poly = sp.Poly(factor, g, W)
-        if _vanishes_on_series(poly, series):
+        if _sympy_poly_to_bivariate(poly).eval_series(series).is_zero():
             if quintic is not None:
                 raise BranchMismatchError("two resultant factors match the series")
             quintic = poly
@@ -174,16 +176,6 @@ def _quintic_sympy():
     if quintic.LC() < 0:
         quintic = -quintic
     return quintic
-
-
-def _vanishes_on_series(poly: sp.Poly, series: Series) -> bool:
-    acc = Series.zero(series.order)
-    for (i, j), coeff in poly.terms():
-        term = Series.constant(Fraction(int(sp.numer(coeff)), int(sp.denom(coeff))),
-                               series.order)
-        term = mul(term, series**j)
-        acc = acc + term.shift_up(i).truncate(series.order)
-    return acc.is_zero()
 
 
 def _sympy_poly_to_bivariate(poly: sp.Poly) -> BivariatePoly:
@@ -243,13 +235,17 @@ def skeleton_functions(order: int) -> SkeletonFunctions:
 
 @dataclass(frozen=True)
 class FlypeSingularity:
-    """Exact and numeric location of the flype-class singularity."""
+    """Exact location of the flype-class singularity and its tracked fold."""
 
     minimal_polynomial: tuple   # integer coefficients, ascending, root = g_c
     g_critical: float
     growth: float               # 1/g_c
     fold_numeric: float         # from tracking the quintic branch to its fold
     agreement: float            # |g_critical - fold_numeric|
+
+
+# largest accepted |g_critical - fold_numeric|
+_FOLD_TOLERANCE = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -262,120 +258,88 @@ def flype_discriminant() -> tuple:
 
 
 def _smallest_positive_root():
-    """Exact smallest positive root of the discriminant (sympy CRootOf/rationals)."""
+    """Exact smallest positive root of the discriminant and its minimal polynomial.
+
+    The real roots are isolated in each irreducible factor, so the factor
+    that carries the smallest one is its minimal polynomial.
+    """
     g = sp.Symbol("g")
-    coeffs = flype_discriminant()
-    poly = sp.Poly(sum(c * g**i for i, c in enumerate(coeffs)), g)
-    roots = [r for r in sp.real_roots(poly) if r.is_positive]
-    if not roots:
+    poly = sp.Poly(list(reversed(flype_discriminant())), g)
+    smallest = None
+    for factor, _mult in poly.factor_list()[1]:
+        for root in factor.real_roots():
+            if root.is_positive and (smallest is None or root < smallest[0]):
+                smallest = (root, factor)
+    if smallest is None:
         raise BranchMismatchError("discriminant has no positive real root")
-    smallest = min(roots, key=lambda r: sp.nsimplify(r.evalf(40)))
-    # identify the irreducible factor carrying this root
-    for factor, _mult in sp.factor_list(poly.as_expr())[1]:
-        fpoly = sp.Poly(factor, g)
-        if fpoly.degree() >= 1 and sp.simplify(fpoly.as_expr().subs(g, smallest)) == 0:
-            minpoly = tuple(int(c) for c in reversed(fpoly.all_coeffs()))
-            return smallest, minpoly
-    raise BranchMismatchError("smallest positive root matches no factor")
+    root, factor = smallest
+    return root, tuple(int(c) for c in reversed(factor.all_coeffs()))
 
 
 def _fold_by_tracking(bipoly: BivariatePoly, seed_series: Series) -> float:
-    """Follow the counting branch of P(g, W) = 0 to its singularity, in floats.
+    """Follow the counting branch of P(g, W) = 0 to its fold, in exact arithmetic.
 
-    The radius-limiting point is where the W-derivative of the relation
-    vanishes along the branch, i.e. where the branch collides with another
-    root of P(g, .).  Here the collision is threefold and pinches a real
-    pair into the complex plane, so the stable detector is the moment the
-    pair leaves the real axis.  The roots near the branch are recomputed in
-    200-bit arithmetic: a scan in steps of 0.005 from the safe zone finds the
-    first g where their largest imaginary part exceeds 1e-18, and bisection
-    on that same threshold shrinks the bracket to 1e-13.  The threshold puts
-    the returned point slightly past the collision, because the imaginary
-    part only grows like (g - g_fold)^{3/2}.
+    Below the fold, the counting branch and its partner are the two real
+    roots of P(g, .) in the window 1/20 < W < 9/20.  At g_c they meet in a
+    double root W = 1/4; P, dP/dW and dP/dg all vanish there, so the point is
+    singular on the curve and the pair leaves the real axis like
+    (g - g_c)^{3/2}.  The number of real roots in the window, counted exactly
+    by Sturm sequences at rational g, is therefore 2 below the fold and 0
+    above it.  At g = 3/25 the seed series must single out its root (the only
+    one within 1/1000 of the series value) and the window must hold exactly
+    two; a scan in steps of 1/200 then finds the first g where the count
+    drops, and bisection on the count shrinks the bracket to 1e-13.
     """
-    import numpy as np
-
+    W = sp.Symbol("W")
     deg_w = bipoly.degree_y()
-    by_j: dict = {}
-    for (i, j), c in bipoly.terms:
-        by_j.setdefault(j, []).append((i, float(c)))
 
-    def roots_at(gv: float):
-        coeffs = [
-            sum(c * gv**i for i, c in by_j.get(j, ()))
-            for j in range(deg_w, -1, -1)
-        ]
-        return np.roots(coeffs)
+    def real_roots(gv: Fraction, lo: Fraction, hi: Fraction) -> int:
+        coeffs = [Fraction(0)] * (deg_w + 1)
+        for (i, j), c in bipoly.terms:
+            coeffs[deg_w - j] += c * gv**i
+        return sp.Poly(coeffs, W, domain=sp.QQ).count_roots(lo, hi)
 
-    def branch_value(gv: float) -> float:
-        return float(sum(float(c) * gv**k for k, c in enumerate(seed_series.coeffs)))
+    def below_fold(gv: Fraction) -> bool:
+        return real_roots(gv, Fraction(1, 20), Fraction(9, 20)) == 2
 
-    # track the counting branch to the edge of the series' safe zone and
-    # make sure it belongs to the root cluster that is about to collide
-    g_safe = 0.12
-    w_track = branch_value(g_safe)
-    cluster_center = min(roots_at(g_safe), key=lambda r: abs(r - w_track))
-    if abs(cluster_center - w_track) > 1e-3:
+    g_safe = Fraction(3, 25)
+    w_track = sum(c * g_safe**k for k, c in enumerate(seed_series.coeffs))
+    near = real_roots(g_safe, w_track - Fraction(1, 1000), w_track + Fraction(1, 1000))
+    if near != 1 or not below_fold(g_safe):
         raise BranchMismatchError("lost the counting branch during tracking")
 
-    # the pair splits off the real axis like (g - g_fold)^{3/2}, far too flat
-    # for double precision; 200-bit roots make the departure unambiguous
-    from mpmath import mp, mpf
-
-    exact_by_j: dict = {}
-    for (i, j), c in bipoly.terms:
-        exact_by_j.setdefault(j, []).append((i, c))
-
-    def max_imag(gv) -> float:
-        coeffs = []
-        for j in range(deg_w, -1, -1):
-            acc = mpf(0)
-            for i, c in exact_by_j.get(j, ()):
-                acc += mpf(c.numerator) / mpf(c.denominator) * gv**i
-            coeffs.append(acc)
-        rr = mp.polyroots(coeffs, maxsteps=300, extraprec=200)
-        near = [r for r in rr if abs(r - mpf(1) / 4) < mpf("0.2")]
-        if not near:
-            raise BranchMismatchError("root cluster disappeared during tracking")
-        return max(abs(mp.im(r)) for r in near)
-
-    with mp.workprec(200):
-        im_tol = mpf("1e-18")
-        lo = mpf(g_safe)
-        hi = None
-        g_scan = lo
-        for _ in range(200):
-            g_scan = g_scan + mpf("0.005")
-            if max_imag(g_scan) > im_tol:
-                hi = g_scan
-                break
-            lo = g_scan
-        if hi is None:
-            raise BranchMismatchError("no branch collision found while tracking")
-        while hi - lo > mpf("1e-13"):
-            mid = (lo + hi) / 2
-            if max_imag(mid) > im_tol:
-                hi = mid
-            else:
-                lo = mid
-        return float((lo + hi) / 2)
+    lo = g_safe
+    for _ in range(200):
+        hi = lo + Fraction(1, 200)
+        if not below_fold(hi):
+            break
+        lo = hi
+    else:
+        raise BranchMismatchError("no branch collision found while tracking")
+    while hi - lo > Fraction(1, 10**13):
+        mid = (lo + hi) / 2
+        if below_fold(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
 
 
-def flype_singularity(tolerance: float = 1e-10) -> FlypeSingularity:
-    """Locate the flype-class singularity exactly and numerically.
+def flype_singularity() -> FlypeSingularity:
+    """Locate the flype-class singularity exactly, then confirm it by tracking.
 
     The exact value is the smallest positive root of the discriminant of the
-    eliminated quintic; the numeric value tracks the counting branch of the
-    quintic to the fold where its W-derivative vanishes.  A disagreement
-    beyond ``tolerance`` raises `BranchMismatchError`.
+    eliminated quintic; the confirmation tracks the counting branch of the
+    quintic to its fold.  A disagreement beyond ``_FOLD_TOLERANCE`` raises
+    `BranchMismatchError`.
     """
     root, minpoly = _smallest_positive_root()
     g_exact = float(root.evalf(30))
     fold = _fold_by_tracking(flype_quintic(), _gamma_tilde_fixed_point(10))
     agreement = abs(g_exact - fold)
-    if agreement > tolerance:
+    if agreement > _FOLD_TOLERANCE:
         raise BranchMismatchError(
-            f"exact discriminant root {g_exact!r} and numeric fold {fold!r} "
+            f"exact discriminant root {g_exact!r} and tracked fold {fold!r} "
             f"differ by {agreement:g}"
         )
     return FlypeSingularity(

@@ -29,10 +29,10 @@ its legs, weighted by the orbit size.  Neither changes any invariant of the
 completions.  The tests check the engine cell for cell against a plain
 engine that classifies every matching from scratch.
 
-Enumeration runs in one process, in one depth-first search per table.
-Finished tables are cached for the life of the process (closed tables keyed
-by the vertex wiring, not the type name) and hand out read-only ``cells``
-mappings.
+Enumeration runs in one process, in one depth-first search per table.  The
+cells of each search are cached for the life of the process, keyed by the
+search's own arguments (so by the vertex wiring, not the type name), and
+every table built from them shares one read-only ``cells`` mapping.
 
 One counting convention worth stating: a planar gluing already stands for
 the two diagrams related by swapping every over/under choice, so the counts
@@ -44,7 +44,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 from types import MappingProxyType
 
 from .series import Series
@@ -142,9 +143,7 @@ class CountTable:
         return sum(self.cells.values())
 
     def wick_normalization(self) -> int:
-        return int(
-            _prod(4**c * factorial(c) for _, c in self.vertex_counts)
-        )
+        return prod(4**c * factorial(c) for _, c in self.vertex_counts)
 
     def connected_planar_by_strands(self) -> dict:
         out: dict = {}
@@ -189,13 +188,6 @@ class TwoPointTable:
             acc += c * weight
         norm = 4**self.num_vertices * factorial(self.num_vertices)
         return acc / norm
-
-
-def _prod(items) -> int:
-    out = 1
-    for x in items:
-        out *= x
-    return out
 
 
 def double_factorial(n: int) -> int:
@@ -876,8 +868,11 @@ def _cut_splits_two_two(V, edges, leg_at, e1, e2) -> bool:
 # ---------------------------------------------------------------------------
 
 
-_CLOSED_CACHE: dict = {}
-_TWOPOINT_CACHE: dict = {}
+@lru_cache(maxsize=None)
+def _cached_cells(legs, species, planar_only, allow_seed, twopi, gamma_only) -> Mapping:
+    """`_fast_search` memoized by its own arguments, as sorted read-only cells."""
+    cells = _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only)
+    return MappingProxyType(dict(sorted(cells.items())))
 
 
 def _strand_offsets(vertex_type: VertexType) -> tuple:
@@ -923,11 +918,7 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
               if count > 0]
     # the counts depend on the wiring, not on what the caller named it
     species = tuple((_strand_offsets(vt), c) for vt, c in active)
-    key = (species, planar_only, connected_only)
-    cells = _CLOSED_CACHE.get(key)
-    if cells is None:
-        cells = _fast_search(0, species, planar_only, not connected_only, False)
-        cells = _CLOSED_CACHE[key] = MappingProxyType(dict(sorted(cells.items())))
+    cells = _cached_cells(0, species, planar_only, not connected_only, False, False)
     counts = tuple((vt.name, count) for vt, count in active)
     return CountTable(vertex_counts=counts, planar_only=planar_only,
                       connected_only=connected_only, cells=cells)
@@ -948,16 +939,10 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
     if gamma_only and legs != 4:
         raise ValueError("gamma_only applies to the four-leg boundary")
     _check_ceiling(num_vertices, ceiling)
-    key = (num_vertices, legs, planar_only, twopi, gamma_only)
-    cached = _TWOPOINT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    cells = _fast_search(legs, [(_strand_offsets(CROSSING), num_vertices)], planar_only,
-                         False, twopi, gamma_only)
-    table = TwoPointTable(num_vertices=num_vertices, legs=legs, planar_only=planar_only,
-                          cells=MappingProxyType(dict(sorted(cells.items()))))
-    _TWOPOINT_CACHE[key] = table
-    return table
+    species = ((_strand_offsets(CROSSING), num_vertices),)
+    cells = _cached_cells(legs, species, planar_only, False, twopi, gamma_only)
+    return TwoPointTable(num_vertices=num_vertices, legs=legs, planar_only=planar_only,
+                         cells=cells)
 
 
 # ---------------------------------------------------------------------------

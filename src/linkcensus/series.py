@@ -415,9 +415,6 @@ class BivariatePoly:
         )
         return cls(cleaned)
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def degree_x(self) -> int:
         return max((i for (i, _), _ in self.terms), default=0)
 
@@ -429,21 +426,10 @@ class BivariatePoly:
             {(i, j - 1): j * c for (i, j), c in self.terms if j > 0}
         )
 
-    def partial_x(self) -> "BivariatePoly":
-        return BivariatePoly.from_dict(
-            {(i - 1, j): i * c for (i, j), c in self.terms if i > 0}
-        )
-
     def eval_rational(self, x: Fraction, y: Fraction) -> Fraction:
         acc = Fraction(0)
         for (i, j), c in self.terms:
             acc += c * x**i * y**j
-        return acc
-
-    def eval_float(self, x: float, y: float) -> float:
-        acc = 0.0
-        for (i, j), c in self.terms:
-            acc += float(c) * x**i * y**j
         return acc
 
     def eval_series(self, y: Series) -> Series:

@@ -168,3 +168,19 @@ def test_discriminant_coefficients_are_integers():
     coeffs = flype.flype_discriminant()
     assert all(isinstance(c, int) for c in coeffs)
     assert any(c != 0 for c in coeffs)
+
+
+def test_fold_tracking_refuses_a_seed_off_the_counting_branch():
+    quintic = flype.flype_quintic()
+    with pytest.raises(flype.BranchMismatchError, match="lost the counting branch"):
+        flype._fold_by_tracking(quintic, Series.zero(10))
+    moved = flype._gamma_tilde_fixed_point(10) + F(1, 100)
+    with pytest.raises(flype.BranchMismatchError, match="lost the counting branch"):
+        flype._fold_by_tracking(quintic, moved)
+
+
+def test_singularity_refuses_a_fold_that_misses_the_discriminant_root(monkeypatch):
+    g_c = (math.sqrt(21001) - 101) / 270
+    monkeypatch.setattr(flype, "_fold_by_tracking", lambda quintic, seed: g_c + 1e-9)
+    with pytest.raises(flype.BranchMismatchError, match="differ by"):
+        flype.flype_singularity()
