@@ -17,8 +17,10 @@ and ``t(g) = a^2 (4 - a^2) / 3``.
 
 Everything is available both as exact rational series (the authoritative
 mode) and as double-precision evaluations for plotting-free numerics such
-as spectral-density checks.  Exact arithmetic lives in `linkcensus.series`;
-this module never mixes floats into series.
+as spectral-density checks.  The float side needs only the standard library:
+closed forms, plus an equally spaced rule that is exact for the density's
+moments.  Exact arithmetic lives in `linkcensus.series`; this module never
+mixes floats into series.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .series import (
     AlgebraicSystem,
@@ -47,7 +47,6 @@ __all__ = [
     "SingularityError",
     "RAW_CRITICAL_G",
     "REDUCED_CRITICAL_G",
-    "ModelPoint",
     "SpectralData",
     "a2_raw_series",
     "g2_raw_series",
@@ -292,21 +291,27 @@ def density(g: float, lam: float) -> float:
     return (0.5 - 0.5 * g * lam * lam - g * a2) * math.sqrt(inside) / math.pi
 
 
-def density_moment(g: float, k: int, nodes: int = 96) -> float:
-    """k-th moment of the density by Gauss-Legendre quadrature.
+def density_moment(g: float, k: int) -> float:
+    """k-th moment of the density, exact up to rounding.
 
-    The substitution ``lam = 2 a sin(theta)`` removes the square-root edge
-    so the integrand is smooth and the rule converges to machine precision.
+    With ``lam = 2 a sin(theta)`` the measure ``sqrt(4 a^2 - lam^2) dlam``
+    becomes ``4 a^2 cos(theta)^2 dtheta``, so the integrand is a trigonometric
+    polynomial of degree k + 4.  Its integral over [-pi/2, pi/2] is half the
+    integral over a full period, which an equally spaced rule with more than
+    k + 4 points computes exactly.
     """
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"moment order must be a nonnegative int, got {k!r}")
     _check_raw_domain(g)
     a2 = a2_raw(g)
     a = math.sqrt(a2)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    theta = 0.5 * math.pi * x
-    lam = 2.0 * a * np.sin(theta)
-    jac = 2.0 * a * np.cos(theta) * 0.5 * math.pi
-    dens = (0.5 - 0.5 * g * lam**2 - g * a2) * np.sqrt(np.maximum(4.0 * a2 - lam**2, 0.0)) / math.pi
-    return float(np.sum(w * lam**k * dens * jac))
+    points = k + 6
+    total = 0.0
+    for j in range(points):
+        theta = 2.0 * math.pi * j / points
+        lam = 2.0 * a * math.sin(theta)
+        total += lam**k * (0.5 - 0.5 * g * lam * lam - g * a2) * math.cos(theta) ** 2
+    return 4.0 * a2 * total / points
 
 
 def a2_reduced(g: float) -> float:
@@ -349,49 +354,21 @@ def gamma_reduced(g: float) -> float:
     return (u - 1.0) * (5.0 - 2.0 * u) / (4.0 - u) ** 2
 
 
-def free_energy_reduced(g: float, nodes: int = 128) -> float:
-    """Reduced free energy by quadrature of dF/dg = G4(t(g), g)/4 from 0."""
-    _check_reduced_domain(g)
-    if g == 0.0:
-        return 0.0
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    s = 0.5 * g * (x + 1.0)
-    vals = np.array([0.25 * (gamma_reduced(si) + 2.0) for si in s])
-    return float(np.sum(w * vals) * 0.5 * g)
+def free_energy_reduced(g: float) -> float:
+    """Reduced free energy in closed form.
+
+    Changing variables to ``u = a2_reduced(g)`` in dF/dg = (Gamma + 2)/4
+    gives dF/du = (1 - u)/4 + 1/(2 (4 - u)), hence
+    ``F = log(3 / (4 - u))/2 - (u - 1)^2/8`` with F(0) = 0.  The logarithm is
+    taken as log1p((u - 1)/(4 - u)) to keep its relative accuracy near g = 0.
+    """
+    u = a2_reduced(g)
+    return 0.5 * math.log1p((u - 1.0) / (4.0 - u)) - (u - 1.0) ** 2 / 8.0
 
 
 # ---------------------------------------------------------------------------
-# model-point and spectral containers
+# spectral container
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """A coupling value together with the model variant it refers to."""
-
-    g: float
-    variant: str = "raw"  # "raw" (t = 1) or "reduced" (t = t(g))
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("raw", "reduced"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "raw":
-            _check_raw_domain(float(self.g))
-        else:
-            _check_reduced_domain(float(self.g))
-
-    def a2(self) -> float:
-        return a2_raw(float(self.g)) if self.variant == "raw" else a2_reduced(float(self.g))
-
-    def gamma(self) -> float:
-        return gamma_raw(float(self.g)) if self.variant == "raw" else gamma_reduced(float(self.g))
-
-    def free_energy(self) -> float:
-        return (
-            free_energy_raw(float(self.g))
-            if self.variant == "raw"
-            else free_energy_reduced(float(self.g))
-        )
 
 
 @dataclass(frozen=True)

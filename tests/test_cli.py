@@ -74,16 +74,11 @@ def test_enumerate_mixed_model_at_four_vertices(capsys):
     assert sum(int(row.rsplit(",", 1)[1]) for row in rows) == 15 * 13 * 11 * 9 * 7 * 5 * 3
 
 
-def test_enumerate_is_deterministic_across_worker_counts(capsys):
-    _, out1 = run_cli(capsys, "--threads", "1", "enumerate", "--vertices", "3")
-    _, out2 = run_cli(capsys, "--threads", "2", "enumerate", "--vertices", "3")
-    assert out1 == out2
-
-
-def test_threads_option_is_accepted_and_ignored(capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_threads_option_is_accepted_and_ignored(capsys, threads):
     # --threads is kept so that older invocations parse; enumeration is single-process
     _, plain = run_cli(capsys, "enumerate", "--vertices", "3")
-    code, threaded = run_cli(capsys, "--threads", "2", "enumerate", "--vertices", "3")
+    code, threaded = run_cli(capsys, "--threads", threads, "enumerate", "--vertices", "3")
     assert code == 0
     assert threaded == plain
     assert "--threads" not in cli._build_parser().format_help()

@@ -1,7 +1,10 @@
-"""Every name a module exports through ``__all__`` exists."""
+"""Every name a module exports through ``__all__`` exists; commands load no numpy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +20,18 @@ def test_all_names_resolve(name):
     assert module.__all__
     for export in module.__all__:
         assert hasattr(module, export), f"{name}.__all__ lists missing {export!r}"
+
+
+def test_commands_do_not_load_numpy():
+    script = (
+        "import contextlib, io, sys\n"
+        "from linkcensus import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['crosscheck', '--vmax', '2']) == 0\n"
+        "    assert cli.main(['constants']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(linkcensus.__file__))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr

@@ -208,17 +208,36 @@ def test_spectral_data_checks_pass():
     assert data.a2 > 1.0
 
 
+@pytest.mark.parametrize("k", range(21))
+def test_density_moments_at_zero_coupling_are_catalan(k):
+    # the semicircle's even moments are Catalan numbers, its odd moments vanish
+    expected = math.comb(k, k // 2) // (k // 2 + 1) if k % 2 == 0 else 0
+    scale = math.comb(k + 1, (k + 1) // 2) // ((k + 1) // 2 + 1)
+    assert om.density_moment(0.0, k) == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("k", [-1, 2.0, "2", None])
+def test_density_moment_rejects_bad_order(k):
+    with pytest.raises(ValueError, match="nonnegative int"):
+        om.density_moment(0.05, k)
+
+
 def test_numeric_reduced_free_energy_matches_series():
-    g = 0.03
     series = om.free_energy_reduced_series(30)
-    partial = sum(float(c) * g**k for k, c in enumerate(series.coeffs))
-    assert om.free_energy_reduced(g) == pytest.approx(partial, abs=1e-10)
+    for g in (0.01, 0.03, 0.06):
+        partial = sum(float(c) * g**k for k, c in enumerate(series.coeffs))
+        assert om.free_energy_reduced(g) == pytest.approx(partial, abs=1e-10)
 
 
-def test_model_point_validation():
-    with pytest.raises(ValueError):
-        om.ModelPoint(0.01, "renormalized")
-    with pytest.raises(om.SingularityError):
-        om.ModelPoint(0.2, "reduced")
-    point = om.ModelPoint(0.1, "reduced")
-    assert point.a2() > 1.0
+def test_numeric_reduced_free_energy_derivative_is_four_point_over_four():
+    h = 1e-6
+    for i in range(1, 10):
+        g = float(om.REDUCED_CRITICAL_G) * i / 10
+        slope = (om.free_energy_reduced(g + h) - om.free_energy_reduced(g - h)) / (2 * h)
+        assert slope == pytest.approx((om.gamma_reduced(g) + 2) / 4, abs=1e-8)
+
+
+def test_numeric_reduced_free_energy_endpoints():
+    assert om.free_energy_reduced(0.0) == 0.0
+    # at u = 2 the closed form is log(3/2)/2 - 1/8 and is flat in u
+    assert om.free_energy_reduced(4 / 27) == pytest.approx(math.log(1.5) / 2 - 1 / 8, abs=1e-12)
