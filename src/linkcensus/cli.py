@@ -124,6 +124,8 @@ def _cmd_constants(config: RunConfig) -> int:
 def _cmd_crosscheck(config: RunConfig) -> int:
     """Closed forms against the oracle, coefficient by coefficient."""
     vmax = config.vmax
+    if vmax < 1:
+        raise ValueError(f"crosscheck needs --vmax >= 1, got {vmax}")
     checks = [
         ("free-energy", onematrix.free_energy_raw_series(vmax),
          oracle.free_energy_series(vmax)),

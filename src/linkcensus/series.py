@@ -6,6 +6,12 @@ operations are honest about precision: binary arithmetic truncates to the
 smaller operand order, and composition accounts for the valuation of the
 inner series when deciding how far the result can be trusted.
 
+The three coefficient kernels `mul`, `div` and `sqrt_series`, which every
+other operation here and every model module builds on, run their inner loops
+on Python integers: each operand is scaled once to integer numerators over
+its least common denominator, the recurrence is carried out fraction-free,
+and exactly one normalized `Fraction` is built per output coefficient.
+
 The module also provides `AlgebraicSystem`, a bivariate polynomial relation
 ``P(g, y) = 0`` together with the value of the branch at ``g = 0``, and
 `newton_solve`, which expands the selected branch as a series by Newton
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -283,37 +290,54 @@ def add(a: Series, b: Series) -> Series:
     return Series(tuple(a.coeffs[k] + b.coeffs[k] for k in range(order + 1)), var)
 
 
+def _scaled(s: Series, order: int) -> tuple[list, int]:
+    """Integer numerators of ``s`` through ``order`` over their least common denominator."""
+    cs = s.coeffs[: order + 1]
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 def mul(a: Series, b: Series) -> Series:
+    """Truncated product, an integer convolution over the denominator Da*Db."""
     order, var = _common(a, b)
-    out = [Fraction(0)] * (order + 1)
-    for i in range(order + 1):
-        ai = a.coeffs[i]
-        if not ai:
-            continue
-        for j in range(order + 1 - i):
-            bj = b.coeffs[j]
-            if bj:
-                out[i + j] += ai * bj
+    A, da = _scaled(a, order)
+    B, db = _scaled(b, order)
+    den = da * db
+    B.reverse()
+    out = [
+        Fraction(sum(map(operator.mul, A[: k + 1], B[order - k :])), den)
+        for k in range(order + 1)
+    ]
     return Series(tuple(out), var)
 
 
 def div(a: Series, b: Series) -> Series:
-    """Quotient a/b; requires a unit (nonzero constant term) denominator."""
+    """Quotient a/b; requires a unit (nonzero constant term) denominator.
+
+    With a = A/Da, b = B/Db and b0 = B_0, the quotient is q_k = Db*Q_k /
+    (Da*b0^(k+1)), where the integers Q_k solve the fraction-free recurrence
+    Q_k = A_k*b0^k - sum_(j>=1) B_j*b0^(j-1)*Q_(k-j).
+    """
     if b.coeffs[0] == 0:
         raise SeriesError(
             "division by a series with zero constant term; shift the valuation "
             "out explicitly before dividing"
         )
     order, var = _common(a, b)
-    inv0 = Fraction(1) / b.coeffs[0]
-    out = [Fraction(0)] * (order + 1)
+    A, da = _scaled(a, order)
+    B, db = _scaled(b, order)
+    b0 = B[0]
+    # Bp[j - 1] = B_j * b0^(j-1), so that Q_k subtracts sum(Bp[:k] . Q[::-1])
+    Bp, pw = [], 1
+    for bj in B[1:]:
+        Bp.append(bj * pw)
+        pw *= b0
+    Q, out, pw = [], [], 1  # pw = b0^k
     for k in range(order + 1):
-        s = a.coeffs[k]
-        for j in range(1, k + 1):
-            bj = b.coeffs[j]
-            if bj:
-                s -= bj * out[k - j]
-        out[k] = s * inv0
+        qk = A[k] * pw - sum(map(operator.mul, Bp[:k], Q[::-1]))
+        Q.append(qk)
+        pw *= b0
+        out.append(Fraction(db * qk, da * pw))
     return Series(tuple(out), var)
 
 
@@ -361,7 +385,13 @@ def reversion(s: Series) -> Series:
 
 
 def sqrt_series(s: Series) -> Series:
-    """Square root branch whose constant term is the positive rational root."""
+    """Square root branch whose constant term is the positive rational root.
+
+    With s = S/D, sqrt(s) = sqrt(T)/D for the integer series T = S*D, whose
+    constant term is the square of r = r0*D.  Writing the k-th coefficient of
+    sqrt(T) as Y_k/(2r)^(2k-1) for k >= 1 gives the integer recurrence
+    Y_k = T_k*(2r)^(2k-2) - sum_(j=1)^(k-1) Y_j*Y_(k-j).
+    """
     c0 = s.coeffs[0]
     if c0 <= 0:
         raise SeriesError("sqrt needs a positive rational square as constant term")
@@ -369,21 +399,34 @@ def sqrt_series(s: Series) -> Series:
     rn, rd = math.isqrt(pn), math.isqrt(qd)
     if rn * rn != pn or rd * rd != qd:
         raise SeriesError(f"constant term {c0} is not the square of a rational")
-    r0 = Fraction(rn, rd)
-    out = [r0]
+    S, den = _scaled(s, s.order)
+    r2 = 2 * rn * (den // rd)  # 2r, with r = r0*D an integer since rd^2 divides D
+    out = [Fraction(rn, rd)]
+    Y = [0]
+    scale = 1  # (2r)^(2k-2)
     for k in range(1, s.order + 1):
-        acc = s.coeffs[k]
-        for j in range(1, k):
-            acc -= out[j] * out[k - j]
-        out.append(acc / (2 * r0))
+        n = (k - 1) // 2  # the sum is symmetric: pairs j < k - j, then the middle term
+        acc = 2 * sum(map(operator.mul, Y[1 : n + 1], Y[k - 1 : k - 1 - n : -1]))
+        if k % 2 == 0:
+            acc += Y[k // 2] ** 2
+        yk = S[k] * den * scale - acc
+        Y.append(yk)
+        out.append(Fraction(yk, r2 * scale * den))
+        scale *= r2 * r2
     return Series(tuple(out), s.var)
 
 
 def log_series(s: Series) -> Series:
-    """Logarithm of a series with constant term exactly 1."""
+    """Logarithm of a series with constant term exactly 1.
+
+    The result has the input's order: an order-0 input determines only the
+    zero constant term.
+    """
     if s.coeffs[0] != 1:
         raise SeriesError("log requires constant term 1")
-    return integrate(div(derivative(s), s.truncate(max(s.order - 1, 0))))
+    if s.order == 0:
+        return Series.zero(0, s.var)
+    return integrate(div(derivative(s), s.truncate(s.order - 1)))
 
 
 def derivative(s: Series) -> Series:

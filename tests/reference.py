@@ -1,12 +1,22 @@
-"""Plain reference engine for the oracle tests.
+"""Plain reference engines for the oracle and series tests.
 
-It walks every matching of the half-edges and classifies each one from
-scratch: no incremental state, no pruning, no symmetry.  That makes it slow,
-(4V + legs - 1)!! leaves per table, and easy to read.  The tests compare the
-oracle's search with it cell for cell.
+The oracle reference walks every matching of the half-edges and classifies
+each one from scratch: no incremental state, no pruning, no symmetry.  That
+makes it slow, (4V + legs - 1)!! leaves per table, and easy to read.  The
+tests compare the oracle's search with it cell for cell.
+
+The series kernels at the end (`plain_mul`, `plain_div`,
+`plain_sqrt_series`) do every coefficient operation in `Fraction`
+arithmetic, the textbook recurrences term by term.  The tests compare the
+fraction-free kernels of `linkcensus.series` with them for exact equality.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from linkcensus.series import Series, SeriesError
 
 
 def classify_pairing(matching, vertex_patterns, legs: int = 0):
@@ -185,3 +195,60 @@ def _four_leg_connected(matching, legs, V) -> bool:
                 parent[a] = b
     roots = {find((matching[e] - legs) // 4) for e in range(legs)}
     return len(roots) == 1
+
+
+# -- series kernels ------------------------------------------------------------
+
+
+def _common(a: Series, b: Series) -> tuple[int, str]:
+    if a.var != b.var:
+        raise SeriesError(f"series in {a.var!r} and {b.var!r} do not combine")
+    return min(a.order, b.order), a.var
+
+
+def plain_mul(a: Series, b: Series) -> Series:
+    order, var = _common(a, b)
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        ai = a.coeffs[i]
+        if not ai:
+            continue
+        for j in range(order + 1 - i):
+            bj = b.coeffs[j]
+            if bj:
+                out[i + j] += ai * bj
+    return Series(tuple(out), var)
+
+
+def plain_div(a: Series, b: Series) -> Series:
+    if b.coeffs[0] == 0:
+        raise SeriesError("division by a series with zero constant term")
+    order, var = _common(a, b)
+    inv0 = Fraction(1) / b.coeffs[0]
+    out = [Fraction(0)] * (order + 1)
+    for k in range(order + 1):
+        s = a.coeffs[k]
+        for j in range(1, k + 1):
+            bj = b.coeffs[j]
+            if bj:
+                s -= bj * out[k - j]
+        out[k] = s * inv0
+    return Series(tuple(out), var)
+
+
+def plain_sqrt_series(s: Series) -> Series:
+    c0 = s.coeffs[0]
+    if c0 <= 0:
+        raise SeriesError("sqrt needs a positive rational square as constant term")
+    pn, qd = c0.numerator, c0.denominator
+    rn, rd = math.isqrt(pn), math.isqrt(qd)
+    if rn * rn != pn or rd * rd != qd:
+        raise SeriesError(f"constant term {c0} is not the square of a rational")
+    r0 = Fraction(rn, rd)
+    out = [r0]
+    for k in range(1, s.order + 1):
+        acc = s.coeffs[k]
+        for j in range(1, k):
+            acc -= out[j] * out[k - j]
+        out.append(acc / (2 * r0))
+    return Series(tuple(out), s.var)

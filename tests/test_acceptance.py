@@ -138,7 +138,7 @@ def test_criterion_4_two_color_growth():
 
 
 def test_criterion_5_flype_class_series():
-    order = 12
+    order = 100
     gt = flype.gamma_tilde(order)  # raises if the two routes disagree
     residual_zero = flype.flype_quintic().eval_series(gt).is_zero()
     integral = all(c.denominator == 1 and c > 0 for c in gt.coeffs[1:])
@@ -146,9 +146,20 @@ def test_criterion_5_flype_class_series():
     dominated = all(gt.coeffs[p] <= gamma.coeffs[p] for p in range(order + 1))
     strict = any(gt.coeffs[p] < gamma.coeffs[p] for p in range(order + 1))
     report("5 flype-class series: zero residual, positive integers, dominated "
-           "with strict deficit by order 12",
+           "with strict deficit by order 100",
            residual_zero and integral and dominated and strict,
-           f"counts={tuple(int(c) for c in gt.coeffs)}")
+           f"counts={tuple(int(c) for c in gt.coeffs[:13])}...")
+
+
+def test_criterion_5b_flype_coefficient_extrapolation():
+    est = census.ratio_asymptotics(census.flype_tangle_classes(100))
+    target = (101 + math.sqrt(21001)) / 40
+    growth_gap = abs(est.growth - target)
+    exponent_gap = abs(est.exponent + 2.5)
+    report("5b 100-term ratio extrapolation of the flype classes: growth within 1e-6 "
+           "of (101+sqrt(21001))/40, exponent within 1e-4 of -5/2",
+           growth_gap <= 1e-6 and exponent_gap <= 1e-4,
+           f"growth gap={growth_gap:.2e}, exponent={est.exponent!r}")
 
 
 # -- 6. spectral density -----------------------------------------------------------------

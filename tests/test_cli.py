@@ -135,6 +135,17 @@ def test_crosscheck_passes(capsys):
     assert "MISMATCH" not in out
 
 
+def test_crosscheck_refuses_vmax_zero(capsys):
+    # vmax 0 would compare no coefficient and still report four "ok" lines
+    code = cli.main(["crosscheck", "--vmax", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--vmax >= 1" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_asymptotics_json(capsys):
     code, out = run_cli(capsys, "asymptotics", "--sequence", "reduced-links",
                         "--terms", "12")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import plain_div, plain_mul, plain_sqrt_series
 
 from linkcensus.series import (
     AlgebraicSystem,
@@ -101,6 +102,63 @@ def test_div_mul_round_trip():
         assert mul(div(a, b), b) == a
 
 
+# -- fraction-free kernels against the plain Fraction kernels -----------------
+
+
+def wild_series(rng, order, var="g", constant=None):
+    """Signed coefficients over denominators up to 10^6, with runs of zeros."""
+    coeffs = []
+    while len(coeffs) < order + 1:
+        if rng.random() < 0.2:
+            coeffs.extend([0] * rng.randint(1, 5))
+        else:
+            coeffs.append(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+    if constant is not None:
+        coeffs[0] = constant
+    return Series.from_coeffs(coeffs[: order + 1], var=var)
+
+
+def assert_same(got, want):
+    assert (got.var, got.order) == (want.var, want.order)
+    assert got == want
+
+
+def test_kernels_match_reference_through_order_40():
+    rng = random.Random(20261018)
+    for order in range(41):
+        var = "W" if order % 3 == 0 else "g"
+        other = max(0, order + rng.randint(-3, 3))  # unequal operand orders
+        a = wild_series(rng, order, var)
+        b = wild_series(rng, other, var)
+        unit = wild_series(rng, other, var, constant=F(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+        square = F(rng.randint(1, 1000) ** 2, rng.randint(1, 1000) ** 2)
+        s = wild_series(rng, order, var, constant=square)
+        assert_same(mul(a, b), plain_mul(a, b))
+        assert_same(mul(b, a), plain_mul(b, a))
+        assert_same(div(a, unit), plain_div(a, unit))
+        assert_same(sqrt_series(s), plain_sqrt_series(s))
+
+
+@pytest.mark.parametrize("b0", [F(-3, 7), F(10**9), F(-1), F(7, 10**6), F(-10**9, 13)])
+def test_div_matches_reference_with_nonunit_constant_terms(b0):
+    rng = random.Random(str(b0))
+    for order in (0, 1, 5, 17, 40):
+        a = wild_series(rng, order)
+        b = wild_series(rng, max(0, order + rng.randint(-1, 2)), constant=b0)
+        assert_same(div(a, b), plain_div(a, b))
+        assert_same(div(Series.one(order), b), plain_div(Series.one(order), b))
+
+
+@pytest.mark.parametrize("c0", [F(9, 4), F(49, 1024), F(1), F(10**12, 9)])
+def test_sqrt_matches_reference_with_rational_square_constants(c0):
+    rng = random.Random(str(c0))
+    for order in (0, 1, 2, 9, 25, 40):
+        s = wild_series(rng, order, constant=c0)
+        root = sqrt_series(s)
+        assert_same(root, plain_sqrt_series(s))
+        assert root.coeffs[0] ** 2 == c0 and root.coeffs[0] > 0
+
+
 # -- composition and reversion ------------------------------------------------
 
 
@@ -196,6 +254,13 @@ def test_log_and_derivative():
     lg = log_series(geo)
     assert lg == Series.from_coeffs([0, 1, F(1, 2), F(1, 3), F(1, 4), F(1, 5)])
     assert derivative(integrate(geo)) == geo
+
+
+def test_log_at_order_zero_claims_no_linear_term():
+    for var in ("g", "W"):
+        lg = log_series(Series.from_coeffs([1], 0, var=var))
+        assert lg == Series.zero(0, var) and lg.order == 0
+    assert log_series(Series.from_coeffs([1, 3], 1)) == S(0, 3)
 
 
 # -- algebraic branches --------------------------------------------------------
