@@ -88,6 +88,8 @@ def two_color_series(order: int, *, reduced: bool = False,
     raw = oracle.free_energy_series(order, n=2, ceiling=ceiling)
     if not reduced:
         return raw
+    if order < 1:
+        return Series.zero(order)
     # color-summed raw four-point series from the marked-vertex identity
     g4_sum_raw = 4 * derivative(raw)
     t = renormalization(order - 1, ceiling=ceiling)

@@ -8,8 +8,10 @@ emits the side-by-side table of critical constants.
 
 Estimation here is deliberately auditable: an `AsymptoticEstimate` carries
 the full extrapolant sequence, and the headline number is simply its last
-entry.  Exact singularity locations are certified algebraically in the
-generating-function modules; the estimates below only corroborate them.
+entry.  Exact singularity locations are certified algebraically: the raw,
+reduced and flype growth constants are reciprocals of the smallest positive
+discriminant root of their polynomial relation (`flype.discriminant_root`),
+and the estimates below only corroborate them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
-import sympy as sp
-
 from . import abab, flype, onematrix, oracle
-from .series import Series, rational_to_str
+from .series import BivariatePoly, Series, rational_to_str
 
 __all__ = [
     "CountingSequence",
@@ -253,95 +253,64 @@ class ConstantRow:
     kind: str = "computed"     # "computed" | "conjecture"
 
 
+def _rational_discriminant_root(relation: BivariatePoly) -> Fraction:
+    """The certified smallest positive discriminant root of ``relation``.
+
+    Its minimal polynomial ``c0 + c1 g`` must be linear; the root is -c0/c1.
+    """
+    _root, (c0, c1) = flype.discriminant_root(relation)
+    return Fraction(-c0, c1)
+
+
 def raw_growth() -> float:
-    """Growth of raw diagram counts: reciprocal of the branch point of a^2."""
-    return float(1 / onematrix.RAW_CRITICAL_G)
+    """Growth of raw diagram counts, certified from the raw endpoint relation.
+
+    The discriminant of ``3 g y^2 - y + 1`` in y is 1 - 12 g, so the branch
+    point is g_c = 1/12 and the growth 12.
+    """
+    return float(1 / _rational_discriminant_root(onematrix.raw_endpoint().relation))
 
 
 def reduced_cubic_growth() -> tuple:
-    """Reduced-count growth from the discriminant of the endpoint cubic.
+    """Reduced-count growth, certified from the reduced endpoint cubic.
 
-    Returns (g_c as Fraction, growth as float); the smallest positive root of
-    the discriminant in the endpoint variable locates the fold of the branch.
+    Returns (g_c as Fraction, growth as float); g_c = 4/27 is the smallest
+    positive root of the cubic's discriminant in the endpoint variable, where
+    the branch folds.
     """
-    g, y = sp.symbols("g y")
-    cubic = (y - 1) * (4 - y) ** 2 - 27 * g
-    disc = sp.discriminant(cubic, y)
-    roots = [r for r in sp.solve(sp.Eq(disc, 0), g) if r.is_real and r > 0]
-    g_c = min(roots)
-    return Fraction(int(sp.numer(g_c)), int(sp.denom(g_c))), float(1 / g_c)
+    g_c = _rational_discriminant_root(onematrix.reduced_cubic().relation)
+    return g_c, float(1 / g_c)
 
 
 def constants_report(reduced_terms: int = 12) -> list:
     """Every headline constant, computed here, next to its reference value."""
-    rows = []
-
-    growth_raw = raw_growth()
-    rows.append(ConstantRow(
-        name="raw-growth",
-        paper_value=12.0,
-        computed_value=growth_raw,
-        abs_error=abs(growth_raw - 12.0),
-        anchor="branch point of the raw endpoint parameter",
-    ))
-
-    g_c_red, growth_red = reduced_cubic_growth()
-    rows.append(ConstantRow(
-        name="reduced-growth",
-        paper_value=6.75,
-        computed_value=growth_red,
-        abs_error=abs(growth_red - 6.75),
-        anchor="fold of the endpoint cubic (g_c = 4/27)",
-    ))
-
+    _g_c, growth_red = reduced_cubic_growth()
     est = ratio_asymptotics(reduced_link_diagrams(reduced_terms))
-    rows.append(ConstantRow(
-        name="reduced-growth-ratio-estimate",
-        paper_value=6.75,
-        computed_value=est.growth,
-        abs_error=abs(est.growth - 6.75),
-        anchor=f"Domb-Sykes ratios of {reduced_terms} reduced-count coefficients",
-    ))
-
     sing = flype.flype_singularity()
-    flype_paper = (101.0 + math.sqrt(21001.0)) / 40.0
-    rows.append(ConstantRow(
-        name="flype-growth",
-        paper_value=flype_paper,
-        computed_value=sing.growth,
-        abs_error=abs(sing.growth - flype_paper),
-        anchor="smallest positive discriminant root of the flype quintic",
-    ))
-    rows.append(ConstantRow(
-        name="flype-critical-coupling",
-        paper_value=(math.sqrt(21001.0) - 101.0) / 270.0,
-        computed_value=sing.g_critical,
-        abs_error=abs(sing.g_critical - (math.sqrt(21001.0) - 101.0) / 270.0),
-        anchor="root of 135 g^2 + 101 g - 20 certified on the counting branch",
-    ))
-
     tc = abab.critical_constants()
-    rows.append(ConstantRow(
-        name="two-color-critical-coupling",
-        paper_value=math.pi * (math.pi - 4.0) ** 2 / 16.0,
-        computed_value=tc.g_critical,
-        abs_error=abs(tc.g_critical - math.pi * (math.pi - 4.0) ** 2 / 16.0),
-        anchor="two-color endpoint: g_c = pi (pi - 4)^2 / 16",
-    ))
-    rows.append(ConstantRow(
-        name="two-color-growth",
-        paper_value=6.91167,
-        computed_value=tc.growth,
-        abs_error=abs(tc.growth - 6.91167),
-        anchor="reciprocal of the two-color critical coupling",
-    ))
-    rows.append(ConstantRow(
-        name="two-color-coupling-identity",
-        paper_value=1.0 / (4.0 * math.pi),
-        computed_value=tc.g_critical / tc.t_critical**2,
-        abs_error=abs(tc.g_critical / tc.t_critical**2 - 1.0 / (4.0 * math.pi)),
-        anchor="g_c / t_c^2 at the two-color critical point",
-    ))
+    root21001 = math.sqrt(21001.0)
+    computed = [
+        ("raw-growth", 12.0, raw_growth(),
+         "branch point of the raw endpoint parameter"),
+        ("reduced-growth", 6.75, growth_red,
+         "fold of the endpoint cubic (g_c = 4/27)"),
+        ("reduced-growth-ratio-estimate", 6.75, est.growth,
+         f"Domb-Sykes ratios of {reduced_terms} reduced-count coefficients"),
+        ("flype-growth", (101.0 + root21001) / 40.0, sing.growth,
+         "smallest positive discriminant root of the flype quintic"),
+        ("flype-critical-coupling", (root21001 - 101.0) / 270.0, sing.g_critical,
+         "root of 135 g^2 + 101 g - 20 certified on the counting branch"),
+        ("two-color-critical-coupling", math.pi * (math.pi - 4.0) ** 2 / 16.0,
+         tc.g_critical, "two-color endpoint: g_c = pi (pi - 4)^2 / 16"),
+        ("two-color-growth", 6.91167, tc.growth,
+         "reciprocal of the two-color critical coupling"),
+        ("two-color-coupling-identity", 1.0 / (4.0 * math.pi),
+         tc.g_critical / tc.t_critical**2,
+         "g_c / t_c^2 at the two-color critical point"),
+    ]
+    rows = [ConstantRow(name=name, paper_value=paper, computed_value=value,
+                        abs_error=abs(value - paper), anchor=anchor)
+            for name, paper, value, anchor in computed]
 
     rows.append(ConstantRow(
         name="two-color-exponent-class",

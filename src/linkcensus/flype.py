@@ -27,17 +27,21 @@ certified algebraically from the discriminant of the quintic and confirmed
 by tracking the branch to its fold, where exact real-root counts of the
 quintic at rational points locate the collision of the branch with its
 partner root.
+
+The discriminant certifier, `discriminant_root`, takes any polynomial
+relation; `linkcensus.census` certifies the raw and reduced growth constants
+with it too, so this is the one module that imports sympy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import sympy as sp
 
-from . import onematrix
 from .series import (
     AlgebraicSystem,
     BivariatePoly,
@@ -51,7 +55,6 @@ from .series import (
 
 __all__ = [
     "BranchMismatchError",
-    "SkeletonFunctions",
     "FlypeSingularity",
     "d_of_gamma",
     "gamma_of_d",
@@ -60,8 +63,8 @@ __all__ = [
     "gamma_tilde",
     "flype_quintic",
     "flype_discriminant",
+    "discriminant_root",
     "flype_singularity",
-    "skeleton_functions",
 ]
 
 
@@ -208,26 +211,6 @@ def gamma_tilde(order: int) -> Series:
     return by_iteration
 
 
-@dataclass(frozen=True)
-class SkeletonFunctions:
-    """The four series of the skeleton calculus at a common order."""
-
-    gamma: Series        # renormalized tangles
-    d_2pi: Series        # 2PI tangles
-    zeta: Series         # nontrivial fully-2PI skeletons, d = g + zeta
-    gamma_tilde: Series  # flype-equivalence classes of tangles
-
-
-def skeleton_functions(order: int) -> SkeletonFunctions:
-    gamma = onematrix.gamma_reduced_series(order)
-    return SkeletonFunctions(
-        gamma=gamma,
-        d_2pi=d_of_gamma(gamma),
-        zeta=zeta_of_gamma(gamma),
-        gamma_tilde=gamma_tilde(order),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the dominant singularity
 # ---------------------------------------------------------------------------
@@ -248,25 +231,37 @@ class FlypeSingularity:
 _FOLD_TOLERANCE = 1e-10
 
 
+def _discriminant(relation: BivariatePoly) -> sp.Poly:
+    """disc_y P(g, y) as an integer polynomial in g.
+
+    P is taken as a polynomial in y with coefficients in ZZ[g], after its
+    denominators are cleared; a constant factor does not move the roots.
+    """
+    scale = math.lcm(*(c.denominator for _, c in relation.terms))
+    poly = sp.Poly.from_dict(
+        {(j, i): int(c * scale) for (i, j), c in relation.terms},
+        sp.Symbol("y"), sp.Symbol("g"), domain=sp.ZZ,
+    )
+    return poly.discriminant()  # in the first generator, y
+
+
 @lru_cache(maxsize=None)
 def flype_discriminant() -> tuple:
     """Discriminant (in W) of the flype quintic, as integer coefficients in g."""
-    g = sp.Symbol("g", rational=True)
-    disc = sp.expand(sp.discriminant(_quintic_sympy().as_expr(), sp.Symbol("W", rational=True)))
-    poly = sp.Poly(disc, g)
-    return tuple(int(c) for c in reversed(poly.all_coeffs()))
+    return tuple(int(c) for c in reversed(_discriminant(flype_quintic()).all_coeffs()))
 
 
-def _smallest_positive_root():
-    """Exact smallest positive root of the discriminant and its minimal polynomial.
+def discriminant_root(relation: BivariatePoly) -> tuple:
+    """Exact smallest positive root of disc_y P(g, y) and its minimal polynomial.
 
-    The real roots are isolated in each irreducible factor, so the factor
-    that carries the smallest one is its minimal polynomial.
+    Returns ``(root, minimal_polynomial)``: the root as an exact sympy number
+    and the minimal polynomial as integer coefficients, ascending.  The real
+    roots are isolated in each irreducible factor, so the factor that carries
+    the smallest one is its minimal polynomial.  A discriminant without a
+    positive real root raises `BranchMismatchError`.
     """
-    g = sp.Symbol("g")
-    poly = sp.Poly(list(reversed(flype_discriminant())), g)
     smallest = None
-    for factor, _mult in poly.factor_list()[1]:
+    for factor, _mult in _discriminant(relation).factor_list()[1]:
         for root in factor.real_roots():
             if root.is_positive and (smallest is None or root < smallest[0]):
                 smallest = (root, factor)
@@ -333,9 +328,10 @@ def flype_singularity() -> FlypeSingularity:
     quintic to its fold.  A disagreement beyond ``_FOLD_TOLERANCE`` raises
     `BranchMismatchError`.
     """
-    root, minpoly = _smallest_positive_root()
+    quintic = flype_quintic()
+    root, minpoly = discriminant_root(quintic)
     g_exact = float(root.evalf(30))
-    fold = _fold_by_tracking(flype_quintic(), _gamma_tilde_fixed_point(10))
+    fold = _fold_by_tracking(quintic, _gamma_tilde_fixed_point(10))
     agreement = abs(g_exact - fold)
     if agreement > _FOLD_TOLERANCE:
         raise BranchMismatchError(

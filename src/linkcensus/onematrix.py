@@ -53,6 +53,7 @@ __all__ = [
     "g4_raw_series",
     "gamma_raw_series",
     "free_energy_raw_series",
+    "raw_endpoint",
     "reduced_cubic",
     "a2_reduced_series",
     "t_series",
@@ -117,6 +118,16 @@ def free_energy_raw_series(order: int) -> Series:
         return Series.zero(order)
     a2 = a2_raw_series(order)
     return log_series(a2) / 2 - mul(a2 - 1, 9 - a2) / 24
+
+
+def raw_endpoint() -> AlgebraicSystem:
+    """The quadratic relation pinning the raw endpoint parameter.
+
+    ``3 g y^2 - y + 1 = 0`` with the branch through ``y(0) = 1``, the
+    relation that `a2_raw_series` solves in closed form.
+    """
+    relation = BivariatePoly.from_dict({(1, 2): 3, (0, 1): -1, (0, 0): 1})
+    return AlgebraicSystem(relation, Fraction(1))
 
 
 def reduced_cubic() -> AlgebraicSystem:

@@ -233,10 +233,6 @@ class Series:
             raise SeriesError("shift exhausts every known coefficient")
         return Series(self.coeffs[k:], self.var)
 
-    def shift_up(self, k: int) -> "Series":
-        """Multiply by the k-th power of the variable (order grows by k)."""
-        return Series((Fraction(0),) * k + self.coeffs, self.var)
-
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:

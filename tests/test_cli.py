@@ -121,6 +121,13 @@ def test_unconverged_renormalization_exits_three(capsys, monkeypatch):
     assert "did not converge" in captured.err
 
 
+def test_two_color_reduced_order_zero(capsys):
+    code, out = run_cli(capsys, "series", "--model", "two-color", "--reduced",
+                        "--order", "0")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == ["0"]
+
+
 def test_constants_table(capsys):
     code, out = run_cli(capsys, "constants", "--format", "csv")
     assert code == 0

@@ -1,5 +1,6 @@
-"""Every name a module exports through ``__all__`` exists; commands load no numpy."""
+"""Exported names resolve, commands load no numpy, and only `flype` imports sympy."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -35,3 +36,23 @@ def test_commands_do_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
+
+
+def test_only_flype_imports_sympy():
+    package = os.path.dirname(linkcensus.__file__)
+    importers = set()
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename)) as handle:
+            tree = ast.parse(handle.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                importers.add(filename)
+    assert importers == {"flype.py"}

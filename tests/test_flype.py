@@ -8,7 +8,7 @@ import pytest
 
 from linkcensus import flype
 from linkcensus import onematrix as om
-from linkcensus.series import Series, SeriesError, compose, reversion
+from linkcensus.series import BivariatePoly, Series, SeriesError, compose, reversion
 
 F = Fraction
 
@@ -129,13 +129,15 @@ def test_quintic_annihilates_the_series():
 
 
 def test_skeleton_functions_invariants():
-    sk = flype.skeleton_functions(8)
-    for series in (sk.gamma, sk.gamma_tilde):
+    gamma = om.gamma_reduced_series(8)
+    d_2pi = flype.d_of_gamma(gamma)
+    zeta = flype.zeta_of_gamma(gamma)
+    for series in (gamma, flype.gamma_tilde(8)):
         assert series.coeffs[:3] == (0, 1, 2)
-    assert sk.d_2pi.coeffs[:2] == (0, 1)
-    assert sk.zeta.valuation() >= 2
-    assert sk.d_2pi == Series.identity(8) + sk.zeta
-    assert sk.d_2pi == flype.d_of_gamma(sk.gamma)
+    assert d_2pi.coeffs[:2] == (0, 1)
+    assert zeta.valuation() >= 2
+    assert d_2pi == Series.identity(8) + zeta
+    assert d_2pi == flype.d_of_gamma(gamma)
 
 
 # -- singularity --------------------------------------------------------------------
@@ -162,6 +164,31 @@ def test_fold_tracking_agreement():
 
 def test_flype_growth_is_smaller_than_diagram_growth():
     assert flype.flype_singularity().growth < 6.75
+
+
+@pytest.mark.parametrize("system, g_c, minpoly", [
+    (om.raw_endpoint(), om.RAW_CRITICAL_G, (-1, 12)),
+    (om.reduced_cubic(), om.REDUCED_CRITICAL_G, (-4, 27)),
+])
+def test_certified_endpoint_roots_are_the_domain_constants(system, g_c, minpoly):
+    root, found = flype.discriminant_root(system.relation)
+    assert root == g_c
+    assert found == minpoly
+
+
+def test_discriminant_root_of_a_hand_made_relation():
+    # y^2 - y + g: discriminant 1 - 4 g
+    relation = BivariatePoly.from_dict({(0, 2): 1, (0, 1): -1, (1, 0): 1})
+    root, minpoly = flype.discriminant_root(relation)
+    assert root == F(1, 4)
+    assert minpoly == (-1, 4)
+
+
+def test_discriminant_root_refuses_a_discriminant_without_positive_root():
+    # y^2 + g + 1: discriminant -4 (g + 1), whose only root is -1
+    relation = BivariatePoly.from_dict({(0, 2): 1, (1, 0): 1, (0, 0): 1})
+    with pytest.raises(flype.BranchMismatchError, match="no positive real root"):
+        flype.discriminant_root(relation)
 
 
 def test_discriminant_coefficients_are_integers():

@@ -19,6 +19,10 @@ def test_endpoint_series_is_three_to_k_catalan():
     assert om.a2_raw_series(5).coeffs == (1, 3, 18, 135, 1134, 10206)
 
 
+def test_raw_endpoint_relation_annihilates_the_series():
+    assert om.raw_endpoint().relation.eval_series(om.a2_raw_series(30)).is_zero()
+
+
 def test_two_point_series():
     assert om.g2_raw_series(5).coeffs == (1, 2, 9, 54, 378, 2916)
 
