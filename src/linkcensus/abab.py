@@ -10,9 +10,9 @@ tied together by ``g_c / t_c^2 = 1 / (4 pi)``, with growth ``1/g_c``.
 
 Everything series-shaped here comes from the enumeration oracle evaluated at
 loop weight n = 2 — the raw free energy, the raw two-point series, the
-renormalization ``t(g)`` enforcing a unit two-point function order by order,
-and the renormalized count.  The general two-coupling model away from the
-counting line is out of scope; only the endpoints above are implemented.
+renormalization ``t(g)`` enforcing a unit two-point function, and the
+renormalized count.  The general two-coupling model away from the counting
+line is out of scope; only the endpoints above are implemented.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def g2_raw(vmax: int, **kwargs) -> Series:
 
 
 def renormalization(vmax: int, **kwargs) -> Series:
-    """The two-color t(g) enforcing a unit two-point function, order by order."""
+    """The two-color t(g) enforcing a unit two-point function, by reversion."""
     return onematrix.solve_unit_two_point(g2_raw(vmax, **kwargs))
 
 

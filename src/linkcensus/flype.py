@@ -19,14 +19,14 @@ corrected skeleton generating function leads to the fixed-point equation
                                             - 8 zeta[W] - 8 g^2/(1 - g)) ]
 
 whose solution counts flype-equivalence classes of tangles.  This module
-computes that series two independent ways — iterating the fixed point on
-exact series, and Newton-expanding the branch of a single quintic polynomial
-relation obtained by eliminating the radicals with exact resultants — and it
-refuses to answer if the two disagree.  The dominant singularity is then
-certified algebraically from the discriminant of the quintic and confirmed
-by tracking the branch to its fold, where exact real-root counts of the
-quintic at rational points locate the collision of the branch with its
-partner root.
+computes that series two independent ways — inverting the squared equation,
+a quadratic in g with an explicit root series in W, and Newton-expanding the
+branch of a single quintic relation obtained by eliminating the radicals
+with exact resultants — and it refuses to answer if the two disagree.  The
+dominant singularity is then certified algebraically from the discriminant
+of the quintic and confirmed by tracking the branch to its fold, where exact
+real-root counts of the quintic at rational points locate the collision of
+the branch with its partner root.
 
 The discriminant certifier, `discriminant_root`, takes any polynomial
 relation; `linkcensus.census` certifies the raw and reduced growth constants
@@ -50,6 +50,7 @@ from .series import (
     div,
     mul,
     newton_solve,
+    reversion,
     sqrt_series,
 )
 
@@ -124,16 +125,23 @@ def _flype_skeleton_map(g: Series, zeta: Series) -> Series:
     return (one + g - zeta - sqrt_series(inner)) / 2
 
 
-def _gamma_tilde_fixed_point(order: int) -> Series:
-    """Solve the flype fixed-point equation by iteration on exact series."""
-    g = Series.identity(order)
-    w = g
-    for _ in range(order + 2):
-        w_next = _flype_skeleton_map(g, zeta_of_gamma(w))
-        if w_next == w:
-            return w
-        w = w_next
-    raise BranchMismatchError("flype fixed point failed to stabilize")
+def _flype_series(order: int) -> Series:
+    """The flype series W(g), as the compositional inverse of its coupling g(W).
+
+    Squared, the flype equation is ``g^2 + c g + z - W (1 - W)/(1 + W) = 0``
+    with ``z = zeta[W]`` and ``c = 1 - W - z``; its root through the origin is
+    a series in W.  The unsquared map must return the inverse exactly, which
+    keeps the paper's equation as the definition and rules out the branch
+    that squaring admits.
+    """
+    w = Series.identity(order)
+    z = zeta_of_gamma(w)
+    c = 1 - w - z
+    radicand = mul(c, c) - 4 * z + 4 * div(mul(w, 1 - w), 1 + w)
+    w_of_g = reversion((sqrt_series(radicand) - c) / 2)
+    if _flype_skeleton_map(Series.identity(order), zeta_of_gamma(w_of_g)) != w_of_g:
+        raise BranchMismatchError("inverted series does not solve the flype equation")
+    return w_of_g
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +173,7 @@ def _quintic_sympy():
     )
     e2 = sp.expand(lhs**2 - (1 + W) ** 2 * (1 - 4 * W) ** 3)
     resultant = sp.resultant(sp.Poly(e1, z), sp.Poly(e2, z))
-    series = _gamma_tilde_fixed_point(12)
+    series = _flype_series(12)
     quintic = None
     for factor, _mult in sp.factor_list(resultant)[1]:
         poly = sp.Poly(factor, g, W)
@@ -196,19 +204,19 @@ def flype_quintic() -> BivariatePoly:
 def gamma_tilde(order: int) -> Series:
     """Series counting flype-equivalence classes of tangles: 1, 2, 4, 10, 29, ...
 
-    Computed independently by fixed-point iteration and by Newton expansion
-    of the eliminated quintic; a mismatch raises `BranchMismatchError`.
+    Computed independently by reversion of the flype equation and by Newton
+    expansion of the eliminated quintic; a mismatch raises `BranchMismatchError`.
     """
     if order < 1:
         raise SeriesError("order must be at least 1")
-    by_iteration = _gamma_tilde_fixed_point(order)
+    by_inversion = _flype_series(order)
     system = AlgebraicSystem(flype_quintic(), Fraction(0))
     by_quintic = newton_solve(system, order)
-    if by_iteration != by_quintic:
+    if by_inversion != by_quintic:
         raise BranchMismatchError(
-            "fixed-point series and quintic branch disagree; wrong branch selected"
+            "inverted series and quintic branch disagree; wrong branch selected"
         )
-    return by_iteration
+    return by_inversion
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +339,7 @@ def flype_singularity() -> FlypeSingularity:
     quintic = flype_quintic()
     root, minpoly = discriminant_root(quintic)
     g_exact = float(root.evalf(30))
-    fold = _fold_by_tracking(quintic, _gamma_tilde_fixed_point(10))
+    fold = _fold_by_tracking(quintic, _flype_series(10))
     agreement = abs(g_exact - fold)
     if agreement > _FOLD_TOLERANCE:
         raise BranchMismatchError(

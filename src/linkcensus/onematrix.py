@@ -40,6 +40,7 @@ from .series import (
     log_series,
     mul,
     newton_solve,
+    reversion,
     sqrt_series,
 )
 
@@ -187,28 +188,20 @@ def g2_scaled_series(t: Fraction, order: int) -> Series:
 
 
 def solve_unit_two_point(g2_raw: Series) -> Series:
-    """Solve ``G2(t(g), g) = 1`` order by order for ``t(g)``.
+    """Solve ``G2(t(g), g) = 1`` for ``t(g)`` by series reversion.
 
     ``g2_raw`` is the raw series ``G2(1, g)`` (from a closed form or from the
-    enumeration oracle); the scaling property turns the constraint into the
-    fixed point ``t = G2(1, g / t^2)``, which gains one order per sweep.
+    enumeration oracle).  The scaling property turns the constraint into
+    ``t = G2(1, x)`` with ``x = g / t^2``, so ``g = x G2(1, x)^2`` is explicit
+    in x: its compositional inverse is ``x(g)``, and ``t = G2(1, x(g))``.
     """
     if g2_raw.coeffs[0] == 0:
         raise SeriesError("raw two-point series must have a nonzero constant term")
-    order = g2_raw.order
-    t = Series.constant(g2_raw.coeffs[0], order, g2_raw.var)
-    g = Series.identity(order) if order >= 1 else Series.zero(0)
-    for _ in range(order + 1):
-        inner = mul(g, div(Series.one(order, g2_raw.var), mul(t, t)))
-        t_next = compose(g2_raw, inner)
-        if t_next == t:
-            break
-        t = t_next
-    else:
-        raise ArithmeticError(
-            f"unit two-point fixed point did not converge in {order + 1} sweeps"
-        )
-    return t
+    order, var = g2_raw.order, g2_raw.var
+    if order < 1:
+        return g2_raw
+    x = reversion(mul(Series.identity(order, var), mul(g2_raw, g2_raw)))
+    return compose(g2_raw, x)
 
 
 def substitute_renormalized(raw: Series, t: Series, legs: int) -> Series:
@@ -219,11 +212,10 @@ def substitute_renormalized(raw: Series, t: Series, legs: int) -> Series:
     """
     if legs % 2 != 0 or legs < 0:
         raise SeriesError("legs must be a nonnegative even integer")
-    order = min(raw.order, t.order)
-    one = Series.one(order, raw.var)
-    inv_t2 = div(one, mul(t.truncate(order), t.truncate(order)))
-    inner = mul(Series.identity(order) if order >= 1 else Series.zero(0), inv_t2)
-    result = compose(raw, inner)
+    order, var = min(raw.order, t.order), raw.var
+    inv_t2 = div(Series.one(order, var), mul(t.truncate(order), t.truncate(order)))
+    g = Series.identity(order, var) if order >= 1 else Series.zero(0, var)
+    result = compose(raw, mul(g, inv_t2))
     for _ in range(legs // 2):
         result = div(result, t.truncate(result.order))
     return result

@@ -929,15 +929,15 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
                     ceiling: int = DEFAULT_CEILING) -> TwoPointTable:
     """Count gluings with one marked boundary carrying ``legs`` half-edges.
 
-    ``gamma_only`` restricts the search (with pruning) to connected four-point
-    diagrams; the resulting table contains only those cells.
+    ``gamma_only`` keeps only connected four-point diagrams (pruning the
+    search) and ``twopi`` flags the 2PI ones; both need the four-leg boundary.
     """
     if legs not in (2, 4):
         raise ValueError("the marked boundary carries 2 or 4 legs")
     if num_vertices < 0:
         raise ValueError("num_vertices must be nonnegative")
-    if gamma_only and legs != 4:
-        raise ValueError("gamma_only applies to the four-leg boundary")
+    if (gamma_only or twopi) and legs != 4:
+        raise ValueError("gamma_only and twopi apply to the four-leg boundary")
     _check_ceiling(num_vertices, ceiling)
     species = ((_strand_offsets(CROSSING), num_vertices),)
     cells = _cached_cells(legs, species, planar_only, False, twopi, gamma_only)

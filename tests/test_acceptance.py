@@ -1,11 +1,11 @@
 """Acceptance gate: every headline requirement at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run pytest with -s to watch them).  The
-oracle checks of criterion 1 reach V = 6 and the totals of criterion 2 reach
-V = 5; tables are computed once per session and shared through the
-module-level caches.  Only the V = 6 total of criterion 2 (about 20 s of
-all-genus enumeration in one process on a 2-core VM) stays behind the
-LINKCENSUS_SLOW_TESTS switch.
+oracle checks of criterion 1 reach V = 6, and the totals of criterion 2 and
+the genus strata of criterion 2b reach V = 5; tables are computed once per
+session and shared through the module-level caches.  Only V = 6 of criteria
+2 and 2b (about 20 s of all-genus enumeration, one table for both, in one
+process on a 2-core VM) stays behind the LINKCENSUS_SLOW_TESTS switch.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 from linkcensus import abab, census, flype
 from linkcensus import onematrix as om
 from linkcensus import oracle as oc
-from linkcensus.series import Series
+from linkcensus.series import Series, div, log_series
 
 F = Fraction
 VMAX = 5
@@ -83,6 +83,47 @@ def test_criterion_2_double_factorial_total_v6():
     expected = oc.double_factorial(4 * VDEEP - 1)
     report("2 all-pairings total equals (23)!! at V = 6", total == expected,
            f"{total} vs {expected}")
+
+
+# -- 2b. genus strata ------------------------------------------------------------------
+
+
+def _genus_free_energies(order: int) -> dict:
+    """Genus-1 and genus-2 free energies of the quartic model (Bessis, Itzykson, Zuber)."""
+    a2 = om.a2_raw_series(order)
+    two_minus = 2 - a2
+    one_minus = 1 - a2
+    e1 = -log_series(two_minus) / 12
+    e2 = -div(one_minus**3 * (82 + 21 * a2 - 3 * a2 * a2), two_minus**5) / 720
+    return {1: e1, 2: e2}
+
+
+def _connected_genus_sums(V: int) -> dict:
+    """Connected all-genus cells of genus 1 and 2 summed over strands, over 4^V V!."""
+    table = oc.enumerate_pairings(V)
+    sums = {1: F(0), 2: F(0)}
+    for (h, _strands, connected), count in table.cells.items():
+        if connected and h in sums:
+            sums[h] += F(count, table.wick_normalization())
+    return sums
+
+
+def test_criterion_2b_genus_strata():
+    closed = _genus_free_energies(VMAX)
+    sums = [_connected_genus_sums(V) for V in range(1, VMAX + 1)]
+    counted = {h: (F(0),) + tuple(by_genus[h] for by_genus in sums) for h in closed}
+    ok = all(closed[h].coeffs == counted[h] for h in closed)
+    report("2b connected genus-1 and genus-2 counts == E1, E2 for V = 1..5 (exact)", ok,
+           "; ".join(f"genus {h}: " + ", ".join(map(str, counted[h][1:])) for h in closed))
+
+
+@pytest.mark.slow
+def test_criterion_2b_genus_strata_v6():
+    closed = _genus_free_energies(VDEEP)
+    counted = _connected_genus_sums(VDEEP)
+    ok = all(closed[h].coeffs[VDEEP] == counted[h] for h in closed)
+    report("2b connected genus-1 and genus-2 counts == E1, E2 at V = 6", ok,
+           "; ".join(f"genus {h}: {counted[h]} vs {closed[h].coeffs[VDEEP]}" for h in closed))
 
 
 # -- 3. unit two-point constraint ----------------------------------------------------

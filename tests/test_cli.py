@@ -1,12 +1,10 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
-import itertools
 import json
 
 import pytest
 
-from linkcensus import cli, flype, onematrix
-from linkcensus.series import Series
+from linkcensus import cli, flype
 
 
 def run_cli(capsys, *argv):
@@ -107,18 +105,6 @@ def test_library_self_check_failure_exits_three(capsys, monkeypatch, failure):
     assert captured.err.startswith("error: ")
     assert str(failure) in captured.err
     assert len(captured.err.strip().splitlines()) == 1
-
-
-def test_unconverged_renormalization_exits_three(capsys, monkeypatch):
-    shifts = itertools.count(2)
-    monkeypatch.setattr(onematrix, "compose",
-                        lambda outer, inner: Series.constant(next(shifts), outer.order))
-    code = cli.main(["series", "--model", "two-color", "--reduced", "--order", "3"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("error: ArithmeticError: ")
-    assert "did not converge" in captured.err
 
 
 def test_two_color_reduced_order_zero(capsys):

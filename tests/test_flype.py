@@ -117,6 +117,32 @@ def test_gamma_tilde_never_exceeds_tangle_counts():
     assert first_strict == 3
 
 
+def test_gamma_tilde_refuses_an_inverse_that_misses_the_flype_equation(monkeypatch):
+    def moved_reversion(s):
+        r = reversion(s)
+        return r + Series.from_coeffs([0] * 7 + [1], r.order, r.var)
+
+    monkeypatch.setattr(flype, "reversion", moved_reversion)
+    with pytest.raises(flype.BranchMismatchError, match="does not solve the flype equation"):
+        flype.gamma_tilde(10)
+
+
+def test_coupling_at_the_zeta_branch_point_is_the_critical_coupling():
+    # At W = 1/4, where zeta's (1 - 4W)^{3/2} radical vanishes, the squared
+    # flype equation g^2 + c g + z - W (1 - W)/(1 + W) = 0 has rational
+    # coefficients; its root is the critical coupling, reached without the
+    # quintic or its discriminant.
+    w = F(1, 4)
+    z = -2 / (1 + w) + 2 - w - (1 + 10 * w - 2 * w**2) / (2 * (w + 2) ** 3)
+    c = 1 - w - z
+    radicand = c * c - 4 * z + 4 * w * (1 - w) / (1 + w)
+    assert (z, c, radicand) == (F(1, 540), F(101, 135), F(21001, 135**2))
+    quadratic = (z - w * (1 - w) / (1 + w), c, 1)
+    assert tuple(135 * k for k in quadratic) == (-20, 101, 135)
+    g = (math.sqrt(radicand) - c) / 2
+    assert g == pytest.approx((math.sqrt(21001) - 101) / 270, abs=1e-15)
+
+
 def test_quintic_shape():
     quintic = flype.flype_quintic()
     assert quintic.degree_y() == 5
@@ -201,7 +227,7 @@ def test_fold_tracking_refuses_a_seed_off_the_counting_branch():
     quintic = flype.flype_quintic()
     with pytest.raises(flype.BranchMismatchError, match="lost the counting branch"):
         flype._fold_by_tracking(quintic, Series.zero(10))
-    moved = flype._gamma_tilde_fixed_point(10) + F(1, 100)
+    moved = flype.gamma_tilde(10) + F(1, 100)
     with pytest.raises(flype.BranchMismatchError, match="lost the counting branch"):
         flype._fold_by_tracking(quintic, moved)
 

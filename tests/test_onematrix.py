@@ -1,12 +1,12 @@
 """Closed forms of the quartic model, raw and renormalized, plus spectral data."""
 
-import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from linkcensus import onematrix as om
+from linkcensus import oracle as oc
 from linkcensus.series import Series, compose, derivative, mul
 
 F = Fraction
@@ -98,13 +98,22 @@ def test_renormalization_recovered_from_raw_two_point():
     assert om.solve_unit_two_point(om.g2_raw_series(order)) == om.t_series(order)
 
 
-def test_unconverged_renormalization_is_refused(monkeypatch):
-    # a map with no fixed point: every sweep returns a new constant
-    shifts = itertools.count(2)
-    monkeypatch.setattr(om, "compose",
-                        lambda outer, inner: Series.constant(next(shifts), outer.order))
-    with pytest.raises(ArithmeticError, match="did not converge in 5 sweeps"):
-        om.solve_unit_two_point(om.g2_raw_series(4))
+RAW_TWO_POINT = {
+    "t=2/3": lambda: om.g2_scaled_series(F(2, 3), 8),
+    "t=2": lambda: om.g2_scaled_series(F(2), 8),
+    "oracle-n=2": lambda: oc.g2_series(5, n=2),
+    "oracle-n=1/2": lambda: oc.g2_series(4, n=F(1, 2)),
+    "order-0": lambda: om.g2_raw_series(0),
+    "order-1": lambda: om.g2_raw_series(1),
+    "var-x": lambda: Series(om.g2_raw_series(6).coeffs, "x"),
+}
+
+
+@pytest.mark.parametrize("name", RAW_TWO_POINT)
+def test_solved_renormalization_gives_unit_two_point(name):
+    g2 = RAW_TWO_POINT[name]()
+    t = om.solve_unit_two_point(g2)
+    assert om.substitute_renormalized(g2, t, legs=2) == Series.one(g2.order, g2.var)
 
 
 @pytest.mark.parametrize("t", [F(2, 3), F(1), F(5, 4), F(2)])

@@ -373,6 +373,13 @@ def test_ceiling_is_enforced_with_message():
         oc.two_point_table(9, 2)
 
 
+def test_twopi_flag_needs_the_four_leg_boundary():
+    with pytest.raises(ValueError, match="four-leg boundary"):
+        oc.two_point_table(3, 2, twopi=True)
+    with pytest.raises(ValueError, match="four-leg boundary"):
+        oc.two_point_table(3, 2, gamma_only=True)
+
+
 def test_vertex_model_validation():
     with pytest.raises(ValueError):
         oc.VertexModel((oc.VertexType("bad", ((0, 1), (1, 2)), "x"),))
