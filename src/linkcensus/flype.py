@@ -24,13 +24,18 @@ a quadratic in g with an explicit root series in W, and Newton-expanding the
 branch of a single quintic relation obtained by eliminating the radicals
 with exact resultants — and it refuses to answer if the two disagree.  The
 dominant singularity is then certified algebraically from the discriminant
-of the quintic and confirmed by tracking the branch to its fold, where exact
-real-root counts of the quintic at rational points locate the collision of
-the branch with its partner root.
+of the quintic, as a rational interval of width at most 1e-30 around the
+root of an exact minimal polynomial, and confirmed by tracking the branch to
+its fold, where exact real-root counts of the quintic at rational points
+locate the collision of the branch with its partner root.
 
 The discriminant certifier, `discriminant_root`, takes any polynomial
 relation; `linkcensus.census` certifies the raw and reduced growth constants
-with it too, so this is the one module that imports sympy.
+with it too, so this is the one module that imports sympy.  It uses sympy
+only at the ``Poly`` level, for resultants, discriminants, factorization and
+real-root isolation over ZZ; the real-root counts of the fold tracking are
+fraction-free Sturm sequences on Python integers.  No sympy expression is
+built, so sympy's lazily imported expression machinery is never loaded.
 """
 
 from __future__ import annotations
@@ -150,50 +155,49 @@ def _flype_series(order: int) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _quintic_sympy():
+def _quintic_sympy() -> sp.Poly:
     """Eliminate the radicals from the implicit flype system exactly.
 
-    Returns the sympy polynomial P(g, W) of degree five in W whose branch
-    through W(0) = 0 is the flype-class tangle series.  The two radicals are
-    removed by one squaring each; the resultant in the auxiliary variable
-    (the 2PI slot series value) collapses the system to one polynomial, whose
-    spurious factors are discarded by matching the series solution.
+    Returns the integer polynomial P(g, W), a sympy ``Poly`` in (g, W) of
+    degree five in W, whose branch through W(0) = 0 is the flype-class tangle
+    series.  The two radicals are removed by one squaring each; the resultant
+    in the auxiliary variable z (the 2PI slot series value) collapses the
+    system to one polynomial, whose spurious factors are discarded by matching
+    the series solution.  All arithmetic is on ``Poly`` objects over ZZ.
     """
-    g, W, z = sp.symbols("g W z", rational=True)
-    # squaring the corrected-skeleton equation W = (1/2)[(1+g-z) - sqrt(...)]
-    e1 = sp.expand(
-        (1 - g) * ((1 + g - z - 2 * W) ** 2 - (1 - g + z) ** 2 + 8 * z) + 8 * g**2
+    z, g, W = (
+        sp.Poly.from_dict({exponents: 1}, *sp.symbols("z g W"), domain=sp.ZZ)
+        for exponents in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     )
+    # squaring the corrected-skeleton equation W = (1/2)[(1+g-z) - sqrt(...)]
+    e1 = (1 - g) * ((1 + g - z - 2 * W) ** 2 - (1 - g + z) ** 2 + 8 * z) + 8 * g**2
     # clearing denominators and the (1-4W)^{3/2} radical from z = zeta[W]
-    lhs = sp.expand(
+    lhs = (
         2 * (1 + W) * (W + 2) ** 3 * z
         + 4 * (W + 2) ** 3
         - 2 * (1 + W) * (2 - W) * (W + 2) ** 3
         + (1 + W) * (1 + 10 * W - 2 * W**2)
     )
-    e2 = sp.expand(lhs**2 - (1 + W) ** 2 * (1 - 4 * W) ** 3)
-    resultant = sp.resultant(sp.Poly(e1, z), sp.Poly(e2, z))
+    e2 = lhs**2 - (1 + W) ** 2 * (1 - 4 * W) ** 3
+    resultant = e1.resultant(e2)  # in the first generator, z
     series = _flype_series(12)
     quintic = None
-    for factor, _mult in sp.factor_list(resultant)[1]:
-        poly = sp.Poly(factor, g, W)
+    for poly, _mult in resultant.factor_list()[1]:
         if _sympy_poly_to_bivariate(poly).eval_series(series).is_zero():
             if quintic is not None:
                 raise BranchMismatchError("two resultant factors match the series")
             quintic = poly
-    if quintic is None or sp.degree(quintic, W) != 5:
+    if quintic is None or quintic.degree(1) != 5:
         raise BranchMismatchError("no quintic factor matches the series branch")
-    # canonical sign: positive leading coefficient in (W, then g) ordering
+    # canonical sign: positive leading coefficient in (g, then W) ordering
     if quintic.LC() < 0:
         quintic = -quintic
     return quintic
 
 
 def _sympy_poly_to_bivariate(poly: sp.Poly) -> BivariatePoly:
-    terms = {}
-    for (i, j), coeff in poly.terms():
-        terms[(i, j)] = Fraction(int(sp.numer(coeff)), int(sp.denom(coeff)))
-    return BivariatePoly.from_dict(terms)
+    """An integer ``Poly`` in (g, W) as a `BivariatePoly`."""
+    return BivariatePoly.from_dict({(i, j): Fraction(int(c)) for (i, j), c in poly.terms()})
 
 
 def flype_quintic() -> BivariatePoly:
@@ -237,6 +241,8 @@ class FlypeSingularity:
 
 # largest accepted |g_critical - fold_numeric|
 _FOLD_TOLERANCE = 1e-10
+# width to which an irrational discriminant root is bracketed
+_ROOT_WIDTH = Fraction(1, 10**30)
 
 
 def _discriminant(relation: BivariatePoly) -> sp.Poly:
@@ -260,23 +266,123 @@ def flype_discriminant() -> tuple:
 
 
 def discriminant_root(relation: BivariatePoly) -> tuple:
-    """Exact smallest positive root of disc_y P(g, y) and its minimal polynomial.
+    """Smallest positive root of disc_y P(g, y), certified, and its minimal polynomial.
 
-    Returns ``(root, minimal_polynomial)``: the root as an exact sympy number
-    and the minimal polynomial as integer coefficients, ascending.  The real
-    roots are isolated in each irreducible factor, so the factor that carries
-    the smallest one is its minimal polynomial.  A discriminant without a
-    positive real root raises `BranchMismatchError`.
+    Returns ``((lo, hi), minimal_polynomial)``: Fractions bracketing the root,
+    equal exactly when the root is rational and otherwise at most 1e-30
+    apart, and the minimal polynomial as integer coefficients, ascending.
+    The real roots of the square-free part of the discriminant are isolated
+    in disjoint intervals; the irreducible factor with a root inside the
+    smallest positive one is the minimal polynomial.  Interval endpoints may
+    be roots of other factors (the root 0 sits at the left end of (0, hi)),
+    so ownership is decided by roots strictly inside.  A discriminant without
+    a positive real root raises `BranchMismatchError`.
     """
-    smallest = None
-    for factor, _mult in _discriminant(relation).factor_list()[1]:
-        for root in factor.real_roots():
-            if root.is_positive and (smallest is None or root < smallest[0]):
-                smallest = (root, factor)
-    if smallest is None:
+    disc = _discriminant(relation)
+    intervals = [(_fraction(lo), _fraction(hi)) for (lo, hi), _ in disc.sqf_part().intervals()]
+    positive = [(lo, hi) for lo, hi in intervals if lo >= 0 and hi > 0]
+    if not positive:
         raise BranchMismatchError("discriminant has no positive real root")
-    root, factor = smallest
-    return root, tuple(int(c) for c in reversed(factor.all_coeffs()))
+    lo, hi = min(positive)
+
+    def owns(coeffs: list) -> bool:
+        if lo == hi:
+            return _eval_sign(coeffs, lo) == 0
+        at_ends = (_eval_sign(coeffs, lo) == 0) + (_eval_sign(coeffs, hi) == 0)
+        return _count_real_roots(coeffs, lo, hi) > at_ends
+
+    for factor, _mult in disc.factor_list()[1]:
+        coeffs = [int(c) for c in reversed(factor.all_coeffs())]
+        if owns(coeffs):
+            break
+    else:
+        raise BranchMismatchError("no discriminant factor has a root in the isolating interval")
+    if len(coeffs) == 2:
+        root = Fraction(-coeffs[0], coeffs[1])
+        return (root, root), tuple(coeffs)
+    lo, hi = factor.refine_root(lo, hi, eps=_ROOT_WIDTH)
+    return (_fraction(lo), _fraction(hi)), tuple(coeffs)
+
+
+def _fraction(rational: sp.Rational) -> Fraction:
+    return Fraction(int(rational.p), int(rational.q))
+
+
+# ---------------------------------------------------------------------------
+# exact real-root counts: fraction-free Sturm sequences on integer coefficients
+# ---------------------------------------------------------------------------
+
+
+def _eval_sign(coeffs: list, x: Fraction) -> int:
+    """Sign of the integer polynomial (ascending ``coeffs``) at the rational x.
+
+    Evaluated homogeneously: sum c_k n^k d^(deg - k), for x = n/d with d > 0,
+    has the sign of the value and needs no division.
+    """
+    n, d = x.numerator, x.denominator
+    acc, d_power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * d_power
+        d_power *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _primitive(coeffs: list) -> list:
+    """``coeffs`` divided by their positive gcd, trailing zeros dropped."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs] if content > 1 else coeffs
+
+
+def _pseudo_divide(a: list, b: list) -> tuple:
+    """Primitive parts of the quotient and remainder of s a by b, some integer s > 0.
+
+    Each step scales by |lc(b)| rather than lc(b), so that both keep the signs
+    of the true quotient and remainder of a by b.
+    """
+    lead, sign, rest = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0), list(a)
+    quotient = [0] * max(len(a) - len(b) + 1, 1)
+    while len(rest) >= len(b):
+        shift, top = len(rest) - len(b), rest[-1] * sign
+        quotient = [lead * q for q in quotient]
+        quotient[shift] += top
+        rest = [lead * c for c in rest]
+        for k, c in enumerate(b):
+            rest[k + shift] -= top * c
+        while rest and rest[-1] == 0:
+            rest.pop()
+    return _primitive(quotient), _primitive(rest)
+
+
+def _sturm_sequence(coeffs: list) -> list:
+    """Sturm sequence of the square-free part of an integer polynomial."""
+    chain = [_primitive(coeffs), _primitive([k * c for k, c in enumerate(coeffs)][1:])]
+    while len(chain[-1]) > 1:
+        _q, rem = _pseudo_divide(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    if len(chain[-1]) > 1:  # a repeated root: start over from p / gcd(p, p')
+        return _sturm_sequence(_pseudo_divide(chain[0], chain[-1])[0])
+    return chain
+
+
+def _count_real_roots(coeffs: list, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in the closed interval [lo, hi].
+
+    Sturm's theorem counts the roots in (lo, hi] as the drop in sign
+    variations from lo to hi; a root at lo itself is added separately.
+    """
+    if len(_primitive(coeffs)) < 2:
+        return 0
+    chain = _sturm_sequence(coeffs)
+
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (_eval_sign(p, x) for p in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi) + (_eval_sign(chain[0], lo) == 0)
 
 
 def _fold_by_tracking(bipoly: BivariatePoly, seed_series: Series) -> float:
@@ -286,21 +392,26 @@ def _fold_by_tracking(bipoly: BivariatePoly, seed_series: Series) -> float:
     roots of P(g, .) in the window 1/20 < W < 9/20.  At g_c they meet in a
     double root W = 1/4; P, dP/dW and dP/dg all vanish there, so the point is
     singular on the curve and the pair leaves the real axis like
-    (g - g_c)^{3/2}.  The number of real roots in the window, counted exactly
-    by Sturm sequences at rational g, is therefore 2 below the fold and 0
-    above it.  At g = 3/25 the seed series must single out its root (the only
-    one within 1/1000 of the series value) and the window must hold exactly
-    two; a scan in steps of 1/200 then finds the first g where the count
-    drops, and bisection on the count shrinks the bracket to 1e-13.
+    (g - g_c)^{3/2}.  The number of distinct real roots in the closed window
+    is therefore 2 below the fold and 0 above it.  It is counted exactly at
+    rational g = n/d: P(n/d, W) times a positive integer has integer
+    coefficients, and a fraction-free Sturm sequence on them is evaluated
+    homogeneously at the window ends.  At g = 3/25 the seed series must single
+    out its root (the only one within 1/1000 of the series value) and the
+    window must hold exactly two; a scan in steps of 1/200 then finds the
+    first g where the count drops, and bisection on the count shrinks the
+    bracket to 1e-13.
     """
-    W = sp.Symbol("W")
-    deg_w = bipoly.degree_y()
+    deg_w, deg_g = bipoly.degree_y(), bipoly.degree_x()
+    scale = math.lcm(*(c.denominator for _, c in bipoly.terms))
+    integer_terms = [(i, j, int(c * scale)) for (i, j), c in bipoly.terms]
 
     def real_roots(gv: Fraction, lo: Fraction, hi: Fraction) -> int:
-        coeffs = [Fraction(0)] * (deg_w + 1)
-        for (i, j), c in bipoly.terms:
-            coeffs[deg_w - j] += c * gv**i
-        return sp.Poly(coeffs, W, domain=sp.QQ).count_roots(lo, hi)
+        n, d = gv.numerator, gv.denominator
+        coeffs = [0] * (deg_w + 1)
+        for i, j, c in integer_terms:
+            coeffs[j] += c * n**i * d ** (deg_g - i)
+        return _count_real_roots(coeffs, lo, hi)
 
     def below_fold(gv: Fraction) -> bool:
         return real_roots(gv, Fraction(1, 20), Fraction(9, 20)) == 2
@@ -337,8 +448,8 @@ def flype_singularity() -> FlypeSingularity:
     `BranchMismatchError`.
     """
     quintic = flype_quintic()
-    root, minpoly = discriminant_root(quintic)
-    g_exact = float(root.evalf(30))
+    (lo, hi), minpoly = discriminant_root(quintic)
+    g_exact = float((lo + hi) / 2)
     fold = _fold_by_tracking(quintic, _flype_series(10))
     agreement = abs(g_exact - fold)
     if agreement > _FOLD_TOLERANCE:

@@ -8,6 +8,8 @@ eigenvalue support:
 * two-point function     ``G2 = a^2 (4 - a^2) / 3``
 * connected four-point   ``Gamma = (a^2)^2 (a^2 - 1)(5 - 2 a^2) / 9``
 * free energy            ``F = log(a^2)/2 - (a^2 - 1)(9 - a^2) / 24``
+* genus-1 and genus-2 free energies, ``E1 = -log(2 - a^2) / 12`` and
+  ``E2 = -(1 - a^2)^3 (82 + 21 a^2 - 3 a^4) / (720 (2 - a^2)^5)``
 
 The renormalized ("reduced") model rescales the quadratic term so that the
 two-point function is identically 1, which removes all self-energy
@@ -54,6 +56,8 @@ __all__ = [
     "g4_raw_series",
     "gamma_raw_series",
     "free_energy_raw_series",
+    "free_energy_genus1_series",
+    "free_energy_genus2_series",
     "raw_endpoint",
     "reduced_cubic",
     "a2_reduced_series",
@@ -119,6 +123,27 @@ def free_energy_raw_series(order: int) -> Series:
         return Series.zero(order)
     a2 = a2_raw_series(order)
     return log_series(a2) / 2 - mul(a2 - 1, 9 - a2) / 24
+
+
+def free_energy_genus1_series(order: int) -> Series:
+    """Genus-1 free energy ``E1 = -(1/12) log(2 - a^2)`` of the raw model.
+
+    Its coefficient of g^V is the number of connected genus-1 gluings of V
+    vertices over 4^V V! (Bessis, Itzykson and Zuber, Adv. Appl. Math. 1
+    (1980) 109, in this module's sign convention): 1/4, 15/8, 33/2, ...
+    """
+    return -log_series(2 - a2_raw_series(order)) / 12
+
+
+def free_energy_genus2_series(order: int) -> Series:
+    """Genus-2 free energy of the raw model, exact in the endpoint parameter.
+
+    ``E2 = -(1/720) (1 - a^2)^3 (82 + 21 a^2 - 3 a^4) / (2 - a^2)^5``, with
+    coefficients normalized as in `free_energy_genus1_series`.
+    """
+    a2 = a2_raw_series(order)
+    numer = (1 - a2) ** 3 * (82 + 21 * a2 - 3 * mul(a2, a2))
+    return -div(numer, (2 - a2) ** 5) / 720
 
 
 def raw_endpoint() -> AlgebraicSystem:

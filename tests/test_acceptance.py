@@ -17,7 +17,7 @@ import pytest
 from linkcensus import abab, census, flype
 from linkcensus import onematrix as om
 from linkcensus import oracle as oc
-from linkcensus.series import Series, div, log_series
+from linkcensus.series import Series
 
 F = Fraction
 VMAX = 5
@@ -88,14 +88,8 @@ def test_criterion_2_double_factorial_total_v6():
 # -- 2b. genus strata ------------------------------------------------------------------
 
 
-def _genus_free_energies(order: int) -> dict:
-    """Genus-1 and genus-2 free energies of the quartic model (Bessis, Itzykson, Zuber)."""
-    a2 = om.a2_raw_series(order)
-    two_minus = 2 - a2
-    one_minus = 1 - a2
-    e1 = -log_series(two_minus) / 12
-    e2 = -div(one_minus**3 * (82 + 21 * a2 - 3 * a2 * a2), two_minus**5) / 720
-    return {1: e1, 2: e2}
+def _genus_series(order: int) -> dict:
+    return {1: om.free_energy_genus1_series(order), 2: om.free_energy_genus2_series(order)}
 
 
 def _connected_genus_sums(V: int) -> dict:
@@ -109,7 +103,7 @@ def _connected_genus_sums(V: int) -> dict:
 
 
 def test_criterion_2b_genus_strata():
-    closed = _genus_free_energies(VMAX)
+    closed = _genus_series(VMAX)
     sums = [_connected_genus_sums(V) for V in range(1, VMAX + 1)]
     counted = {h: (F(0),) + tuple(by_genus[h] for by_genus in sums) for h in closed}
     ok = all(closed[h].coeffs == counted[h] for h in closed)
@@ -119,7 +113,7 @@ def test_criterion_2b_genus_strata():
 
 @pytest.mark.slow
 def test_criterion_2b_genus_strata_v6():
-    closed = _genus_free_energies(VDEEP)
+    closed = _genus_series(VDEEP)
     counted = _connected_genus_sums(VDEEP)
     ok = all(closed[h].coeffs[VDEEP] == counted[h] for h in closed)
     report("2b connected genus-1 and genus-2 counts == E1, E2 at V = 6", ok,

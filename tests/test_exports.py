@@ -1,4 +1,5 @@
-"""Exported names resolve, commands load no numpy, and only `flype` imports sympy."""
+"""Exported names resolve, commands load no numpy, only `flype` imports sympy,
+and the flype path builds no sympy expressions."""
 
 import ast
 import importlib
@@ -36,6 +37,33 @@ def test_commands_do_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
+
+
+def test_flype_path_builds_no_sympy_expressions():
+    # sympy's first Add lazily imports its tensor and combinatorics modules;
+    # the flype elimination, root isolation and fold tracking work on Poly
+    # objects and integers, so refusing every Add must change no output
+    script = (
+        "import sys\n"
+        "if sys.argv[1] == 'refuse-add':\n"
+        "    from sympy.core.add import Add\n"
+        "    def refuse(cls, seq):\n"
+        "        raise RuntimeError('a sympy Add expression was built')\n"
+        "    Add.flatten = classmethod(refuse)\n"
+        "from linkcensus import cli\n"
+        "for argv in (['series', '--model', 'flype', '--what', 'tangles', '--order', '60'],\n"
+        "             ['constants']):\n"
+        "    print('exit', cli.main(argv), flush=True)\n"
+    )
+    src = os.path.dirname(os.path.dirname(linkcensus.__file__))
+    runs = [subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src})
+            for mode in ("plain", "refuse-add")]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.count("exit 0") == 2, run.stdout[-500:]
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[1].stderr == runs[0].stderr
 
 
 def test_only_flype_imports_sympy():

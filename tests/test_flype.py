@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from linkcensus import flype
 from linkcensus import onematrix as om
@@ -198,7 +199,7 @@ def test_flype_growth_is_smaller_than_diagram_growth():
 ])
 def test_certified_endpoint_roots_are_the_domain_constants(system, g_c, minpoly):
     root, found = flype.discriminant_root(system.relation)
-    assert root == g_c
+    assert root == (g_c, g_c)
     assert found == minpoly
 
 
@@ -206,13 +207,32 @@ def test_discriminant_root_of_a_hand_made_relation():
     # y^2 - y + g: discriminant 1 - 4 g
     relation = BivariatePoly.from_dict({(0, 2): 1, (0, 1): -1, (1, 0): 1})
     root, minpoly = flype.discriminant_root(relation)
-    assert root == F(1, 4)
+    assert root == (F(1, 4), F(1, 4))
     assert minpoly == (-1, 4)
+
+
+def test_flype_discriminant_root_is_bracketed_to_1e_30():
+    (lo, hi), minpoly = flype.discriminant_root(flype.flype_quintic())
+    assert minpoly == (-20, 101, 135)
+    assert isinstance(lo, F) and isinstance(hi, F)
+    assert 0 < hi - lo <= F(1, 10**30)
+
+    def value(g):
+        return 135 * g * g + 101 * g - 20
+
+    assert value(lo) < 0 < value(hi)
 
 
 def test_discriminant_root_refuses_a_discriminant_without_positive_root():
     # y^2 + g + 1: discriminant -4 (g + 1), whose only root is -1
     relation = BivariatePoly.from_dict({(0, 2): 1, (1, 0): 1, (0, 0): 1})
+    with pytest.raises(flype.BranchMismatchError, match="no positive real root"):
+        flype.discriminant_root(relation)
+
+
+def test_discriminant_root_does_not_take_zero_for_positive():
+    # y^2 - g^2: discriminant 4 g^2, whose only root 0 is isolated as the interval (0, 0)
+    relation = BivariatePoly.from_dict({(0, 2): 1, (2, 0): -1})
     with pytest.raises(flype.BranchMismatchError, match="no positive real root"):
         flype.discriminant_root(relation)
 
@@ -237,3 +257,79 @@ def test_singularity_refuses_a_fold_that_misses_the_discriminant_root(monkeypatc
     monkeypatch.setattr(flype, "_fold_by_tracking", lambda quintic, seed: g_c + 1e-9)
     with pytest.raises(flype.BranchMismatchError, match="differ by"):
         flype.flype_singularity()
+
+
+# -- exact real-root counts ----------------------------------------------------------
+
+
+def _sympy_count(coeffs, lo, hi):
+    """The reference: sympy's Sturm count of distinct roots in [lo, hi]."""
+    x = sp.Symbol("x")
+    return int(sp.Poly(list(reversed(coeffs)), x, domain=sp.QQ).count_roots(lo, hi))
+
+
+def _from_roots(roots):
+    """Integer coefficients, ascending, of prod (d x - n) over the roots n/d."""
+    coeffs = [1]
+    for root in roots:
+        root = F(root)
+        n, d = root.numerator, root.denominator
+        shifted = [0] + coeffs
+        coeffs = [d * s - n * c for s, c in zip(shifted, coeffs + [0])]
+    return coeffs
+
+
+def test_sturm_counts_match_sympy_wherever_the_tracker_counts(monkeypatch):
+    calls = []
+
+    def recording(coeffs, lo, hi):
+        count = count_real_roots(coeffs, lo, hi)
+        calls.append((coeffs, lo, hi, count))
+        return count
+
+    count_real_roots = flype._count_real_roots
+    monkeypatch.setattr(flype, "_count_real_roots", recording)
+    flype._fold_by_tracking(flype.flype_quintic(), flype.gamma_tilde(10))
+    window = [call for call in calls if call[1:3] == (F(1, 20), F(9, 20))]
+    # the seed window, then the scan points 3/25 + k/200 and the dyadic bisection
+    assert len(window) == len(calls) - 1 >= 40
+    assert {count for *_, count in window} == {0, 2}
+    for coeffs, lo, hi, count in calls:
+        assert len(coeffs) == 6
+        assert count == _sympy_count(coeffs, lo, hi)
+
+
+@pytest.mark.parametrize("roots, lo, hi", [
+    ([F(1, 3), 2, -5], F(1, 3), 1),           # a root at lo
+    ([F(1, 3), 2, -5], 0, F(1, 3)),           # a root at hi
+    ([F(1, 3), 2, -5], F(1, 3), F(1, 3)),     # a degenerate interval on a root
+    ([F(1, 3), 2, -5], -5, 2),                # roots at both ends
+    ([F(1, 3), 2, -5], F(1, 2), F(3, 2)),     # no root inside
+    ([1, 1, 3, -2], 0, 2),                    # a double root inside
+    ([1, 1, 3, -2], 1, 3),                    # a double root at lo, a simple one at hi
+    ([-1, -1, 1, 2, 3], -1, 0),               # a double root at lo, below every other
+    ([-1, -1, 1, 2, 3], -2, -1),              # a double root at hi
+    ([F(1, 2)] * 3 + [F(5, 7)] * 2, 0, 1),    # two repeated roots
+    ([F(1, 2)] * 3 + [F(5, 7)] * 2, F(1, 2), F(5, 7)),
+    ([0, 0, 4], 0, 0),
+])
+def test_sturm_counts_at_endpoint_and_repeated_roots(roots, lo, hi):
+    coeffs = _from_roots(roots)
+    lo, hi = F(lo), F(hi)
+    distinct = sum(lo <= root <= hi for root in set(map(F, roots)))
+    assert flype._count_real_roots(coeffs, lo, hi) == distinct == _sympy_count(coeffs, lo, hi)
+
+
+def test_sturm_counts_match_sympy_on_random_polynomials():
+    rng = random.Random(20)
+    points = [F(n, d) for n in range(-6, 7) for d in (1, 2, 3)]
+    for _ in range(150):
+        if rng.random() < 0.5:
+            # rational roots, some repeated, some at the interval ends
+            coeffs = _from_roots(rng.choice(points) for _ in range(rng.randint(1, 6)))
+        else:
+            # sparse, either sign leading: remainders that drop several degrees
+            coeffs = [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(rng.randint(2, 7))]
+            coeffs.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+        lo, hi = sorted(rng.sample(points, 2))
+        assert flype._count_real_roots(coeffs, lo, hi) == _sympy_count(coeffs, lo, hi)

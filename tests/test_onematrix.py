@@ -40,6 +40,14 @@ def test_free_energy_series():
         0, F(1, 2), F(9, 8), F(9, 2), F(189, 8), F(729, 5))
 
 
+def test_genus_free_energy_series():
+    assert om.free_energy_genus1_series(5).coeffs == (
+        0, F(1, 4), F(15, 8), F(33, 2), F(2511, 16), F(15633, 10))
+    # genus 2 needs three vertices
+    assert om.free_energy_genus2_series(5).coeffs == (
+        0, 0, 0, F(15, 4), F(2007, 16), F(28323, 10))
+
+
 def test_gamma_and_free_energy_vanish_at_zero():
     assert om.gamma_raw_series(4)[0] == 0
     assert om.free_energy_raw_series(4)[0] == 0
