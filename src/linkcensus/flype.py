@@ -31,11 +31,10 @@ locate the collision of the branch with its partner root.
 
 The discriminant certifier, `discriminant_root`, takes any polynomial
 relation; `linkcensus.census` certifies the raw and reduced growth constants
-with it too, so this is the one module that imports sympy.  It uses sympy
-only at the ``Poly`` level, for resultants, discriminants, factorization and
-real-root isolation over ZZ; the real-root counts of the fold tracking are
-fraction-free Sturm sequences on Python integers.  No sympy expression is
-built, so sympy's lazily imported expression machinery is never loaded.
+with it too.  The elimination, the discriminant, the square-free
+decomposition, the rational-root splitting and the real-root isolation and
+counting are all exact arithmetic on integer polynomials held as lists of
+Python integers: no computer-algebra system is imported.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import sympy as sp
+from functools import lru_cache, reduce
+from itertools import zip_longest
 
 from .series import (
     AlgebraicSystem,
@@ -152,57 +150,78 @@ def _flype_series(order: int) -> Series:
 # ---------------------------------------------------------------------------
 # exact elimination to a single polynomial relation
 # ---------------------------------------------------------------------------
+#
+# A polynomial in Z[g, W] is held as a list, indexed by the power of g, of
+# integer coefficient lists in W (ascending).
+
+
+def _g_add(p: list, q: list) -> list:
+    return [_add(a, b) for a, b in zip_longest(p, q, fillvalue=[])]
+
+
+def _g_mul(p: list, q: list) -> list:
+    out = [[] for _ in range(len(p) + len(q) - 1)]
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[i + k] = _add(out[i + k], _mul(a, b))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _quintic_sympy() -> sp.Poly:
-    """Eliminate the radicals from the implicit flype system exactly.
+def flype_quintic() -> BivariatePoly:
+    """The eliminated degree-five relation P(g, W) = 0 for flype classes.
 
-    Returns the integer polynomial P(g, W), a sympy ``Poly`` in (g, W) of
-    degree five in W, whose branch through W(0) = 0 is the flype-class tangle
-    series.  The two radicals are removed by one squaring each; the resultant
-    in the auxiliary variable z (the 2PI slot series value) collapses the
-    system to one polynomial, whose spurious factors are discarded by matching
-    the series solution.  All arithmetic is on ``Poly`` objects over ZZ.
+    The two radicals are removed by one squaring each.  Squaring the
+    corrected-skeleton equation W = (1/2)[(1 + g - z) - sqrt(...)], with z the
+    2PI slot series value zeta[W], gives a relation linear in z,
+
+        e1 = (1 - g) [4 (g - z - W)(1 - W) + 8 z] + 8 g^2 = a1 z + a0,
+
+    and clearing the denominators and the (1 - 4W)^{3/2} radical from
+    z = zeta[W] gives e2 = (L1 z + L0)^2 - (1 + W)^2 (1 - 4W)^3.  Their
+    resultant in z is therefore
+
+        (L0 a1 - L1 a0)^2 - (1 + W)^2 (1 - 4W)^3 a1^2,
+
+    which splits into its content in Z[W], the spurious 64 (W + 1)^2 (W + 2)^3,
+    and its primitive part in g.  Exactly one of the two must annihilate the
+    series solution, and it must have degree five in W.  All arithmetic is on
+    Python integers.
     """
-    z, g, W = (
-        sp.Poly.from_dict({exponents: 1}, *sp.symbols("z g W"), domain=sp.ZZ)
-        for exponents in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    )
-    # squaring the corrected-skeleton equation W = (1/2)[(1+g-z) - sqrt(...)]
-    e1 = (1 - g) * ((1 + g - z - 2 * W) ** 2 - (1 - g + z) ** 2 + 8 * z) + 8 * g**2
-    # clearing denominators and the (1-4W)^{3/2} radical from z = zeta[W]
-    lhs = (
-        2 * (1 + W) * (W + 2) ** 3 * z
-        + 4 * (W + 2) ** 3
-        - 2 * (1 + W) * (2 - W) * (W + 2) ** 3
-        + (1 + W) * (1 + 10 * W - 2 * W**2)
-    )
-    e2 = lhs**2 - (1 + W) ** 2 * (1 - 4 * W) ** 3
-    resultant = e1.resultant(e2)  # in the first generator, z
+    w2_cubed = _power([2, 1], 3)                            # (W + 2)^3
+    l1 = _mul([2, 2], w2_cubed)                             # 2 (1 + W)(W + 2)^3
+    # 4 (W + 2)^3 - 2 (1 + W)(2 - W)(W + 2)^3 + (1 + W)(1 + 10W - 2W^2)
+    l0 = _add(_mul([0, -2, 2], w2_cubed), [1, 11, 8, -2])
+    one_minus_g = [[1], [-1]]
+    a1 = _g_mul(one_minus_g, [[4, 4]])                      # 4 (1 - g)(1 + W)
+    # 4 (1 - g)(g - W)(1 - W) + 8 g^2
+    a0 = _g_add(_g_mul(one_minus_g, [[0, -4, 4], [4, -4]]), [[], [], [8]])
+    cross = _g_add([_mul(l0, c) for c in a1], [_mul([-c for c in l1], c) for c in a0])
+    radicand = _mul(_power([1, 1], 2), _power([1, -4], 3))  # (1 + W)^2 (1 - 4W)^3
+    resultant = _g_add(_g_mul(cross, cross),
+                       [_mul([-c for c in radicand], c) for c in _g_mul(a1, a1)])
+    rows = [row for row in resultant if row]
+    content = reduce(_gcd, rows)
+    content = [math.gcd(*(math.gcd(*row) for row in rows)) * c for c in content]
+    primitive = [_divide_exactly(row, content) for row in resultant]
     series = _flype_series(12)
     quintic = None
-    for poly, _mult in resultant.factor_list()[1]:
-        if _sympy_poly_to_bivariate(poly).eval_series(series).is_zero():
+    for factor in (
+        BivariatePoly.from_dict({(0, j): c for j, c in enumerate(content)}),
+        BivariatePoly.from_dict(
+            {(i, j): c for i, row in enumerate(primitive) for j, c in enumerate(row)}
+        ),
+    ):
+        if factor.eval_series(series).is_zero():
             if quintic is not None:
                 raise BranchMismatchError("two resultant factors match the series")
-            quintic = poly
-    if quintic is None or quintic.degree(1) != 5:
+            quintic = factor
+    if quintic is None or quintic.degree_y() != 5:
         raise BranchMismatchError("no quintic factor matches the series branch")
     # canonical sign: positive leading coefficient in (g, then W) ordering
-    if quintic.LC() < 0:
-        quintic = -quintic
+    if quintic.terms[-1][1] < 0:
+        quintic = BivariatePoly.from_dict({key: -c for key, c in quintic.terms})
     return quintic
-
-
-def _sympy_poly_to_bivariate(poly: sp.Poly) -> BivariatePoly:
-    """An integer ``Poly`` in (g, W) as a `BivariatePoly`."""
-    return BivariatePoly.from_dict({(i, j): Fraction(int(c)) for (i, j), c in poly.terms()})
-
-
-def flype_quintic() -> BivariatePoly:
-    """The eliminated degree-five relation P(g, W) = 0 for flype classes."""
-    return _sympy_poly_to_bivariate(_quintic_sympy())
 
 
 def gamma_tilde(order: int) -> Series:
@@ -245,24 +264,36 @@ _FOLD_TOLERANCE = 1e-10
 _ROOT_WIDTH = Fraction(1, 10**30)
 
 
-def _discriminant(relation: BivariatePoly) -> sp.Poly:
-    """disc_y P(g, y) as an integer polynomial in g.
+def _discriminant(relation: BivariatePoly) -> list:
+    """disc_y P(g, y) as integer coefficients in g, ascending.
 
-    P is taken as a polynomial in y with coefficients in ZZ[g], after its
-    denominators are cleared; a constant factor does not move the roots.
+    P is taken as a polynomial in y over Z[g] of degree n, after its
+    denominators are cleared; a constant factor does not move the roots.  The
+    resultant Res_y(P, dP/dy) is the determinant of a Sylvester matrix of
+    size 2n - 1 whose entries have g-degree at most deg_g P, so it is found
+    exactly from its values at the integers 0, 1, ..., (2n - 1) deg_g P.
+    Then disc_y P = (-1)^(n(n-1)/2) Res_y(P, dP/dy) / lc_y P.  A P free of
+    y has the zero discriminant.
     """
     scale = math.lcm(*(c.denominator for _, c in relation.terms))
-    poly = sp.Poly.from_dict(
-        {(j, i): int(c * scale) for (i, j), c in relation.terms},
-        sp.Symbol("y"), sp.Symbol("g"), domain=sp.ZZ,
-    )
-    return poly.discriminant()  # in the first generator, y
+    n, deg_g = relation.degree_y(), relation.degree_x()
+    if n < 1:
+        return []
+    by_y = [[0] * (deg_g + 1) for _ in range(n + 1)]
+    for (i, j), c in relation.terms:
+        by_y[j][i] = int(c * scale)
+    values = []
+    for x in range((2 * n - 1) * deg_g + 1):
+        at_x = [reduce(lambda acc, c: acc * x + c, reversed(coeffs), 0) for coeffs in by_y]
+        values.append(_sylvester_determinant(at_x, [j * c for j, c in enumerate(at_x)][1:]))
+    disc = _divide_exactly(_interpolate(values), _trim(by_y[n]))
+    return disc if n * (n - 1) // 2 % 2 == 0 else [-c for c in disc]
 
 
 @lru_cache(maxsize=None)
 def flype_discriminant() -> tuple:
     """Discriminant (in W) of the flype quintic, as integer coefficients in g."""
-    return tuple(int(c) for c in reversed(_discriminant(flype_quintic()).all_coeffs()))
+    return tuple(_discriminant(flype_quintic()))
 
 
 def discriminant_root(relation: BivariatePoly) -> tuple:
@@ -270,47 +301,176 @@ def discriminant_root(relation: BivariatePoly) -> tuple:
 
     Returns ``((lo, hi), minimal_polynomial)``: Fractions bracketing the root,
     equal exactly when the root is rational and otherwise at most 1e-30
-    apart, and the minimal polynomial as integer coefficients, ascending.
-    The real roots of the square-free part of the discriminant are isolated
-    in disjoint intervals; the irreducible factor with a root inside the
-    smallest positive one is the minimal polynomial.  Interval endpoints may
-    be roots of other factors (the root 0 sits at the left end of (0, hi)),
-    so ownership is decided by roots strictly inside.  A discriminant without
-    a positive real root raises `BranchMismatchError`.
+    apart, and the minimal polynomial as primitive integer coefficients,
+    ascending, with a positive leading coefficient.
+
+    The discriminant is split into coprime square-free parts by gcds
+    (Musser's algorithm).  Sturm bisection on their product isolates its
+    smallest root in (0, inf) in an interval (lo, hi], and the part with a
+    root there owns it.  A rational root n/d of the owner has d dividing its
+    leading coefficient lc, so bracketing each real root of the owner to
+    width 1/(2 lc^2) leaves one candidate, which ``Fraction.limit_denominator``
+    finds and exact evaluation confirms.  If the root itself is rational it is
+    returned exactly; other rational roots are divided out.  What is left has
+    no rational root, so at degree 2 or 3 it is irreducible: the minimal
+    polynomial.  Minimal polynomials are certified up to degree 3 only; a
+    larger one raises `BranchMismatchError`.  No relation in this package
+    reaches that: the raw and reduced roots are rational, and the flype root's
+    minimal polynomial is 135 g^2 + 101 g - 20.  A discriminant without a
+    positive real root raises `BranchMismatchError` too.
     """
-    disc = _discriminant(relation)
-    intervals = [(_fraction(lo), _fraction(hi)) for (lo, hi), _ in disc.sqf_part().intervals()]
-    positive = [(lo, hi) for lo, hi in intervals if lo >= 0 and hi > 0]
-    if not positive:
+    parts = _square_free_parts(_discriminant(relation))
+    squarefree = reduce(_mul, (part for part, _mult in parts), [1])
+    bracket = next(_isolate(squarefree, Fraction(0), _root_bound(squarefree)), None)
+    if bracket is None:
         raise BranchMismatchError("discriminant has no positive real root")
-    lo, hi = min(positive)
-
-    def owns(coeffs: list) -> bool:
-        if lo == hi:
-            return _eval_sign(coeffs, lo) == 0
-        at_ends = (_eval_sign(coeffs, lo) == 0) + (_eval_sign(coeffs, hi) == 0)
-        return _count_real_roots(coeffs, lo, hi) > at_ends
-
-    for factor, _mult in disc.factor_list()[1]:
-        coeffs = [int(c) for c in reversed(factor.all_coeffs())]
-        if owns(coeffs):
+    lo, hi = bracket
+    for owner, _mult in parts:
+        if _count_real_roots(owner, lo, hi) > (_eval_sign(owner, lo) == 0):
             break
     else:
         raise BranchMismatchError("no discriminant factor has a root in the isolating interval")
-    if len(coeffs) == 2:
-        root = Fraction(-coeffs[0], coeffs[1])
-        return (root, root), tuple(coeffs)
-    lo, hi = factor.refine_root(lo, hi, eps=_ROOT_WIDTH)
-    return (_fraction(lo), _fraction(hi)), tuple(coeffs)
-
-
-def _fraction(rational: sp.Rational) -> Fraction:
-    return Fraction(int(rational.p), int(rational.q))
+    lead, bound = owner[-1], _root_bound(owner)
+    for a, b in list(_isolate(owner, -bound, bound)):
+        a, b = _bisect(owner, a, b, Fraction(1, 2 * lead * lead))
+        root = ((a + b) / 2).limit_denominator(lead)
+        if _eval_sign(owner, root) != 0:
+            continue
+        if lo < root <= hi:
+            return (root, root), (-root.numerator, root.denominator)
+        owner = _divide_exactly(owner, [-root.numerator, root.denominator])
+    degree = len(owner) - 1
+    if degree > 3:
+        name = {4: "quartic", 5: "quintic", 6: "sextic"}.get(degree, f"degree-{degree}")
+        raise BranchMismatchError(
+            f"the discriminant root lies on a {name} factor without rational roots; "
+            "minimal polynomials are certified up to degree 3"
+        )
+    return _bisect(owner, lo, hi, _ROOT_WIDTH), tuple(owner)
 
 
 # ---------------------------------------------------------------------------
-# exact real-root counts: fraction-free Sturm sequences on integer coefficients
+# exact arithmetic on integer polynomials (ascending coefficient lists):
+# gcds, square-free parts, determinants, fraction-free Sturm sequences
 # ---------------------------------------------------------------------------
+
+
+def _trim(coeffs: list) -> list:
+    """``coeffs`` without trailing zeros."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]
+
+
+def _add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return _trim(out)
+
+
+def _mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
+def _power(a: list, k: int) -> list:
+    return reduce(_mul, [a] * k, [1])
+
+
+def _divide_exactly(a: list, b: list) -> list:
+    """The quotient a / b, which must have integer coefficients and no remainder."""
+    rest, quotient = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(quotient))):
+        quotient[k], r = divmod(rest[k + len(b) - 1], b[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        for m, c in enumerate(b):
+            rest[k + m] -= quotient[k] * c
+    if any(rest):
+        raise ArithmeticError("inexact polynomial division")
+    return quotient
+
+
+def _positive(coeffs: list) -> list:
+    """``coeffs`` with the sign that makes the leading coefficient positive."""
+    return [-c for c in coeffs] if coeffs and coeffs[-1] < 0 else coeffs
+
+
+def _gcd(a: list, b: list) -> list:
+    """Primitive gcd, with positive leading coefficient, by a primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _pseudo_divide(a, b)[1]
+    return _positive(a)
+
+
+def _square_free_parts(coeffs: list) -> list:
+    """Musser's square-free decomposition: ``[(f_k, k), ...]`` with p = c prod f_k^k.
+
+    The f_k are primitive, coprime, square-free and of positive degree, with
+    positive leading coefficients; constants are dropped.
+    """
+    f = _primitive(coeffs)
+    if len(f) < 2:
+        return []
+    c = _gcd(f, [k * x for k, x in enumerate(f)][1:])   # prod f_k^(k-1)
+    w = _pseudo_divide(f, c)[0]                         # prod f_k
+    parts, k = [], 1
+    while len(w) > 1:
+        y = _gcd(w, c)                                  # prod of the f_j with j > k
+        z = _pseudo_divide(w, y)[0]                     # f_k
+        if len(z) > 1:
+            parts.append((_positive(z), k))
+        w, c, k = y, _pseudo_divide(c, y)[0], k + 1
+    return parts
+
+
+def _sylvester_determinant(p: list, q: list) -> int:
+    """Res(p, q) at the formal degrees len(p) - 1 and len(q) - 1: the Sylvester determinant."""
+    size = len(p) + len(q) - 2
+    rows = [[0] * k + p[::-1] + [0] * (size - k - len(p)) for k in range(len(q) - 1)]
+    rows += [[0] * k + q[::-1] + [0] * (size - k - len(q)) for k in range(len(p) - 1)]
+    # Bareiss elimination: every division is exact
+    sign, previous = 1, 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap], sign = rows[swap], rows[k], -sign
+        pivot = rows[k][k]
+        for r in range(k + 1, size):
+            row, factor = rows[r], rows[r][k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - factor * rows[k][j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1]
+
+
+def _interpolate(values: list) -> list:
+    """The integer polynomial that takes ``values`` at 0, 1, ..., len(values) - 1.
+
+    Newton's forward-difference form, sum_k (Delta^k f)(0) x(x-1)...(x-k+1) / k!,
+    multiplied through by D! = (len(values) - 1)! to stay in the integers.
+    """
+    top = len(values) - 1
+    total, falling, weight, row = [0] * len(values), [1], math.factorial(top), list(values)
+    for k in range(len(values)):
+        for i, c in enumerate(falling):
+            total[i] += row[0] * weight * c      # weight = D! / k!
+        row = [b - a for a, b in zip(row, row[1:])]
+        falling = _mul(falling, [-k, 1])
+        weight //= k + 1
+    return _trim([c // math.factorial(top) for c in total])
 
 
 def _eval_sign(coeffs: list, x: Fraction) -> int:
@@ -329,8 +489,7 @@ def _eval_sign(coeffs: list, x: Fraction) -> int:
 
 def _primitive(coeffs: list) -> list:
     """``coeffs`` divided by their positive gcd, trailing zeros dropped."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
+    coeffs = _trim(coeffs)
     content = math.gcd(*coeffs)
     return [c // content for c in coeffs] if content > 1 else coeffs
 
@@ -377,12 +536,59 @@ def _count_real_roots(coeffs: list, lo: Fraction, hi: Fraction) -> int:
     if len(_primitive(coeffs)) < 2:
         return 0
     chain = _sturm_sequence(coeffs)
+    return (_variations(chain, lo) - _variations(chain, hi)
+            + (_eval_sign(chain[0], lo) == 0))
 
-    def variations(x: Fraction) -> int:
-        signs = [s for s in (_eval_sign(p, x) for p in chain) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return variations(lo) - variations(hi) + (_eval_sign(chain[0], lo) == 0)
+def _variations(chain: list, x: Fraction) -> int:
+    """Sign variations of the Sturm sequence ``chain`` at x, zeros skipped."""
+    signs = [s for s in (_eval_sign(p, x) for p in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _root_bound(coeffs: list) -> Fraction:
+    """A power of two above the absolute value of every root (Cauchy's bound)."""
+    cauchy = 2 + max(map(abs, coeffs[:-1]), default=0) // abs(coeffs[-1])
+    return Fraction(1 << cauchy.bit_length())
+
+
+def _isolate(coeffs: list, lo: Fraction, hi: Fraction):
+    """Yield, from left to right, intervals (a, b] that each hold one distinct root in (lo, hi].
+
+    Bisection on Sturm counts: the roots in (a, b] number V(a) - V(b).
+    """
+    chain = _sturm_sequence(coeffs)
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    while stack:
+        a, b, v_a, v_b = stack.pop()
+        if v_a - v_b == 1:
+            yield a, b
+        elif v_a - v_b > 1:
+            mid = (a + b) / 2
+            v_mid = _variations(chain, mid)
+            stack += [(mid, b, v_mid, v_b), (a, mid, v_a, v_mid)]
+
+
+def _bisect(coeffs: list, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
+    """Shrink (lo, hi], which holds exactly one root of ``coeffs``, a simple one, to ``width``.
+
+    Returns (r, r) if a bisection point is the root r.  Only signs are
+    evaluated: just right of lo the sign is the opposite of that at hi, even
+    when lo is another root.
+    """
+    sign_hi = _eval_sign(coeffs, hi)
+    if sign_hi == 0:
+        return hi, hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        sign = _eval_sign(coeffs, mid)
+        if sign == 0:
+            return mid, mid
+        if sign == sign_hi:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def _fold_by_tracking(bipoly: BivariatePoly, seed_series: Series) -> float:

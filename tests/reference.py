@@ -5,10 +5,16 @@ each one from scratch: no incremental state, no pruning, no symmetry.  That
 makes it slow, (4V + legs - 1)!! leaves per table, and easy to read.  The
 tests compare the oracle's search with it cell for cell.
 
-The series kernels at the end (`plain_mul`, `plain_div`,
-`plain_sqrt_series`) do every coefficient operation in `Fraction`
-arithmetic, the textbook recurrences term by term.  The tests compare the
-fraction-free kernels of `linkcensus.series` with them for exact equality.
+The series kernels (`plain_mul`, `plain_div`, `plain_sqrt_series`) do
+every coefficient operation in `Fraction` arithmetic, the textbook
+recurrences term by term.  The tests compare the fraction-free kernels of
+`linkcensus.series` with them for exact equality.
+
+The computer-algebra references at the end use sympy, which the package
+itself does not import: the flype quintic by resultant and factorization
+(`quintic_sympy`), discriminants, square-free decompositions and the
+certified discriminant root (`discriminant_root_sympy`).  The tests compare
+the integer-polynomial code of `linkcensus.flype` with them.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from linkcensus.series import Series, SeriesError
+import sympy as sp
+
+from linkcensus.series import BivariatePoly, Series, SeriesError
 
 
 def classify_pairing(matching, vertex_patterns, legs: int = 0):
@@ -252,3 +260,98 @@ def plain_sqrt_series(s: Series) -> Series:
             acc -= out[j] * out[k - j]
         out.append(acc / (2 * r0))
     return Series(tuple(out), s.var)
+
+
+# ---------------------------------------------------------------------------
+# computer-algebra references for the flype elimination and discriminant roots
+# ---------------------------------------------------------------------------
+
+
+def _bivariate(poly: sp.Poly) -> BivariatePoly:
+    """An integer ``Poly`` in (g, W) as a `BivariatePoly`."""
+    return BivariatePoly.from_dict({(i, j): Fraction(int(c)) for (i, j), c in poly.terms()})
+
+
+def quintic_sympy() -> BivariatePoly:
+    """The flype quintic: sympy's resultant in z of the squared system, then `factor_list`.
+
+    The factor that annihilates the order-12 flype series, with a positive
+    leading coefficient in (g, then W) order.
+    """
+    from linkcensus.flype import _flype_series
+
+    z, g, W = (
+        sp.Poly.from_dict({exponents: 1}, *sp.symbols("z g W"), domain=sp.ZZ)
+        for exponents in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    )
+    e1 = (1 - g) * ((1 + g - z - 2 * W) ** 2 - (1 - g + z) ** 2 + 8 * z) + 8 * g**2
+    lhs = (
+        2 * (1 + W) * (W + 2) ** 3 * z
+        + 4 * (W + 2) ** 3
+        - 2 * (1 + W) * (2 - W) * (W + 2) ** 3
+        + (1 + W) * (1 + 10 * W - 2 * W**2)
+    )
+    e2 = lhs**2 - (1 + W) ** 2 * (1 - 4 * W) ** 3
+    series = _flype_series(12)
+    (quintic,) = [poly for poly, _mult in e1.resultant(e2).factor_list()[1]
+                  if _bivariate(poly).eval_series(series).is_zero()]
+    return _bivariate(-quintic if quintic.LC() < 0 else quintic)
+
+
+def sympy_in_g(coeffs) -> sp.Poly:
+    """Integer coefficients in g, ascending, as a sympy ``Poly`` over ZZ."""
+    return sp.Poly(list(reversed(list(coeffs))) or [0], sp.Symbol("g"), domain=sp.ZZ)
+
+
+def ascending(poly: sp.Poly) -> tuple:
+    return tuple(int(c) for c in reversed(poly.all_coeffs())) if not poly.is_zero else ()
+
+
+def discriminant_sympy(relation: BivariatePoly) -> sp.Poly:
+    """disc_y P(g, y) by sympy, after the denominators of P are cleared."""
+    scale = math.lcm(*(c.denominator for _, c in relation.terms))
+    poly = sp.Poly.from_dict(
+        {(j, i): int(c * scale) for (i, j), c in relation.terms},
+        sp.Symbol("y"), sp.Symbol("g"), domain=sp.ZZ,
+    )
+    return poly.discriminant()
+
+
+def square_free_sympy(coeffs) -> set:
+    """sympy's square-free decomposition: {(ascending coefficients, multiplicity)}."""
+    return {(ascending(f), k) for f, k in sympy_in_g(coeffs).sqf_list()[1]}
+
+
+def discriminant_root_sympy(relation: BivariatePoly, eps: Fraction):
+    """The smallest positive discriminant root by sympy's root isolation and factorization.
+
+    Returns ``((lo, hi), factor, owner)``, or None without a positive root:
+    sympy's isolating interval of the root, refined to width ``eps`` (lo ==
+    hi when the root is rational); the
+    irreducible factor of the discriminant that has the root; and the
+    square-free part of the discriminant that has it, as ascending integer
+    coefficients.
+    """
+    disc = discriminant_sympy(relation)
+    if disc.degree() < 1:
+        return None
+    intervals = [(lo, hi) for (lo, hi), _ in disc.sqf_part().intervals()]
+    positive = [(lo, hi) for lo, hi in intervals if lo >= 0 and hi > 0]
+    if not positive:
+        return None
+    lo, hi = min(positive)
+
+    def has_root(factor: sp.Poly) -> bool:
+        if lo == hi:
+            return factor.eval(lo) == 0
+        at_ends = (factor.eval(lo) == 0) + (factor.eval(hi) == 0)
+        return factor.count_roots(lo, hi) > at_ends
+
+    (factor,) = [f for f, _ in disc.factor_list()[1] if has_root(f)]
+    (owner,) = [f for f, _ in disc.sqf_list()[1] if has_root(f)]
+    # the root is the factor's smallest positive one too; isolating the
+    # factor's own roots, rather than refining the interval found for the
+    # square-free part, avoids sympy's RefinementFailed on some cubics
+    lo, hi = min((lo, hi) for (lo, hi), _ in factor.intervals(eps=eps) if hi > 0 and lo >= 0)
+    return ((Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))),
+            ascending(factor), ascending(owner))

@@ -1,5 +1,5 @@
-"""Exported names resolve, commands load no numpy, only `flype` imports sympy,
-and the flype path builds no sympy expressions."""
+"""Exported names resolve, commands load no numpy, no module imports sympy,
+and every command runs with sympy refused."""
 
 import ast
 import importlib
@@ -39,48 +39,56 @@ def test_commands_do_not_load_numpy():
     assert result.returncode == 0, result.stderr
 
 
-def test_flype_path_builds_no_sympy_expressions():
-    # sympy's first Add lazily imports its tensor and combinatorics modules;
-    # the flype elimination, root isolation and fold tracking work on Poly
-    # objects and integers, so refusing every Add must change no output
-    script = (
-        "import sys\n"
-        "if sys.argv[1] == 'refuse-add':\n"
-        "    from sympy.core.add import Add\n"
-        "    def refuse(cls, seq):\n"
-        "        raise RuntimeError('a sympy Add expression was built')\n"
-        "    Add.flatten = classmethod(refuse)\n"
-        "from linkcensus import cli\n"
-        "for argv in (['series', '--model', 'flype', '--what', 'tangles', '--order', '60'],\n"
-        "             ['constants']):\n"
-        "    print('exit', cli.main(argv), flush=True)\n"
-    )
-    src = os.path.dirname(os.path.dirname(linkcensus.__file__))
-    runs = [subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
-                           text=True, env={**os.environ, "PYTHONPATH": src})
-            for mode in ("plain", "refuse-add")]
-    for run in runs:
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.count("exit 0") == 2, run.stdout[-500:]
-    assert runs[1].stdout == runs[0].stdout
-    assert runs[1].stderr == runs[0].stderr
-
-
-def test_only_flype_imports_sympy():
+def test_no_module_imports_sympy():
     package = os.path.dirname(linkcensus.__file__)
     importers = set()
-    for filename in sorted(os.listdir(package)):
-        if not filename.endswith(".py"):
-            continue
-        with open(os.path.join(package, filename)) as handle:
-            tree = ast.parse(handle.read(), filename)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
+    for folder, _dirs, filenames in os.walk(package):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
                 continue
-            if any(name.split(".")[0] == "sympy" for name in names):
-                importers.add(filename)
-    assert importers == {"flype.py"}
+            path = os.path.join(folder, filename)
+            with open(path) as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "sympy" for name in names):
+                    importers.add(os.path.relpath(path, package))
+    assert importers == set()
+
+
+def test_commands_run_with_sympy_refused():
+    # a meta-path finder that refuses sympy: every command must still succeed
+    script = (
+        "import contextlib, io, sys\n"
+        "class RefuseSympy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'sympy':\n"
+        "            raise ModuleNotFoundError('sympy is refused')\n"
+        "sys.meta_path.insert(0, RefuseSympy())\n"
+        "from linkcensus import cli\n"
+        "for line in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = cli.main(line.split())\n"
+        "    print(rc, line)\n"
+        "print('sympy loaded' if 'sympy' in sys.modules else 'sympy not loaded')\n"
+    )
+    commands = [
+        "crosscheck --vmax 2",
+        "enumerate --vertices 3 --tangencies 1",
+        "series --model on --n 1/2 --order 4",
+        "series --model two-color --reduced --order 4",
+        "series --model flype --what tangles --order 60",
+        "constants",
+        "asymptotics --sequence flype-classes",
+    ]
+    src = os.path.dirname(os.path.dirname(linkcensus.__file__))
+    result = subprocess.run([sys.executable, "-c", script, *commands], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines == [f"0 {command}" for command in commands] + ["sympy not loaded"]

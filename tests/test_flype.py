@@ -6,6 +6,14 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from reference import (
+    ascending,
+    discriminant_root_sympy,
+    discriminant_sympy,
+    quintic_sympy,
+    square_free_sympy,
+    sympy_in_g,
+)
 
 from linkcensus import flype
 from linkcensus import onematrix as om
@@ -150,6 +158,10 @@ def test_quintic_shape():
     assert quintic.degree_x() == 4
 
 
+def test_quintic_equals_the_sympy_elimination():
+    assert flype.flype_quintic() == quintic_sympy()
+
+
 def test_quintic_annihilates_the_series():
     gt = flype.gamma_tilde(12)
     assert flype.flype_quintic().eval_series(gt).is_zero()
@@ -237,6 +249,14 @@ def test_discriminant_root_does_not_take_zero_for_positive():
         flype.discriminant_root(relation)
 
 
+def test_discriminant_root_refuses_a_relation_free_of_y():
+    # g^2 - 1: the discriminant in y is zero, as in sympy
+    relation = BivariatePoly.from_dict({(2, 0): 1, (0, 0): -1})
+    assert flype._discriminant(relation) == []
+    with pytest.raises(flype.BranchMismatchError, match="no positive real root"):
+        flype.discriminant_root(relation)
+
+
 def test_discriminant_coefficients_are_integers():
     coeffs = flype.flype_discriminant()
     assert all(isinstance(c, int) for c in coeffs)
@@ -257,6 +277,119 @@ def test_singularity_refuses_a_fold_that_misses_the_discriminant_root(monkeypatc
     monkeypatch.setattr(flype, "_fold_by_tracking", lambda quintic, seed: g_c + 1e-9)
     with pytest.raises(flype.BranchMismatchError, match="differ by"):
         flype.flype_singularity()
+
+
+def test_discriminant_root_of_an_irreducible_cubic():
+    # y^2 - (g^3 - 2): discriminant 4 (g^3 - 2)
+    relation = BivariatePoly.from_dict({(0, 2): 1, (3, 0): -1, (0, 0): 2})
+    (lo, hi), minpoly = flype.discriminant_root(relation)
+    assert minpoly == (-2, 0, 0, 1)
+    assert 0 < hi - lo <= F(1, 10**30)
+    assert lo**3 < 2 < hi**3
+
+
+def test_discriminant_root_splits_off_a_rational_root_of_its_owner():
+    # y^2 - (2g - 3)(g^2 - 2): one square-free part holds 3/2 and sqrt(2)
+    relation = BivariatePoly.from_dict({(0, 2): 1, (3, 0): -2, (2, 0): 3, (1, 0): 4, (0, 0): -6})
+    assert flype._square_free_parts(flype._discriminant(relation)) == [([6, -4, -3, 2], 1)]
+    (lo, hi), minpoly = flype.discriminant_root(relation)
+    assert minpoly == (-2, 0, 1)
+    assert 0 < hi - lo <= F(1, 10**30)
+    assert lo * lo < 2 < hi * hi
+
+
+def test_a_rational_root_off_the_dyadic_grid_is_exact():
+    # y^2 - (27g - 4)(g^2 - 2): 4/27 shares its square-free part with sqrt(2)
+    relation = BivariatePoly.from_dict({(0, 2): 1, (3, 0): -27, (2, 0): 4, (1, 0): 54, (0, 0): -8})
+    assert flype.discriminant_root(relation) == ((F(4, 27), F(4, 27)), (-4, 27))
+
+
+def test_discriminant_root_refuses_a_quartic_minimal_polynomial():
+    # y^2 + g^4 - 2: discriminant -4 (g^4 - 2), irreducible over the rationals
+    relation = BivariatePoly.from_dict({(0, 2): 1, (4, 0): 1, (0, 0): -2})
+    with pytest.raises(flype.BranchMismatchError, match="quartic"):
+        flype.discriminant_root(relation)
+
+
+# -- the integer certificate against sympy ------------------------------------------
+
+
+def _matches_sympy(relation) -> bool:
+    """Compare each stage of `discriminant_root` with sympy; True if a root was certified.
+
+    The discriminant must equal sympy's, and so must its square-free parts.
+    Where sympy finds a smallest positive root, the certified bracket must
+    lie inside sympy's isolating interval (refined to 1e-12) and the minimal
+    polynomial must be sympy's irreducible factor with that root; unless the
+    root is irrational and its square-free part keeps degree 4 or more after
+    its rational roots are split off, which must be refused.
+    """
+    disc = flype._discriminant(relation)
+    assert tuple(disc) == ascending(discriminant_sympy(relation))
+    parts = flype._square_free_parts(disc)
+    assert {(tuple(part), k) for part, k in parts} == square_free_sympy(disc)
+    reference = discriminant_root_sympy(relation, F(1, 10**12))
+    if reference is None:
+        with pytest.raises(flype.BranchMismatchError, match="no positive real root"):
+            flype.discriminant_root(relation)
+        return False
+    (lo, hi), factor, owner = reference
+    irrational_degree = sum(f.degree() for f, _ in sympy_in_g(owner).factor_list()[1]
+                            if f.degree() > 1)
+    if lo < hi and irrational_degree > 3:
+        with pytest.raises(flype.BranchMismatchError, match="certified up to degree 3"):
+            flype.discriminant_root(relation)
+        return False
+    (a, b), minpoly = flype.discriminant_root(relation)
+    assert minpoly == factor
+    assert lo <= a <= b <= hi
+    assert (a == b) == (lo == hi)
+    assert b - a <= F(1, 10**30)
+    return True
+
+
+@pytest.mark.parametrize("relation", [
+    om.raw_endpoint().relation,
+    om.reduced_cubic().relation,
+    flype.flype_quintic(),
+    BivariatePoly.from_dict({(0, 2): 1, (0, 1): -1, (1, 0): 1}),
+], ids=["raw", "reduced", "flype", "hand-made"])
+def test_discriminant_certificate_matches_sympy(relation):
+    assert _matches_sympy(relation)
+
+
+def _random_relation(rng):
+    """y-degree 2..5, g-degree at most 3; half carry a factor linear in y."""
+    n, deg_g = rng.randint(2, 5), rng.choice((1, 1, 2, 3))
+    split = rng.random() < 0.5
+    base_n, base_g = (n - 1, deg_g - 1) if split else (n, deg_g)
+    terms = {(i, j): rng.choice((0, 0, rng.randint(-4, 4)))
+             for j in range(base_n) for i in range(base_g + 1)}
+    terms[(rng.randint(0, base_g), base_n)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    if split:  # times y + b + c g, which squares a resultant into the discriminant
+        factor = {(0, 1): 1, (0, 0): rng.randint(-3, 3), (1, 0): rng.randint(-2, 2)}
+        product = {}
+        for (i, j), c in terms.items():
+            for (k, m), d in factor.items():
+                product[i + k, j + m] = product.get((i + k, j + m), 0) + c * d
+        terms = product
+    return BivariatePoly.from_dict(terms)
+
+
+def test_discriminant_certificate_matches_sympy_on_random_relations():
+    rng = random.Random(11)
+    certified = sum(_matches_sympy(_random_relation(rng)) for _ in range(450))
+    assert certified >= 100
+
+
+def test_square_free_parts_match_sympy_on_repeated_roots():
+    rng = random.Random(21)
+    points = [F(n, d) for n in range(-6, 7) for d in (1, 2, 3)]
+    for _ in range(100):
+        coeffs = _from_roots(rng.choice(points) for _ in range(rng.randint(1, 8)))
+        coeffs = [rng.choice((-2, 1, 3)) * c for c in coeffs]
+        parts = flype._square_free_parts(coeffs)
+        assert {(tuple(part), k) for part, k in parts} == square_free_sympy(coeffs)
 
 
 # -- exact real-root counts ----------------------------------------------------------
