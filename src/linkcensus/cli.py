@@ -188,6 +188,14 @@ def run(config: RunConfig) -> int:
     return handler(config)
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational option value such as ``1/2``; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkcensus",
@@ -202,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--model", choices=["raw", "reduced", "flype", "on", "two-color"],
                           default="reduced")
     p_series.add_argument("--what", choices=["links", "tangles"], default="links")
-    p_series.add_argument("--n", type=Fraction, default=Fraction(1),
+    p_series.add_argument("--n", type=_fraction, default=Fraction(1),
                           help="loop weight for --model on (a rational, e.g. 1/2)")
     p_series.add_argument("--reduced", action="store_true",
                           help="renormalized variant (two-color model)")

@@ -78,14 +78,14 @@ class BranchMismatchError(RuntimeError):
 
 def d_of_gamma(gamma: Series) -> Series:
     """2PI tangle series from the full tangle series."""
-    if gamma.coeffs[0] != 0:
+    if gamma.num[0] != 0:
         raise SeriesError("tangle series must have zero constant term")
     return div(mul(gamma, 1 - gamma), 1 + gamma)
 
 
 def gamma_of_d(d: Series) -> Series:
     """Full tangle series rebuilt from the 2PI series (inverts d_of_gamma)."""
-    if d.coeffs[0] != 0:
+    if d.num[0] != 0:
         raise SeriesError("2PI series must have zero constant term")
     return skeleton_series(d)
 
@@ -95,7 +95,7 @@ def skeleton_series(slot: Series) -> Series:
 
     For ``slot = g`` this is the Schroeder-type series 1, 2, 6, 22, 90, ...
     """
-    if slot.coeffs[0] != 0:
+    if slot.num[0] != 0:
         raise SeriesError("slot series must have zero constant term")
     one = Series.one(slot.order, slot.var)
     rad = mul(1 - slot, 1 - slot) - 4 * slot
@@ -110,7 +110,7 @@ def zeta_of_gamma(gamma: Series) -> Series:
       - (1 - 4 gamma)^{3/2}] / (2 (gamma+2)^3)``;
     the expansion starts at order 5 on the renormalized branch.
     """
-    if gamma.coeffs[0] != 0:
+    if gamma.num[0] != 0:
         raise SeriesError("tangle series must have zero constant term")
     one = Series.one(gamma.order, gamma.var)
     first = -2 * div(one, 1 + gamma) + 2 - gamma

@@ -220,7 +220,7 @@ def solve_unit_two_point(g2_raw: Series) -> Series:
     ``t = G2(1, x)`` with ``x = g / t^2``, so ``g = x G2(1, x)^2`` is explicit
     in x: its compositional inverse is ``x(g)``, and ``t = G2(1, x(g))``.
     """
-    if g2_raw.coeffs[0] == 0:
+    if g2_raw.num[0] == 0:
         raise SeriesError("raw two-point series must have a nonzero constant term")
     order, var = g2_raw.order, g2_raw.var
     if order < 1:

@@ -228,13 +228,17 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
       the unmatched half-edges (``nxt``/``prv``/``cyc``/``csz``), with faces
       counted as cycles empty out;
     * a sorted free list of unmatched active half-edges (``fnx``/``fpv``);
-    * rollback union-find structures for surface components (``par``),
-      internal components (``ipar``, four-point typing only) and strand
-      segments (``spar``; closing a segment closes one loop).
+    * rollback union-find structures for internal components (``ipar``,
+      four-point typing only) and strand segments (``spar``; closing a
+      segment closes one loop).
 
-    Gluing inside one boundary cycle splits it; gluing across two cycles of
-    one component would add a handle and is what ``planar_only`` prunes;
-    gluing to a fresh vertex splices its other three legs into the cycle.
+    Surface components need no tracking: a seed is placed only when the free
+    list is empty, so every active half-edge lies in the component grown
+    since the last seed, and the component count changes only at seeds.
+    Gluing inside one boundary cycle splits it; gluing across two cycles
+    (necessarily of one component) would add a handle and is what
+    ``planar_only`` prunes; gluing to a fresh vertex splices its other three
+    legs into the cycle.
 
     ``gamma_only`` (four marked legs) keeps only gluings whose internal graph
     stays a single component carrying all four legs: leg-leg matches are
@@ -254,9 +258,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
     csz = [0] * (S + 2 + 4 * V)
     fnx = [HEAD] * (S + 1)
     fpv = [HEAD] * (S + 1)
-    # surface components over vertex slots; slot V is the marked boundary
-    par = list(range(V + 1))
-    psz = [1] * (V + 1)
     # internal components (four-point connectivity typing) and their counts
     # of still-unmatched internal half-edges (for the gamma_only seal prune)
     ipar = list(range(V + 1))
@@ -328,8 +329,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
             k = strand_offsets[j]
             if k > j:
                 spar[b + k] = b + j
-        par[slot] = slot
-        psz[slot] = 1
         ipar[slot] = slot
         for j in range(4):
             freelist_append(b + j)
@@ -350,7 +349,7 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
 
     def rec(weight, ninst, ncomp, faces, kint, kext, nfree,
             match=match, nxt=nxt, prv=prv, cyc=cyc, csz=csz, fnx=fnx, fpv=fpv,
-            par=par, psz=psz, ipar=ipar, ifree=ifree, spar=spar, sext=sext,
+            ipar=ipar, ifree=ifree, spar=spar, sext=sext,
             vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E,
             planar_only=planar_only, gamma_only=gamma_only,
             track_internal=track_internal, allow_seed=allow_seed, twopi=twopi,
@@ -391,10 +390,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
             return
 
         ca = cyc[s0]
-        if planar_only:
-            ra = vx[s0]
-            while par[ra] != ra:
-                ra = par[ra]
         if gamma_only and s0 >= legs:
             ir0 = vx[s0]
             while ipar[ir0] != ir0:
@@ -409,12 +404,8 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
         while t != HEAD:
             cb = cyc[t]
             if ca != cb and planar_only:
-                rb = vx[t]
-                while par[rb] != rb:
-                    rb = par[rb]
-                if rb == ra:
-                    t = fnx[t]
-                    continue  # would add a handle
+                t = fnx[t]
+                continue  # would add a handle
             if gamma_only:
                 # keep the internal graph one open component over all 4 legs
                 if ir0 < 0:
@@ -467,21 +458,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
                     sext[rs] = True
             va = vx[a]
             vb = vx[b]
-            rva = va
-            while par[rva] != rva:
-                rva = par[rva]
-            rvb = vb
-            while par[rvb] != rvb:
-                rvb = par[rvb]
-            c_child = -1
-            ncomp2 = ncomp
-            if rva != rvb:
-                if psz[rva] < psz[rvb]:
-                    rva, rvb = rvb, rva
-                par[rvb] = rva
-                psz[rva] += psz[rvb]
-                c_child = rvb
-                ncomp2 -= 1
             i_child = -1
             ifree_root = -1
             if track_internal:
@@ -601,7 +577,7 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
                     relabel_to = drop
                     csz[keep] = na + nb - 2
 
-            rec(weight, ninst, ncomp2, faces2, kint2, kext2, nfree - 2)
+            rec(weight, ninst, ncomp, faces2, kint2, kext2, nfree - 2)
 
             # ---- undo ----
             if new_cid:
@@ -619,12 +595,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
                 ifree[ifree_root] = ifree_old
             if i_child >= 0:
                 ipar[i_child] = i_child
-            if c_child >= 0:
-                r = c_child
-                while par[r] != r:
-                    r = par[r]
-                psz[r] -= psz[c_child]
-                par[c_child] = c_child
             if s_child >= 0:
                 spar[s_child] = s_child
                 sext[rs] = s_oldflag
@@ -642,9 +612,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
             slot = ninst
             a = s0
             va = vx[a]
-            rva = va
-            while par[rva] != rva:
-                rva = par[rva]
             ria = -1
             if track_internal and va != V:
                 ria = ifind(va)
@@ -690,10 +657,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
                     while spar[rt] != rt:
                         rt = spar[rt]
                     spar[rt] = rs
-                    # components: the fresh slot hangs off a's component
-                    par[slot] = rva
-                    psz[rva] += 1
-                    psz_rva_bump = rva
                     if ria >= 0:
                         # fresh vertex: 4 new internal stubs, 2 consumed by the glue
                         ipar[slot] = ria
@@ -738,8 +701,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
                     if old_ca > 1:
                         nxt[pa] = a
                         prv[sa] = a
-                    psz[psz_rva_bump] -= 1
-                    par[slot] = slot
                     ipar[slot] = slot
                     if ria >= 0 and track_internal:
                         ifree[ria] -= 2

@@ -1,16 +1,21 @@
 """Exact truncated formal power series over the rationals.
 
-Every coefficient is a `fractions.Fraction`; nothing in this module touches
-floating point.  A `Series` knows exactly ``order + 1`` coefficients and all
-operations are honest about precision: binary arithmetic truncates to the
-smaller operand order, and composition accounts for the valuation of the
-inner series when deciding how far the result can be trusted.
+Nothing in this module touches floating point.  A `Series` knows exactly
+``order + 1`` coefficients and all operations are honest about precision:
+binary arithmetic truncates to the smaller operand order, and composition
+accounts for the valuation of the inner series when deciding how far the
+result can be trusted.
 
-The three coefficient kernels `mul`, `div` and `sqrt_series`, which every
-other operation here and every model module builds on, run their inner loops
-on Python integers: each operand is scaled once to integer numerators over
-its least common denominator, the recurrence is carried out fraction-free,
-and exactly one normalized `Fraction` is built per output coefficient.
+A series is stored in one canonical form: a tuple ``num`` of Python integer
+numerators over a single positive integer ``den``, with
+``gcd(den, *num) == 1``.  Every kernel here (the ring operations, scalar
+multiplication and division, `mul`, `div`, `sqrt_series`, `reversion`,
+truncation, shifts, `derivative`, `integrate` and
+`BivariatePoly.eval_series`) reads ``num``/``den``, runs fraction-free on
+integers, and returns through one normalizing constructor that divides out
+that gcd once per result.  Equal series therefore have equal ``num``, ``den``
+and ``var``.  The `Fraction` coefficients (``coeffs``) are built only when
+read, and then cached.
 
 The module also provides `AlgebraicSystem`, a bivariate polynomial relation
 ``P(g, y) = 0`` together with the value of the branch at ``g = 0``, and
@@ -24,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -66,6 +71,11 @@ def _frac(value: object) -> Fraction:
     )
 
 
+def _exact(value: object) -> Rational:
+    """An int as itself, anything else through `_frac` (which refuses floats)."""
+    return value if isinstance(value, int) else _frac(value)
+
+
 def rational_to_str(value: Fraction) -> str:
     """Render a rational as ``p/q``, or plain ``p`` when the denominator is 1."""
     if value.denominator == 1:
@@ -77,32 +87,75 @@ def rational_from_str(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True)
 class Series:
-    """A formal power series known exactly through ``order = len(coeffs) - 1``."""
+    """A formal power series known exactly through ``order = len(num) - 1``.
 
-    coeffs: tuple
-    var: str = "g"
+    Coefficient k is ``num[k] / den``, in the canonical form of the module
+    docstring.  The constructor takes the coefficients themselves (ints,
+    Fractions or strings such as ``"1/2"``); ``coeffs`` returns them as a
+    tuple of Fractions.  Instances are immutable and hash by
+    ``(num, den, var)``.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+    __slots__ = ("num", "den", "var", "_coeffs")
+    num: tuple
+    den: int
+    var: str
+
+    def __init__(self, coeffs: Iterable[Rational], var: str = "g") -> None:
+        values = [_exact(c) for c in coeffs]
+        if not values:
             raise SeriesError("a series must carry at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in self.coeffs))
+        # over the least common denominator of reduced fractions, no prime
+        # divides den and every numerator, so the form is already canonical
+        den = math.lcm(*(c.denominator for c in values))
+        _init(self, tuple(c.numerator * (den // c.denominator) for c in values), den, var)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _series, (self.num, self.den, self.var)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Series:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.var == other.var
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den, self.var))
+
+    def __repr__(self) -> str:
+        return f"Series(coeffs={self.coeffs!r}, var={self.var!r})"
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, built on first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            coeffs = tuple(Fraction(n, den) for n in self.num)
+            object.__setattr__(self, "_coeffs", coeffs)
+            return coeffs
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Rational], order: int | None = None, var: str = "g") -> "Series":
         """Build a series from leading coefficients, zero-padded to ``order``."""
-        cs = [_frac(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise SeriesError("order must be nonnegative")
             if len(cs) > order + 1:
                 cs = cs[: order + 1]
             else:
-                cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs), var)
+                cs += [0] * (order + 1 - len(cs))
+        return cls(cs, var)
 
     @classmethod
     def zero(cls, order: int, var: str = "g") -> "Series":
@@ -127,7 +180,7 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -139,7 +192,7 @@ class Series:
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all known ones vanish."""
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             if c:
                 return k
         return None
@@ -147,10 +200,10 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise SeriesError(f"cannot extend a series of order {self.order} to {order}")
-        return Series(self.coeffs[: order + 1], self.var)
+        return _series(self.num[: order + 1], self.den, self.var)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -182,12 +235,12 @@ class Series:
         return add(rhs, -self)
 
     def __neg__(self) -> "Series":
-        return Series(tuple(-c for c in self.coeffs), self.var)
+        return _series([-n for n in self.num], self.den, self.var)
 
     def __mul__(self, other: object) -> "Series":
         if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return Series(tuple(f * c for c in self.coeffs), self.var)
+            p, q = other.numerator, other.denominator
+            return _series([p * n for n in self.num], q * self.den, self.var)
         if isinstance(other, Series):
             return mul(self, other)
         return NotImplemented
@@ -196,10 +249,10 @@ class Series:
 
     def __truediv__(self, other: object) -> "Series":
         if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            if f == 0:
+            if other == 0:
                 raise SeriesError("division by zero")
-            return Series(tuple(c / f for c in self.coeffs), self.var)
+            p, q = other.numerator, other.denominator
+            return _series([q * n for n in self.num], p * self.den, self.var)
         if isinstance(other, Series):
             return div(self, other)
         return NotImplemented
@@ -227,11 +280,11 @@ class Series:
 
     def shift_down(self, k: int) -> "Series":
         """Divide by the k-th power of the variable; the low coefficients must vanish."""
-        if any(self.coeffs[i] != 0 for i in range(min(k, self.order + 1))):
+        if any(self.num[:k]):
             raise SeriesError(f"series is not divisible by {self.var}^{k}")
         if k > self.order:
             raise SeriesError("shift exhausts every known coefficient")
-        return Series(self.coeffs[k:], self.var)
+        return _series(self.num[k:], self.den, self.var)
 
     # -- presentation ------------------------------------------------------
 
@@ -272,6 +325,29 @@ class Series:
         return cls.from_json_dict(json.loads(text))
 
 
+def _init(s: Series, num: tuple, den: int, var: str) -> None:
+    object.__setattr__(s, "num", num)
+    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "var", var)
+
+
+def _series(num, den: int, var: str) -> Series:
+    """The normalizing constructor: the series ``num[k] / den`` in canonical form."""
+    if den < 0:
+        num, den = [-n for n in num], -den
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [n // g for n in num], den // g
+    s = object.__new__(Series)
+    _init(s, tuple(num), den, var)
+    return s
+
+
+def _constant(s: Series, k: int, order: int, var: str) -> Series:
+    """Coefficient k of ``s`` as a constant series of the given order."""
+    return _series([s.num[k]] + [0] * order, s.den, var)
+
+
 # -- ring operations -------------------------------------------------------
 
 
@@ -282,29 +358,20 @@ def _common(a: Series, b: Series) -> tuple[int, str]:
 
 
 def add(a: Series, b: Series) -> Series:
-    order, var = _common(a, b)
-    return Series(tuple(a.coeffs[k] + b.coeffs[k] for k in range(order + 1)), var)
-
-
-def _scaled(s: Series, order: int) -> tuple[list, int]:
-    """Integer numerators of ``s`` through ``order`` over their least common denominator."""
-    cs = s.coeffs[: order + 1]
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
+    """Sum over the least common denominator; ``zip`` truncates to the smaller order."""
+    _, var = _common(a, b)
+    g = math.gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    return _series([x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa, var)
 
 
 def mul(a: Series, b: Series) -> Series:
     """Truncated product, an integer convolution over the denominator Da*Db."""
     order, var = _common(a, b)
-    A, da = _scaled(a, order)
-    B, db = _scaled(b, order)
-    den = da * db
-    B.reverse()
-    out = [
-        Fraction(sum(map(operator.mul, A[: k + 1], B[order - k :])), den)
-        for k in range(order + 1)
-    ]
-    return Series(tuple(out), var)
+    A = a.num
+    B = b.num[order::-1]
+    out = [sum(map(operator.mul, A[: k + 1], B[order - k :])) for k in range(order + 1)]
+    return _series(out, a.den * b.den, var)
 
 
 def div(a: Series, b: Series) -> Series:
@@ -312,29 +379,31 @@ def div(a: Series, b: Series) -> Series:
 
     With a = A/Da, b = B/Db and b0 = B_0, the quotient is q_k = Db*Q_k /
     (Da*b0^(k+1)), where the integers Q_k solve the fraction-free recurrence
-    Q_k = A_k*b0^k - sum_(j>=1) B_j*b0^(j-1)*Q_(k-j).
+    Q_k = A_k*b0^k - sum_(j>=1) B_j*b0^(j-1)*Q_(k-j).  The result is put over
+    the one denominator Da*b0^(order+1).
     """
-    if b.coeffs[0] == 0:
+    if b.num[0] == 0:
         raise SeriesError(
             "division by a series with zero constant term; shift the valuation "
             "out explicitly before dividing"
         )
     order, var = _common(a, b)
-    A, da = _scaled(a, order)
-    B, db = _scaled(b, order)
+    A, B = a.num, b.num
     b0 = B[0]
     # Bp[j - 1] = B_j * b0^(j-1), so that Q_k subtracts sum(Bp[:k] . Q[::-1])
     Bp, pw = [], 1
-    for bj in B[1:]:
+    for bj in B[1 : order + 1]:
         Bp.append(bj * pw)
         pw *= b0
-    Q, out, pw = [], [], 1  # pw = b0^k
+    Q, pw = [], 1  # pw = b0^k
     for k in range(order + 1):
-        qk = A[k] * pw - sum(map(operator.mul, Bp[:k], Q[::-1]))
-        Q.append(qk)
+        Q.append(A[k] * pw - sum(map(operator.mul, Bp[:k], Q[::-1])))
         pw *= b0
-        out.append(Fraction(db * qk, da * pw))
-    return Series(tuple(out), var)
+    out, scale = [0] * (order + 1), b.den  # scale = Db*b0^(order-k)
+    for k in range(order, -1, -1):
+        out[k] = Q[k] * scale
+        scale *= b0
+    return _series(out, a.den * pw, var)
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -345,16 +414,16 @@ def compose(outer: Series, inner: Series) -> Series:
     ``v * (outer.order + 1)``, so the result is reliable through
     ``min(inner.order, v * (outer.order + 1) - 1)``.
     """
-    if inner.coeffs[0] != 0:
+    if inner.num[0] != 0:
         raise SeriesError("composition requires the inner series to have zero constant term")
     v = inner.valuation()
     if v is None:
-        return Series.constant(outer.coeffs[0], inner.order, inner.var)
+        return _constant(outer, 0, inner.order, inner.var)
     order = min(inner.order, v * (outer.order + 1) - 1)
     inner_t = inner.truncate(order) if inner.order > order else inner
-    out = Series.constant(outer.coeffs[min(outer.order, order // v)], order, inner.var)
+    out = _constant(outer, min(outer.order, order // v), order, inner.var)
     for k in range(min(outer.order, order // v) - 1, -1, -1):
-        out = mul(out, inner_t) + Series.constant(outer.coeffs[k], order, inner.var)
+        out = mul(out, inner_t) + _constant(outer, k, order, inner.var)
     return out
 
 
@@ -363,21 +432,25 @@ def reversion(s: Series) -> Series:
 
     Requires a zero constant term and a nonzero linear term; the result ``r``
     satisfies ``compose(s, r) = identity`` through the available order.
+    Coefficient k of ``r`` is coefficient k - 1 of ``(w/s)^k``, over k.
     """
-    if s.coeffs[0] != 0:
+    if s.num[0] != 0:
         raise SeriesError("reversion requires a zero constant term")
-    if s.order < 1 or s.coeffs[1] == 0:
+    if s.order < 1 or s.num[1] == 0:
         raise SeriesError("reversion requires a nonzero linear coefficient")
     n = s.order
+    if n == 1:
+        return _series([0, s.den], s.num[1], s.var)
     # base = w / s(w), a unit series of order n - 1
-    base = div(Series.one(n - 1, s.var), Series(s.coeffs[1:], s.var)) if n > 1 else None
-    out = [Fraction(0), Fraction(1) / s.coeffs[1]]
-    if n > 1:
-        power = base  # (w/s)^k, maintained iteratively
-        for k in range(2, n + 1):
-            power = mul(power, base)
-            out.append(power.coeffs[k - 1] / k)
-    return Series(tuple(out), s.var)
+    base = div(Series.one(n - 1, s.var), _series(s.num[1:], s.den, s.var))
+    nums, dens = [0, base.num[0]], [1, base.den]
+    power = base  # (w/s)^k, maintained iteratively
+    for k in range(2, n + 1):
+        power = mul(power, base)
+        nums.append(power.num[k - 1])
+        dens.append(power.den * k)
+    den = math.lcm(*dens)
+    return _series([p * (den // d) for p, d in zip(nums, dens)], den, s.var)
 
 
 def sqrt_series(s: Series) -> Series:
@@ -386,30 +459,38 @@ def sqrt_series(s: Series) -> Series:
     With s = S/D, sqrt(s) = sqrt(T)/D for the integer series T = S*D, whose
     constant term is the square of r = r0*D.  Writing the k-th coefficient of
     sqrt(T) as Y_k/(2r)^(2k-1) for k >= 1 gives the integer recurrence
-    Y_k = T_k*(2r)^(2k-2) - sum_(j=1)^(k-1) Y_j*Y_(k-j).
+    Y_k = T_k*(2r)^(2k-2) - sum_(j=1)^(k-1) Y_j*Y_(k-j).  The result is put
+    over the one denominator D*(2r)^(2n-1), n the order.
     """
-    c0 = s.coeffs[0]
-    if c0 <= 0:
+    S, den = s.num, s.den
+    if S[0] <= 0:
         raise SeriesError("sqrt needs a positive rational square as constant term")
-    pn, qd = c0.numerator, c0.denominator
+    g = math.gcd(S[0], den)
+    pn, qd = S[0] // g, den // g
     rn, rd = math.isqrt(pn), math.isqrt(qd)
     if rn * rn != pn or rd * rd != qd:
-        raise SeriesError(f"constant term {c0} is not the square of a rational")
-    S, den = _scaled(s, s.order)
+        raise SeriesError(f"constant term {Fraction(pn, qd)} is not the square of a rational")
+    n = s.order
+    if n == 0:
+        return _series([rn], rd, s.var)
     r2 = 2 * rn * (den // rd)  # 2r, with r = r0*D an integer since rd^2 divides D
-    out = [Fraction(rn, rd)]
     Y = [0]
     scale = 1  # (2r)^(2k-2)
-    for k in range(1, s.order + 1):
-        n = (k - 1) // 2  # the sum is symmetric: pairs j < k - j, then the middle term
-        acc = 2 * sum(map(operator.mul, Y[1 : n + 1], Y[k - 1 : k - 1 - n : -1]))
+    for k in range(1, n + 1):
+        m = (k - 1) // 2  # the sum is symmetric: pairs j < k - j, then the middle term
+        acc = 2 * sum(map(operator.mul, Y[1 : m + 1], Y[k - 1 : k - 1 - m : -1]))
         if k % 2 == 0:
             acc += Y[k // 2] ** 2
-        yk = S[k] * den * scale - acc
-        Y.append(yk)
-        out.append(Fraction(yk, r2 * scale * den))
+        Y.append(S[k] * den * scale - acc)
         scale *= r2 * r2
-    return Series(tuple(out), s.var)
+    # coefficient k >= 1 is Y_k*(2r)^(2n-2k) over the common denominator, and
+    # the constant term r/D is (2r)^(2n)/2 over it
+    out, f = [0] * (n + 1), 1  # f = (2r)^(2n-2k)
+    for k in range(n, 0, -1):
+        out[k] = Y[k] * f
+        f *= r2 * r2
+    out[0] = f // 2
+    return _series(out, den * (f // r2), s.var)
 
 
 def log_series(s: Series) -> Series:
@@ -418,7 +499,7 @@ def log_series(s: Series) -> Series:
     The result has the input's order: an order-0 input determines only the
     zero constant term.
     """
-    if s.coeffs[0] != 1:
+    if s.num[0] != s.den:
         raise SeriesError("log requires constant term 1")
     if s.order == 0:
         return Series.zero(0, s.var)
@@ -427,15 +508,15 @@ def log_series(s: Series) -> Series:
 
 def derivative(s: Series) -> Series:
     if s.order == 0:
-        return Series((Fraction(0),), s.var)
-    return Series(tuple(k * s.coeffs[k] for k in range(1, s.order + 1)), s.var)
+        return _series([0], 1, s.var)
+    return _series([k * s.num[k] for k in range(1, s.order + 1)], s.den, s.var)
 
 
 def integrate(s: Series) -> Series:
     """Antiderivative with zero constant term (order grows by one)."""
-    out = [Fraction(0)]
-    out.extend(s.coeffs[k] / (k + 1) for k in range(s.order + 1))
-    return Series(tuple(out), s.var)
+    scale = math.lcm(*range(1, s.order + 2))
+    out = [0] + [n * (scale // (k + 1)) for k, n in enumerate(s.num)]
+    return _series(out, s.den * scale, s.var)
 
 
 # -- algebraic branches ----------------------------------------------------
@@ -472,18 +553,27 @@ class BivariatePoly:
         return acc
 
     def eval_series(self, y: Series) -> Series:
-        """Evaluate P(x, y(x)) as a series in the variable of ``y``."""
-        order = y.order
+        """Evaluate P(x, y(x)) as a series in the variable of ``y``, by Horner in y."""
+        order, var = y.order, y.var
         by_j: dict[int, list] = {}
         for (i, j), c in self.terms:
-            row = by_j.setdefault(j, [Fraction(0)] * (order + 1))
+            row = by_j.setdefault(j, [])
             if i <= order:
-                row[i] += c
+                row.append((i, c))
+
+        def row_series(j: int) -> Series:
+            """The coefficient of y^j, a polynomial in x, as a series."""
+            row = by_j.get(j, ())
+            den = math.lcm(*(c.denominator for _, c in row))
+            num = [0] * (order + 1)
+            for i, c in row:
+                num[i] = c.numerator * (den // c.denominator)
+            return _series(num, den, var)
+
         max_j = max(by_j, default=0)
-        out = Series(tuple(by_j.get(max_j, [Fraction(0)] * (order + 1))), y.var)
+        out = row_series(max_j)
         for j in range(max_j - 1, -1, -1):
-            row = by_j.get(j, [Fraction(0)] * (order + 1))
-            out = mul(out, y) + Series(tuple(row), y.var)
+            out = mul(out, y) + row_series(j)
         return out
 
 
@@ -521,7 +611,7 @@ def newton_solve(system: AlgebraicSystem, order: int) -> Series:
     prec = 0
     while prec < order:
         prec = min(2 * prec + 1, order)
-        y = Series.from_coeffs(y.coeffs, prec, system.var)
+        y = _series(y.num + (0,) * (prec - y.order), y.den, system.var)
         y = y - div(rel.eval_series(y), rel_y.eval_series(y))
     residual = rel.eval_series(y)
     if not residual.is_zero():

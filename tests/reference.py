@@ -5,9 +5,11 @@ each one from scratch: no incremental state, no pruning, no symmetry.  That
 makes it slow, (4V + legs - 1)!! leaves per table, and easy to read.  The
 tests compare the oracle's search with it cell for cell.
 
-The series kernels (`plain_mul`, `plain_div`, `plain_sqrt_series`) do
-every coefficient operation in `Fraction` arithmetic, the textbook
-recurrences term by term.  The tests compare the fraction-free kernels of
+The series kernels (`plain_mul`, `plain_div`, `plain_sqrt_series`, and
+`plain_add`, `plain_scale`, `plain_truncate`, `plain_shift_down`,
+`plain_derivative`, `plain_integrate`, `plain_reversion`) do every
+coefficient operation in `Fraction` arithmetic, the textbook recurrences
+term by term.  The tests compare the integer-numerator kernels of
 `linkcensus.series` with them for exact equality.
 
 The computer-algebra references at the end use sympy, which the package
@@ -259,6 +261,49 @@ def plain_sqrt_series(s: Series) -> Series:
         for j in range(1, k):
             acc -= out[j] * out[k - j]
         out.append(acc / (2 * r0))
+    return Series(tuple(out), s.var)
+
+
+def plain_add(a: Series, b: Series) -> Series:
+    order, var = _common(a, b)
+    return Series(tuple(a.coeffs[k] + b.coeffs[k] for k in range(order + 1)), var)
+
+
+def plain_scale(s: Series, factor: Fraction) -> Series:
+    """Every coefficient times ``factor``; negation is the factor -1."""
+    return Series(tuple(factor * c for c in s.coeffs), s.var)
+
+
+def plain_truncate(s: Series, order: int) -> Series:
+    return Series(s.coeffs[: order + 1], s.var)
+
+
+def plain_shift_down(s: Series, k: int) -> Series:
+    if any(s.coeffs[:k]):
+        raise SeriesError(f"series is not divisible by {s.var}^{k}")
+    return Series(s.coeffs[k:], s.var)
+
+
+def plain_derivative(s: Series) -> Series:
+    if s.order == 0:
+        return Series((Fraction(0),), s.var)
+    return Series(tuple(k * s.coeffs[k] for k in range(1, s.order + 1)), s.var)
+
+
+def plain_integrate(s: Series) -> Series:
+    return Series((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(s.coeffs)), s.var)
+
+
+def plain_reversion(s: Series) -> Series:
+    """Lagrange inversion in Fractions: [w^k] r = [w^(k-1)] (w/s)^k / k."""
+    n = s.order
+    out = [Fraction(0), 1 / s.coeffs[1]]
+    if n > 1:
+        base = plain_div(Series.one(n - 1, s.var), Series(s.coeffs[1:], s.var))
+        power = base
+        for k in range(2, n + 1):
+            power = plain_mul(power, base)
+            out.append(power.coeffs[k - 1] / k)
     return Series(tuple(out), s.var)
 
 

@@ -156,6 +156,9 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as wrapped:
         cli.main(["no-such-command"])
     assert wrapped.value.code == 2
+    with pytest.raises(SystemExit) as wrapped:
+        cli.main(["series", "--model", "on", "--n", "1/0", "--order", "2"])
+    assert wrapped.value.code == 2
 
 
 def test_domain_error_exits_two(capsys):

@@ -1,8 +1,10 @@
-"""Exported names resolve, commands load no numpy, no module imports sympy,
-and every command runs with sympy refused."""
+"""Exported names resolve, and so do the names the benchmark tracer wraps;
+commands load no numpy, no module imports sympy, and every command runs with
+sympy refused."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -11,6 +13,8 @@ import sys
 import pytest
 
 import linkcensus
+from linkcensus import onematrix
+from linkcensus.series import Series
 
 MODULES = ["linkcensus"] + [f"linkcensus.{info.name}"
                             for info in pkgutil.iter_modules(linkcensus.__path__)]
@@ -22,6 +26,25 @@ def test_all_names_resolve(name):
     assert module.__all__
     for export in module.__all__:
         assert hasattr(module, export), f"{name}.__all__ lists missing {export!r}"
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names and reads these attributes of the
+    # kernel arguments; a rename should fail here, not in a traced benchmark run
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.TARGETS.items():
+        module = importlib.import_module(f"linkcensus.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"linkcensus.{layer}.{name}"
+    s = Series.from_coeffs([1, 2, 3], 6)
+    args = {"mul": (s, s), "div": (s, s), "sqrt_series": (s,),
+            "compose": (s, Series.identity(6)), "newton_solve": (onematrix.reduced_cubic(), 6)}
+    for name in tracer.SERIES:
+        assert tracer.coeff_ops(name, args[name]) > 0
 
 
 def test_commands_do_not_load_numpy():

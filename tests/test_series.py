@@ -1,10 +1,23 @@
 """Exact series arithmetic: ring laws, composition, reversion, radicals, branches."""
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from reference import plain_div, plain_mul, plain_sqrt_series
+from reference import (
+    plain_add,
+    plain_derivative,
+    plain_div,
+    plain_integrate,
+    plain_mul,
+    plain_reversion,
+    plain_scale,
+    plain_shift_down,
+    plain_sqrt_series,
+    plain_truncate,
+)
 
 from linkcensus.series import (
     AlgebraicSystem,
@@ -121,10 +134,13 @@ def wild_series(rng, order, var="g", constant=None):
 def assert_same(got, want):
     assert (got.var, got.order) == (want.var, want.order)
     assert got == want
+    assert got.coeffs == want.coeffs
+    assert (got.num, got.den, hash(got)) == (want.num, want.den, hash(want))
 
 
 def test_kernels_match_reference_through_order_40():
     rng = random.Random(20261018)
+    more = random.Random(20261019)  # inputs of the checks below the first four
     for order in range(41):
         var = "W" if order % 3 == 0 else "g"
         other = max(0, order + rng.randint(-3, 3))  # unequal operand orders
@@ -137,6 +153,29 @@ def test_kernels_match_reference_through_order_40():
         assert_same(mul(b, a), plain_mul(b, a))
         assert_same(div(a, unit), plain_div(a, unit))
         assert_same(sqrt_series(s), plain_sqrt_series(s))
+        assert_same(add(a, b), plain_add(a, b))
+        assert_same(a - b, plain_add(a, plain_scale(b, F(-1))))
+        assert_same(-a, plain_scale(a, F(-1)))
+        factor = F(more.choice([-1, 1]) * more.randint(1, 10**6), more.randint(1, 10**6))
+        whole = more.choice([-1, 1]) * more.randint(1, 10**6)
+        for f in (factor, whole, F(0), 0):
+            assert_same(a * f, plain_scale(a, F(f)))
+            assert_same(f * a, plain_scale(a, F(f)))
+        for f in (factor, whole):
+            assert_same(a / f, plain_scale(a, 1 / F(f)))
+        cut = more.randint(0, order)
+        assert_same(a.truncate(cut), plain_truncate(a, cut))
+        low = Series.from_coeffs([0] * cut + list(a.coeffs[cut:]), var=var)
+        assert_same(low.shift_down(cut), plain_shift_down(low, cut))
+        assert_same(derivative(a), plain_derivative(a))
+        assert_same(integrate(a), plain_integrate(a))
+        if order >= 1:
+            # single digits: reversion grows the numbers fast, and the Fraction
+            # reference with them (1.5 s at order 40 on 10^6-sized inputs)
+            linear = F(more.choice([-1, 1]) * more.randint(1, 9), more.randint(1, 9))
+            tail = [F(more.randint(-9, 9), more.randint(1, 9)) for _ in range(order - 1)]
+            rev = Series.from_coeffs([0, linear] + tail, var=var)
+            assert_same(reversion(rev), plain_reversion(rev))
 
 
 @pytest.mark.parametrize("b0", [F(-3, 7), F(10**9), F(-1), F(7, 10**6), F(-10**9, 13)])
@@ -157,6 +196,68 @@ def test_sqrt_matches_reference_with_rational_square_constants(c0):
         root = sqrt_series(s)
         assert_same(root, plain_sqrt_series(s))
         assert root.coeffs[0] ** 2 == c0 and root.coeffs[0] > 0
+
+
+# -- the canonical (num, den) form ---------------------------------------------
+
+
+def assert_canonical(s):
+    assert s.den > 0 and math.gcd(s.den, *s.num) == 1
+    assert len(s.num) == s.order + 1
+
+
+def assert_identical(x, y):
+    assert x == y
+    assert (x.num, x.den, x.var) == (y.num, y.den, y.var)
+    assert hash(x) == hash(y)
+
+
+def test_equal_series_share_one_canonical_form():
+    assert_identical(S(F(2, 4), 1), S(F(1, 2), 1))
+    assert_identical(Series(("2/4", "3/6")), Series((F(1, 2), F(1, 2))))
+    assert S(F(2, 4), 1).num == (1, 2) and S(F(2, 4), 1).den == 2
+    assert S(0, 0, 0).den == 1 and S(F(6, 4)).num == (3,)
+    rng = random.Random(1018)
+    for _ in range(20):
+        order = rng.randint(1, 12)
+        a, b = wild_series(rng, order), wild_series(rng, order)
+        unit = wild_series(rng, order, constant=F(rng.randint(1, 99), rng.randint(1, 99)))
+        kernels = [add(a, b), a - b, -a, a * F(-3, 7), a / F(-3, 7), mul(a, b), div(a, unit),
+                   derivative(a), integrate(a), a.truncate(order - 1), compose(a, b - b[0]),
+                   sqrt_series(mul(unit, unit))]
+        for kernel in kernels:
+            assert_canonical(kernel)
+            assert_identical(kernel - kernel, Series.zero(kernel.order))
+        cut = rng.randint(0, order)
+        assert_identical(mul(a, b).truncate(cut), mul(a.truncate(cut), b.truncate(cut)))
+        assert_identical(div(mul(a, unit), unit), a)
+        assert_identical(sqrt_series(mul(unit, unit)) ** 2, mul(unit, unit))
+
+
+def test_coefficients_are_fractions_and_floats_refused():
+    s = Series.from_coeffs([1, "1/2", F(-3, 7)], 4)
+    assert s.coeffs == (1, F(1, 2), F(-3, 7), 0, 0)
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert all(type(c) is Fraction for c in mul(s, s).coeffs)
+    assert s[1] == F(1, 2) and list(s) == list(s.coeffs)
+    for bad in (lambda: Series((1, 0.5)), lambda: Series.from_coeffs([1.0]),
+                lambda: Series.from_coeffs([1, 2, 0.5], 1), lambda: Series.constant(0.5, 3)):
+        with pytest.raises(SeriesError, match="exact rationals, got float"):
+            bad()
+    with pytest.raises(SeriesError, match="constant term"):
+        Series(())
+
+
+def test_series_is_immutable_and_keeps_its_repr():
+    s = S(1, F(1, 2))
+    for name, value in (("num", (2, 1)), ("den", 1), ("var", "W"), ("coeffs", ())):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+    with pytest.raises(AttributeError):
+        del s.num
+    assert repr(s) == "Series(coeffs=(Fraction(1, 1), Fraction(1, 2)), var='g')"
+    assert_identical(pickle.loads(pickle.dumps(s)), s)
+    assert len({s, S(F(2, 2), F(2, 4)), S(1, F(1, 3))}) == 2
 
 
 # -- composition and reversion ------------------------------------------------
