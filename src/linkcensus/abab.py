@@ -39,15 +39,18 @@ class CriticalConstants:
     g_critical: float
     t_critical: float
     growth: float
-    identity_residual: float  # g_c / t_c^2 - 1/(4 pi)
+    # g_c / t_c^2 - 1/(4 pi): zero by algebra for the two hard-coded closed
+    # forms, so it measures float rounding only, not the constants
+    identity_residual: float
 
 
 def critical_constants() -> CriticalConstants:
-    """Closed-form two-color critical constants, self-checked.
+    """Closed-form two-color critical constants.
 
-    The three numbers are algebraically locked together; the residual of
-    ``g_c / t_c^2 = 1/(4 pi)`` is carried as a diagnostic and must vanish to
-    rounding.
+    The three numbers are hard-coded closed forms, not computed from any
+    count.  ``g_c / t_c^2 = 1/(4 pi)`` is an algebraic identity of the two
+    expressions, so its residual can only measure float rounding: it is
+    carried as a rounding diagnostic, not as a check of the constants.
     """
     g_c = math.pi * (math.pi - 4.0) ** 2 / 16.0
     t_c = 0.5 * math.pi * (4.0 - math.pi)

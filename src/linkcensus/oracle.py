@@ -14,10 +14,15 @@ the counting series cross-checked against the closed forms elsewhere in the
 package.
 
 Every table, for one vertex species or several, comes from one engine that
-maintains the boundary structure of the partially glued surface
-incrementally.  Gluing two half-edges on the same boundary cycle splits it
-(possibly completing faces); gluing across two cycles of the same component
-adds a handle, which is exactly the move the planar mode prunes.  The Wick
+searches connected gluings only, maintaining the boundary structure of the
+partially glued surface incrementally.  Gluing two half-edges on the same
+boundary cycle splits it (possibly completing faces); gluing across two
+cycles adds a handle, which is exactly the move the planar mode prunes, so
+planar mode looks for partners only on the glued half-edge's own boundary
+cycle.  A closed table with vacuum components is not searched: it follows
+from the connected tables of its vertex content and of every smaller one by
+the labeled first-block recursion (the exponential formula), in which the
+component holding the lowest label is one connected block.  The Wick
 factor ``4^V V!`` per species is a symmetry the search divides out as it
 goes: the not-yet-touched labeled vertices of one species are
 interchangeable (the ``V!``), so touching one branches once per species with
@@ -29,10 +34,11 @@ its legs, weighted by the orbit size.  Neither changes any invariant of the
 completions.  The tests check the engine cell for cell against a plain
 engine that classifies every matching from scratch.
 
-Enumeration runs in one process, in one depth-first search per table.  The
-cells of each search are cached for the life of the process, keyed by the
-search's own arguments (so by the vertex wiring, not the type name), and
-every table built from them shares one read-only ``cells`` mapping.
+Enumeration runs in one process, in one depth-first search per connected
+table.  The cells of each search, and each closed table built from them,
+are cached for the life of the process, keyed by the search's own arguments
+(so by the vertex wiring, not the type name), and every table built from
+them shares one read-only ``cells`` mapping.
 
 One counting convention worth stating: a planar gluing already stands for
 the two diagrams related by swapping every over/under choice, so the counts
@@ -45,7 +51,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from itertools import product
+from math import comb, factorial, prod
 from types import MappingProxyType
 
 from .series import Series
@@ -159,15 +166,17 @@ class TwoPointTable:
 
     ``cells`` maps ``(genus, internal_strands, boundary_strands, four_leg_connected,
     two_particle_irreducible)`` to counts; the last entry is None unless the
-    2PI filter was requested, and ``four_leg_connected`` flags the diagrams
-    where all four legs hang off a single internal component (the connected
-    four-point part).  Like `CountTable.cells`, ``cells`` is read-only.
+    2PI filter was requested (``twopi``), and ``four_leg_connected`` flags the
+    diagrams where all four legs hang off a single internal component (the
+    connected four-point part).  Like `CountTable.cells`, ``cells`` is
+    read-only.
     """
 
     num_vertices: int
     legs: int
     planar_only: bool
     cells: Mapping
+    twopi: bool = False
 
     def coefficient(self, n: Fraction | int = 1, *, connected_four: bool | None = None,
                     color_boundary: bool = False, twopi: bool | None = None) -> Fraction:
@@ -175,8 +184,11 @@ class TwoPointTable:
 
         ``color_boundary`` also weights the loops running through the marked
         boundary (the color-summed four-point correlator); otherwise boundary
-        loops carry weight 1 (a fixed external color).
+        loops carry weight 1 (a fixed external color).  Selecting by ``twopi``
+        needs a table built with ``twopi=True``.
         """
+        if twopi is not None and not self.twopi:
+            raise ValueError("this table carries no 2PI flags; build it with twopi=True")
         n = Fraction(n)
         acc = Fraction(0)
         for (h, kin, kext, conn4, is2pi), c in self.cells.items():
@@ -204,8 +216,9 @@ def double_factorial(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False):
-    """Incremental enumeration over labeled vertices of one or more species.
+def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
+    """Incremental enumeration of connected gluings over labeled vertices of
+    one or more species.
 
     ``species`` lists ``(strand_offsets, count)`` in label order: the first
     ``count`` labels carry the first wiring, and so on.  ``strand_offsets``
@@ -216,11 +229,12 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
     are also interchangeable under the rotations ``j -> j+k mod 4`` that
     preserve the wiring, so only one leg per rotation orbit is glued, with
     the orbit size as a further multiplicity (one orbit of 4 for a crossing,
-    two orbits of 2 for a tangency).  A seed starts a new component on the
-    lowest untouched label, so its species is the first with vertices left
-    and its weight is 1.  Disallowing seeds (``allow_seed=False``) restricts
-    to gluings without vacuum components; seeds are for closed diagrams only.
-    Returns the cells dict.
+    two orbits of 2 for a tangency).  A closed diagram (``legs=0``) starts
+    on the lowest label, so on the first species with a nonzero count, with
+    weight 1; every other vertex is reached by gluing, so the search counts
+    only gluings without vacuum components.  A branch whose half-edges are
+    all matched while vertices are left over is a dead end.  Returns the
+    cells dict.
 
     The recursion keeps, with O(1) amortized rollback per gluing:
 
@@ -232,13 +246,12 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
       four-point typing only) and strand segments (``spar``; closing a
       segment closes one loop).
 
-    Surface components need no tracking: a seed is placed only when the free
-    list is empty, so every active half-edge lies in the component grown
-    since the last seed, and the component count changes only at seeds.
-    Gluing inside one boundary cycle splits it; gluing across two cycles
-    (necessarily of one component) would add a handle and is what
-    ``planar_only`` prunes; gluing to a fresh vertex splices its other three
-    legs into the cycle.
+    Every active half-edge lies in the one component grown so far, so
+    gluing inside one boundary cycle splits it, and gluing across two cycles
+    adds a handle, which is what ``planar_only`` prunes; gluing to a fresh
+    vertex splices its other three legs into the cycle.  The lowest free
+    half-edge is glued first; its partners are the rest of the free list,
+    or in planar mode only the rest of its own boundary ring.
 
     ``gamma_only`` (four marked legs) keeps only gluings whose internal graph
     stays a single component carrying all four legs: leg-leg matches are
@@ -246,8 +259,6 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
     free half-edges while anything else is still open.  Every surviving leaf
     is then a connected four-point diagram.
     """
-    if allow_seed and legs:
-        raise ValueError("seeded (vacuum) components need a closed diagram (legs=0)")
     V = sum(count for _, count in species)
     S = legs + 4 * V
     HEAD = S
@@ -292,95 +303,60 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
         fnx[x] = HEAD
         fpv[HEAD] = x
 
-    if legs:
-        for j in range(legs):
-            nxt[j] = (j + 1) % legs
-            prv[j] = (j - 1) % legs
-            cyc[j] = 0
-        csz[0] = legs
-        if legs == 2:
-            spar[1] = 0
-            sext[0] = True
-        else:
-            spar[2] = 0
-            spar[3] = 1
-            sext[0] = True
-            sext[1] = True
-        for j in range(legs):
-            freelist_append(j)
+    # the first boundary cycle: the marked legs, or else the four legs of the
+    # lowest label (of the first species with a nonzero count, weight 1)
+    ninst = 0
+    if legs == 2:
+        spar[1] = 0
+        sext[0] = True
+    elif legs == 4:
+        spar[2] = 0
+        spar[3] = 1
+        sext[0] = True
+        sext[1] = True
+    elif V:
+        sp = next(sp for sp, count in enumerate(left) if count)
+        left[sp] -= 1
+        off = species[sp][0]
+        for k in range(4):
+            if off[k] > k:
+                spar[off[k]] = k
+        ninst = 1
+    else:
+        return cells
+    ring = legs + 4 * ninst
+    for k in range(ring):
+        nxt[k] = (k + 1) % ring
+        prv[k] = (k - 1) % ring
+        cyc[k] = 0
+        freelist_append(k)
+    csz[0] = ring
 
-    ncid_box = [1 if legs else 0]
-
-    def seed(slot: int, strand_offsets) -> None:
-        # start a brand-new component on a fresh vertex (cold path)
-        b = legs + 4 * slot
-        cid = ncid_box[0]
-        ncid_box[0] += 1
-        for j in range(4):
-            s = b + j
-            nxt[s] = b + (j + 1) % 4
-            prv[s] = b + (j - 1) % 4
-            cyc[s] = cid
-            spar[s] = s
-            sext[s] = False
-        csz[cid] = 4
-        # strand pairs: keep the smaller leg as segment root
-        for j in range(4):
-            k = strand_offsets[j]
-            if k > j:
-                spar[b + k] = b + j
-        ipar[slot] = slot
-        for j in range(4):
-            freelist_append(b + j)
-
-    def unseed(slot: int) -> None:
-        b = legs + 4 * slot
-        for j in (3, 2, 1, 0):
-            x = b + j
-            last = fpv[x]
-            fnx[last] = HEAD
-            fpv[HEAD] = last
-        ncid_box[0] -= 1
+    ncid_box = [1]
 
     def ifind(x: int) -> int:
         while ipar[x] != x:
             x = ipar[x]
         return x
 
-    def rec(weight, ninst, ncomp, faces, kint, kext, nfree,
+    def rec(weight, ninst, faces, kint, kext, nfree,
             match=match, nxt=nxt, prv=prv, cyc=cyc, csz=csz, fnx=fnx, fpv=fpv,
             ipar=ipar, ifree=ifree, spar=spar, sext=sext,
             vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E,
             planar_only=planar_only, gamma_only=gamma_only,
-            track_internal=track_internal, allow_seed=allow_seed, twopi=twopi,
-            kinds=kinds, left=left):
+            track_internal=track_internal, twopi=twopi,
+            kinds=kinds, left=left, walk=nxt if planar_only else fnx):
         s0 = fnx[HEAD]
         if s0 == HEAD:
             if ninst < V:
-                # the very first component always gets its seed; further seeds
-                # start vacuum components and are only allowed when wanted
-                if not allow_seed and (ninst > 0 or legs > 0):
-                    return
-                # the lowest untouched label: the first species with some left
-                sp = 0
-                while not left[sp]:
-                    sp += 1
-                left[sp] -= 1
-                seed(ninst, species[sp][0])
-                rec(weight, ninst + 1, ncomp + 1, faces, kint, kext, nfree + 4)
-                unseed(ninst)
-                left[sp] += 1
-                return
+                return  # the component closed with vertices left over
             # ---- leaf ----
+            genus = (2 - faces + V) // 2 if legs == 0 else (2 - (V + 1) + E - faces) // 2
+            if planar_only and genus != 0:
+                return
             if legs == 0:
-                genus = (2 * ncomp - faces + V) // 2
-                if planar_only and genus != 0:
-                    return
-                key = (genus, kint, ncomp == 1)
+                key = (genus, kint, True)
             else:
-                genus = (2 - (V + 1) + E - faces) // 2
-                if planar_only and genus != 0:
-                    return
                 conn4 = legs == 4 and (gamma_only or _leaf_four_connected())
                 flag = None
                 if twopi and conn4:
@@ -399,18 +375,22 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
             ir0 = -1
             ifree0 = 0
 
-        # -- candidates among already-active stubs --
-        t = fnx[s0]
-        while t != HEAD:
+        # -- candidates among already-active stubs: the rest of the free
+        # list, or in planar mode the rest of s0's own boundary ring (a
+        # partner on another cycle would add a handle) --
+        if planar_only:
+            t = nxt[s0]
+            stop = s0
+        else:
+            t = fnx[s0]
+            stop = HEAD
+        while t != stop:
             cb = cyc[t]
-            if ca != cb and planar_only:
-                t = fnx[t]
-                continue  # would add a handle
             if gamma_only:
                 # keep the internal graph one open component over all 4 legs
                 if ir0 < 0:
                     if t < legs:
-                        t = fnx[t]
+                        t = walk[t]
                         continue  # leg paired with leg: never connected
                     r2 = vx[t]
                     while ipar[r2] != r2:
@@ -424,7 +404,7 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
                         r2 = ipar[r2]
                     newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
                 if newf == 0 and nfree > 2:
-                    t = fnx[t]
+                    t = walk[t]
                     continue  # an internal component sealed before the end
             a = s0
             b = t
@@ -577,7 +557,7 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
                     relabel_to = drop
                     csz[keep] = na + nb - 2
 
-            rec(weight, ninst, ncomp, faces2, kint2, kext2, nfree - 2)
+            rec(weight, ninst, faces2, kint2, kext2, nfree - 2)
 
             # ---- undo ----
             if new_cid:
@@ -604,7 +584,7 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
             fnx[fpv[b]] = b
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
-            t = fnx[t]
+            t = walk[t]
 
         # -- candidates on a fresh vertex: splice its other three legs in --
         if ninst < V:
@@ -694,7 +674,7 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
                     cyc[f3] = ca
                     csz[ca] = old_ca + 2
 
-                    rec(wfresh, ninst + 1, ncomp, faces, kint, kext, nfree + 2)
+                    rec(wfresh, ninst + 1, faces, kint, kext, nfree + 2)
 
                     # ---- undo ----
                     csz[ca] = old_ca
@@ -736,7 +716,7 @@ def _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only=False
         leg_at = [vx[match[e]] for e in range(legs)]
         return _has_two_two_cut(V, edges, leg_at)
 
-    rec(1, 0, 0, 0, 0, 0, legs)
+    rec(1, ninst, 0, 0, 0, ring)
     return cells
 
 
@@ -830,9 +810,55 @@ def _cut_splits_two_two(V, edges, leg_at, e1, e2) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cached_cells(legs, species, planar_only, allow_seed, twopi, gamma_only) -> Mapping:
+def _cached_cells(legs, species, planar_only, twopi, gamma_only) -> Mapping:
     """`_fast_search` memoized by its own arguments, as sorted read-only cells."""
-    cells = _fast_search(legs, species, planar_only, allow_seed, twopi, gamma_only)
+    cells = _fast_search(legs, species, planar_only, twopi, gamma_only)
+    return MappingProxyType(dict(sorted(cells.items())))
+
+
+@lru_cache(maxsize=None)
+def _closed_cells(species, planar_only) -> Mapping:
+    """Every closed gluing, vacuum components included, as sorted read-only cells.
+
+    Built from connected tables by the labeled first-block recursion (the
+    exponential formula of the free energy): the component holding the
+    lowest label, of the first species i with vertices, holds j_i >= 1 of
+    the m_i vertices of species i, chosen in C(m_i - 1, j_i - 1) ways, and
+    j_k of the m_k of each other species k, chosen in C(m_k, j_k) ways.  It
+    is a connected gluing of that content; the rest is any closed gluing of
+    the remaining vertices.  Genus and strand count add across the blocks,
+    so a planar table convolves planar connected tables.  ``species`` is as
+    for `_fast_search`; counts of 0 are allowed.
+    """
+    wirings = tuple(off for off, _ in species)
+
+    def connected(counts):
+        content = tuple((off, c) for off, c in zip(wirings, counts) if c)
+        return _cached_cells(0, content, planar_only, False, False)
+
+    @lru_cache(maxsize=None)
+    def total(counts):
+        """{(genus, strands): gluings} over every closed gluing of ``counts``."""
+        if not any(counts):
+            return {(0, 0): 1}
+        i = next(k for k, c in enumerate(counts) if c)
+        out: dict = {}
+        for block in product(*(range(1 if k == i else 0, c + 1) for k, c in enumerate(counts))):
+            ways = prod(comb(c - 1, j - 1) if k == i else comb(c, j)
+                        for k, (c, j) in enumerate(zip(counts, block)))
+            rest = total(tuple(c - j for c, j in zip(counts, block)))
+            for (h1, k1, _conn), c1 in connected(block).items():
+                for (h2, k2), c2 in rest.items():
+                    key = (h1 + h2, k1 + k2)
+                    out[key] = out.get(key, 0) + ways * c1 * c2
+        return out
+
+    counts = tuple(c for _, c in species)
+    cells = dict(connected(counts))
+    for (h, k), c in total(counts).items():
+        c -= cells.get((h, k, True), 0)
+        if c:
+            cells[(h, k, False)] = c
     return MappingProxyType(dict(sorted(cells.items())))
 
 
@@ -879,7 +905,10 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
               if count > 0]
     # the counts depend on the wiring, not on what the caller named it
     species = tuple((_strand_offsets(vt), c) for vt, c in active)
-    cells = _cached_cells(0, species, planar_only, not connected_only, False, False)
+    if connected_only:
+        cells = _cached_cells(0, species, planar_only, False, False)
+    else:
+        cells = _closed_cells(species, planar_only)
     counts = tuple((vt.name, count) for vt, count in active)
     return CountTable(vertex_counts=counts, planar_only=planar_only,
                       connected_only=connected_only, cells=cells)
@@ -901,9 +930,9 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
         raise ValueError("gamma_only and twopi apply to the four-leg boundary")
     _check_ceiling(num_vertices, ceiling)
     species = ((_strand_offsets(CROSSING), num_vertices),)
-    cells = _cached_cells(legs, species, planar_only, False, twopi, gamma_only)
+    cells = _cached_cells(legs, species, planar_only, twopi, gamma_only)
     return TwoPointTable(num_vertices=num_vertices, legs=legs, planar_only=planar_only,
-                         cells=cells)
+                         cells=cells, twopi=twopi)
 
 
 # ---------------------------------------------------------------------------

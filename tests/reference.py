@@ -2,8 +2,10 @@
 
 The oracle reference walks every matching of the half-edges and classifies
 each one from scratch: no incremental state, no pruning, no symmetry.  That
-makes it slow, (4V + legs - 1)!! leaves per table, and easy to read.  The
-tests compare the oracle's search with it cell for cell.
+makes it slow, (4V + legs - 1)!! leaves per table, and easy to read.  Only
+the rotation and strand permutations, which depend on the vertices alone,
+are built once per table.  The tests compare the oracle's search with it
+cell for cell.
 
 The series kernels (`plain_mul`, `plain_div`, `plain_sqrt_series`, and
 `plain_add`, `plain_scale`, `plain_truncate`, `plain_shift_down`,
@@ -36,6 +38,17 @@ def classify_pairing(matching, vertex_patterns, legs: int = 0):
     boundary vertex) followed by blocks of 4 per internal vertex.
     ``vertex_patterns`` lists the strand pairing of each internal vertex.
     """
+    sigma, strand = _vertex_permutations(vertex_patterns, legs)
+    faces, kin, kext = _faces_and_loops(matching, sigma, strand, legs)
+    comps = len(set(_vertex_components(matching, legs, len(vertex_patterns))))
+    return faces, kin, kext, comps
+
+
+def _vertex_permutations(vertex_patterns, legs: int = 0):
+    """The rotation and strand permutations of the half-edges: (sigma, strand).
+
+    They depend on the vertices alone, so a table builds them once.
+    """
     V = len(vertex_patterns)
     S = legs + 4 * V
 
@@ -49,18 +62,6 @@ def classify_pairing(matching, vertex_patterns, legs: int = 0):
         for j in range(4):
             sigma[b + j] = b + (j + 1) % 4
 
-    # faces: cycles of sigma∘matching
-    faces = 0
-    seen = [False] * S
-    for s in range(S):
-        if seen[s]:
-            continue
-        faces += 1
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = sigma[matching[x]]
-
     # strand transition involution
     strand = list(range(S))
     if legs == 2:
@@ -72,6 +73,24 @@ def classify_pairing(matching, vertex_patterns, legs: int = 0):
         for p, q in pattern:
             strand[b + p] = b + q
             strand[b + q] = b + p
+    return sigma, strand
+
+
+def _faces_and_loops(matching, sigma, strand, legs):
+    """(faces, internal loops, boundary loops) of one gluing."""
+    S = len(sigma)
+
+    # faces: cycles of sigma∘matching
+    faces = 0
+    seen = [False] * S
+    for s in range(S):
+        if seen[s]:
+            continue
+        faces += 1
+        x = s
+        while not seen[x]:
+            seen[x] = True
+            x = sigma[matching[x]]
 
     loops_internal = 0
     loops_boundary = 0
@@ -94,102 +113,12 @@ def classify_pairing(matching, vertex_patterns, legs: int = 0):
             loops_boundary += 1
         else:
             loops_internal += 1
-
-    # internal components (the marked boundary never counts as a connector)
-    parent = list(range(V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for s in range(legs, S):
-        t = matching[s]
-        if t >= legs:
-            a, b = find((s - legs) // 4), find((t - legs) // 4)
-            if a != b:
-                parent[a] = b
-    comps = len({find(v) for v in range(V)})
-    return faces, loops_internal, loops_boundary, comps
+    return faces, loops_internal, loops_boundary
 
 
-def iter_pairings(num_vertices: int, legs: int = 0):
-    """Yield every matching of the ``legs + 4*num_vertices`` half-edges."""
-    S = legs + 4 * num_vertices
-    matching = [-1] * S
-
-    def rec(free: list):
-        if not free:
-            yield tuple(matching)
-            return
-        a = free[0]
-        rest = free[1:]
-        for i, b in enumerate(rest):
-            matching[a], matching[b] = b, a
-            yield from rec(rest[:i] + rest[i + 1 :])
-        matching[a] = -1
-
-    yield from rec(list(range(S)))
-
-
-def _enumerate_plain(vertex_patterns, legs, planar_only, connected_only):
-    """Reference counting: classify every matching at the leaf."""
-    V = len(vertex_patterns)
-    cells: dict = {}
-    E = (legs + 4 * V) // 2
-    for matching in iter_pairings(V, legs):
-        faces, kin, kext, comps = classify_pairing(matching, vertex_patterns, legs)
-        if legs == 0:
-            chi = V - E + faces
-            genus2 = 2 * comps - chi
-            genus = genus2 // 2
-            connected = comps == 1
-            if connected_only and not connected:
-                continue
-            if planar_only and genus != 0:
-                continue
-            key = (genus, kin, connected)
-        else:
-            # every internal component must touch the boundary (vacuum parts cancel)
-            if V and _has_vacuum_component(matching, legs, V):
-                continue
-            chi = (V + 1) - E + faces
-            genus = (2 - chi) // 2
-            if planar_only and genus != 0:
-                continue
-            conn4 = legs == 4 and _four_leg_connected(matching, legs, V)
-            key = (genus, kin, kext, conn4, None)
-        cells[key] = cells.get(key, 0) + 1
-    return cells
-
-
-def _has_vacuum_component(matching, legs, V) -> bool:
-    parent = list(range(V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    touches = [False] * V
-    for s in range(legs, legs + 4 * V):
-        t = matching[s]
-        if t < legs:
-            touches[(s - legs) // 4] = True
-        elif s < t:
-            a, b = find((s - legs) // 4), find((t - legs) // 4)
-            if a != b:
-                parent[a] = b
-    reached = [False] * V
-    for v in range(V):
-        if touches[v]:
-            reached[find(v)] = True
-    return any(not reached[find(v)] for v in range(V))
-
-
-def _four_leg_connected(matching, legs, V) -> bool:
-    if any(matching[e] < legs for e in range(legs)):
-        return False
+def _vertex_components(matching, legs, V) -> list:
+    """The internal component of each vertex, as one representative vertex
+    per component (the marked boundary never counts as a connector)."""
     parent = list(range(V))
 
     def find(x: int) -> int:
@@ -203,8 +132,80 @@ def _four_leg_connected(matching, legs, V) -> bool:
             a, b = find((s - legs) // 4), find((t - legs) // 4)
             if a != b:
                 parent[a] = b
-    roots = {find((matching[e] - legs) // 4) for e in range(legs)}
-    return len(roots) == 1
+    return [find(v) for v in range(V)]
+
+
+def _leg_components(matching, legs, roots) -> list:
+    """The component each leg hangs off, for the legs matched to a vertex."""
+    return [roots[(matching[e] - legs) // 4] for e in range(legs) if matching[e] >= legs]
+
+
+def iter_pairings(num_vertices: int, legs: int = 0):
+    """Yield every matching of the ``legs + 4*num_vertices`` half-edges.
+
+    The lowest unmatched half-edge takes each later one in turn; an explicit
+    stack of (unmatched half-edges, index of the next partner) replaces the
+    recursion, so each matching is yielded from one frame.
+    """
+    S = legs + 4 * num_vertices
+    matching = [-1] * S
+    stack = [(list(range(S)), 1)]
+    while stack:
+        free, i = stack.pop()
+        if not free:
+            yield tuple(matching)
+        elif i < len(free):
+            a, b = free[0], free[i]
+            matching[a], matching[b] = b, a
+            stack.append((free, i + 1))
+            stack.append((free[1:i] + free[i + 1 :], 1))
+
+
+def _enumerate_plain(vertex_patterns, legs, planar_only, connected_only):
+    """Reference counting: classify every matching at the leaf."""
+    V = len(vertex_patterns)
+    cells: dict = {}
+    E = (legs + 4 * V) // 2
+    sigma, strand = _vertex_permutations(vertex_patterns, legs)
+    for matching in iter_pairings(V, legs):
+        faces, kin, kext = _faces_and_loops(matching, sigma, strand, legs)
+        roots = _vertex_components(matching, legs, V)
+        if legs == 0:
+            comps = len(set(roots))
+            chi = V - E + faces
+            genus2 = 2 * comps - chi
+            genus = genus2 // 2
+            connected = comps == 1
+            if connected_only and not connected:
+                continue
+            if planar_only and genus != 0:
+                continue
+            key = (genus, kin, connected)
+        else:
+            # every internal component must touch the boundary (vacuum parts cancel)
+            attached = _leg_components(matching, legs, roots)
+            if not set(roots) <= set(attached):
+                continue
+            chi = (V + 1) - E + faces
+            genus = (2 - chi) // 2
+            if planar_only and genus != 0:
+                continue
+            conn4 = legs == 4 and len(attached) == 4 and len(set(attached)) == 1
+            key = (genus, kin, kext, conn4, None)
+        cells[key] = cells.get(key, 0) + 1
+    return cells
+
+
+def _has_vacuum_component(matching, legs, V) -> bool:
+    """Does some internal component touch no leg?"""
+    roots = _vertex_components(matching, legs, V)
+    return not set(roots) <= set(_leg_components(matching, legs, roots))
+
+
+def _four_leg_connected(matching, legs, V) -> bool:
+    """Do all the legs hang off vertices of one internal component?"""
+    attached = _leg_components(matching, legs, _vertex_components(matching, legs, V))
+    return len(attached) == legs and len(set(attached)) == 1
 
 
 # -- series kernels ------------------------------------------------------------

@@ -156,9 +156,9 @@ def test_orbit_engine_matches_reference_closed(vertex_type, V, planar):
     want = _reference(vertex_type, V, 0)
     if planar:
         want = _slice(want, lambda key: key[0] == 0)
-    species = [(off, V)]
-    assert oc._fast_search(0, species, planar, True, False) == want
-    assert oc._fast_search(0, species, planar, False, False) == _slice(want, lambda key: key[2])
+    species = ((off, V),)
+    assert oc._closed_cells(species, planar) == want
+    assert oc._fast_search(0, species, planar, False) == _slice(want, lambda key: key[2])
 
 
 @pytest.mark.parametrize("vertex_type", WIRINGS, ids=lambda vt: vt.name)
@@ -170,12 +170,12 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
     want = _reference(vertex_type, V, legs)
     if planar:
         want = _slice(want, lambda key: key[0] == 0)
-    assert oc._fast_search(legs, species, planar, False, False) == want
+    assert oc._fast_search(legs, species, planar, False) == want
     if legs == 2:
         return
     gamma = _slice(want, lambda key: key[3])
-    assert oc._fast_search(4, species, planar, False, False, gamma_only=True) == gamma
-    twopi = oc._fast_search(4, species, planar, False, True, gamma_only=True)
+    assert oc._fast_search(4, species, planar, False, gamma_only=True) == gamma
+    twopi = oc._fast_search(4, species, planar, True, gamma_only=True)
     merged = {}
     for (h, kin, kext, conn4, _flag), count in twopi.items():
         key = (h, kin, kext, conn4, None)
@@ -183,12 +183,6 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
     assert merged == gamma
     if V <= 2:
         assert twopi == _twopi_reference(vertex_type, V, planar)
-
-
-def test_seeds_need_a_closed_diagram():
-    # a seeded component has no legs, so seeds only make sense with legs=0
-    with pytest.raises(ValueError, match="legs=0"):
-        oc._fast_search(4, [((2, 3, 0, 1), 2)], True, True, False, gamma_only=True)
 
 
 def test_relabeling_invariance_mixed_model():
@@ -217,6 +211,11 @@ SPLITS = [counts for V in (2, 3)
           if sum(1 for count in counts if count) >= 2]
 
 
+def _species(counts):
+    return tuple((oc._strand_offsets(vt), count)
+                 for vt, count in zip((CROSSING, TANGENCY, THIRD), counts))
+
+
 @cache
 def _mixed_reference(counts):
     patterns = []
@@ -228,15 +227,27 @@ def _mixed_reference(counts):
 @pytest.mark.parametrize("counts", SPLITS, ids=lambda counts: "-".join(map(str, counts)))
 @pytest.mark.parametrize("planar", [False, True])
 def test_species_engine_matches_reference(counts, planar):
-    species = [(oc._strand_offsets(vt), count)
-               for vt, count in zip((CROSSING, TANGENCY, THIRD), counts)]
+    species = _species(counts)
     want = _mixed_reference(counts)
     if planar:
         want = _slice(want, lambda key: key[0] == 0)
-    assert oc._fast_search(0, species, planar, True, False) == want
-    assert oc._fast_search(0, species, planar, False, False) == _slice(want, lambda key: key[2])
+    assert oc._closed_cells(species, planar) == want
+    assert oc._fast_search(0, species, planar, False) == _slice(want, lambda key: key[2])
     # the counts do not depend on which species holds the lowest labels
-    assert oc._fast_search(0, species[::-1], planar, True, False) == want
+    assert oc._closed_cells(species[::-1], planar) == want
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_closed_search_counts_connected_gluings_only(planar):
+    # vacuum components come from the first-block recursion, never the search
+    for vt in (CROSSING, TANGENCY, THIRD):
+        off = oc._strand_offsets(vt)
+        for V in range(1, 5):
+            cells = oc._fast_search(0, ((off, V),), planar, False)
+            assert cells and all(connected for _h, _k, connected in cells)
+    for counts in SPLITS:
+        cells = oc._fast_search(0, _species(counts), planar, False)
+        assert cells and all(connected for _h, _k, connected in cells)
 
 
 def test_mixed_disconnected_cells_from_connected_convolution():
@@ -378,6 +389,16 @@ def test_twopi_flag_needs_the_four_leg_boundary():
         oc.two_point_table(3, 2, twopi=True)
     with pytest.raises(ValueError, match="four-leg boundary"):
         oc.two_point_table(3, 2, gamma_only=True)
+
+
+def test_twopi_selection_needs_a_flagged_table():
+    table = oc.two_point_table(3, 4, gamma_only=True)
+    for twopi in (True, False):
+        with pytest.raises(ValueError, match="twopi=True"):
+            table.coefficient(1, connected_four=True, twopi=twopi)
+    assert table.coefficient(1, connected_four=True) == 90
+    flagged = oc.two_point_table(3, 4, gamma_only=True, twopi=True)
+    assert flagged.coefficient(1, connected_four=True, twopi=True) == 60
 
 
 def test_vertex_model_validation():
