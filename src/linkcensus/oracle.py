@@ -7,6 +7,9 @@ This module is the ground truth of the package: it counts perfect matchings
 * strand count (closed loops obtained by running straight through each
   vertex according to its strand pattern),
 * connectivity,
+* two-particle irreducibility (2PI) of connected four-point diagrams, on
+  request: no pair of internal edges cuts the diagram into exactly two
+  components carrying two legs each,
 
 and exposes the counts as `CountTable` objects whose entries, divided by the
 Wick normalization ``4^V V!`` per vertex type, are the exact coefficients of
@@ -51,7 +54,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial, prod
 from types import MappingProxyType
 
@@ -88,15 +91,14 @@ class CeilingError(ValueError):
 
 @dataclass(frozen=True)
 class VertexType:
-    """A four-valent vertex species: its strand wiring and coupling name."""
+    """A four-valent vertex species: its name and strand wiring."""
 
     name: str
     strand_pairs: tuple  # pairing of the legs 0..3 into two through-strands
-    coupling: str
 
 
-CROSSING = VertexType("crossing", ((0, 2), (1, 3)), "g")
-TANGENCY = VertexType("tangency", ((0, 1), (2, 3)), "h")
+CROSSING = VertexType("crossing", ((0, 2), (1, 3)))
+TANGENCY = VertexType("tangency", ((0, 1), (2, 3)))
 
 
 @dataclass(frozen=True)
@@ -165,11 +167,13 @@ class TwoPointTable:
     """Counts for diagrams with one marked boundary carrying 2 or 4 legs.
 
     ``cells`` maps ``(genus, internal_strands, boundary_strands, four_leg_connected,
-    two_particle_irreducible)`` to counts; the last entry is None unless the
-    2PI filter was requested (``twopi``), and ``four_leg_connected`` flags the
+    two_particle_irreducible)`` to counts.  ``four_leg_connected`` flags the
     diagrams where all four legs hang off a single internal component (the
-    connected four-point part).  Like `CountTable.cells`, ``cells`` is
-    read-only.
+    connected four-point part).  The last entry is None unless the table was
+    built with ``twopi``, which only the connected four-point search takes:
+    then every cell says whether its diagrams are 2PI, that is, whether no
+    pair of internal edges cuts them into exactly two components with two
+    legs on each.  Like `CountTable.cells`, ``cells`` is read-only.
     """
 
     num_vertices: int
@@ -257,7 +261,8 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     stays a single component carrying all four legs: leg-leg matches are
     skipped and a branch dies the moment an internal component runs out of
     free half-edges while anything else is still open.  Every surviving leaf
-    is then a connected four-point diagram.
+    is then a connected four-point diagram, and ``twopi`` flags it as 2PI
+    or not by trying every pair of its internal edges as a cut.
     """
     V = sum(count for _, count in species)
     S = legs + 4 * V
@@ -358,9 +363,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 key = (genus, kint, True)
             else:
                 conn4 = legs == 4 and (gamma_only or _leaf_four_connected())
-                flag = None
-                if twopi and conn4:
-                    flag = not _leaf_two_particle_reducible()
+                flag = not _leaf_two_particle_reducible() if twopi else None
                 key = (genus, kint, kext, conn4, flag)
             cells[key] = cells.get(key, 0) + weight
             return
@@ -707,101 +710,33 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
         return len(roots) == 1
 
     def _leaf_two_particle_reducible() -> bool:
-        # internal edges only; legs attach components to the boundary strings
-        edges = []
-        for s in range(legs, S):
-            t = match[s]
-            if t >= legs and s < t:
-                edges.append((vx[s], vx[t]))
-        leg_at = [vx[match[e]] for e in range(legs)]
-        return _has_two_two_cut(V, edges, leg_at)
+        # is there a pair of internal edges whose removal leaves exactly two
+        # components with two legs on each?
+        edges = [(vx[s], vx[match[s]]) for s in range(legs, S) if s < match[s]]
+        for i, j in combinations(range(len(edges)), 2):
+            parent = list(range(V))
+            comps = V
+            for u, v in edges[:i] + edges[i + 1:j] + edges[j + 1:]:
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u != v:
+                    parent[u] = v
+                    comps -= 1
+            if comps == 2:
+                sides = []
+                for e in range(legs):
+                    u = vx[match[e]]
+                    while parent[u] != u:
+                        u = parent[u]
+                    sides.append(u)
+                if sides.count(sides[0]) == 2:
+                    return True
+        return False
 
     rec(1, ninst, 0, 0, 0, ring)
     return cells
-
-
-def _has_two_two_cut(V, edges, leg_at) -> bool:
-    """Is there a pair of edges whose removal splits the graph into exactly
-    two components carrying two boundary strings each?"""
-    if len(edges) < 2:
-        return False
-    # spanning forest; every non-tree edge gets a cycle bit, tree edges carry
-    # the XOR of the cycles through them: equal signatures <=> 2-edge cut
-    adj: dict = {v: [] for v in range(V)}
-    for idx, (u, v) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    parent_edge = [-1] * V
-    parent_vtx = [-1] * V
-    depth = [0] * V
-    order = []
-    seen = [False] * V
-    for root in range(V):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w, idx in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent_edge[w] = idx
-                    parent_vtx[w] = u
-                    depth[w] = depth[u] + 1
-                    stack.append(w)
-    tree_edges = set(e for e in parent_edge if e >= 0)
-    sig = [0] * len(edges)
-    bit = 1
-    for idx, (u, v) in enumerate(edges):
-        if idx in tree_edges:
-            continue
-        if u == v:
-            sig[idx] ^= bit
-            bit <<= 1
-            continue
-        sig[idx] ^= bit
-        x, y = u, v
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y = y, x
-            sig[parent_edge[x]] ^= bit
-            x = parent_vtx[x]
-        bit <<= 1
-    groups: dict = {}
-    for idx, s in enumerate(sig):
-        if s:  # bridges (signature 0) can never sit in a 2|2 two-cut
-            groups.setdefault(s, []).append(idx)
-    for group in groups.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if _cut_splits_two_two(V, edges, leg_at, group[i], group[j]):
-                    return True
-    return False
-
-
-def _cut_splits_two_two(V, edges, leg_at, e1, e2) -> bool:
-    parent = list(range(V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    comps = V
-    for idx, (u, v) in enumerate(edges):
-        if idx == e1 or idx == e2:
-            continue
-        a, b = find(u), find(v)
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    if comps != 2:
-        return False
-    root0 = find(leg_at[0])
-    count0 = sum(1 for v in leg_at if find(v) == root0)
-    return count0 == 2
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +855,9 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
     """Count gluings with one marked boundary carrying ``legs`` half-edges.
 
     ``gamma_only`` keeps only connected four-point diagrams (pruning the
-    search) and ``twopi`` flags the 2PI ones; both need the four-leg boundary.
+    search) and needs the four-leg boundary.  ``twopi`` needs ``gamma_only``
+    too: it flags each diagram as 2PI or not by trying every pair of
+    internal edges as a cut, at the leaf.
     """
     if legs not in (2, 4):
         raise ValueError("the marked boundary carries 2 or 4 legs")
@@ -928,6 +865,8 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
         raise ValueError("num_vertices must be nonnegative")
     if (gamma_only or twopi) and legs != 4:
         raise ValueError("gamma_only and twopi apply to the four-leg boundary")
+    if twopi and not gamma_only:
+        raise ValueError("twopi flags connected four-point diagrams; pass gamma_only=True")
     _check_ceiling(num_vertices, ceiling)
     species = ((_strand_offsets(CROSSING), num_vertices),)
     cells = _cached_cells(legs, species, planar_only, twopi, gamma_only)

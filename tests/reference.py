@@ -5,7 +5,10 @@ each one from scratch: no incremental state, no pruning, no symmetry.  That
 makes it slow, (4V + legs - 1)!! leaves per table, and easy to read.  Only
 the rotation and strand permutations, which depend on the vertices alone,
 are built once per table.  The tests compare the oracle's search with it
-cell for cell.
+cell for cell.  The 2PI reference (`_twopi_reference`) finds a two-particle
+cut among the splits of the vertices into two sides, where the engine tries
+pairs of edges.  Nothing here comes from the package but `linkcensus.series`,
+so the references stay independent of the code they check.
 
 The series kernels (`plain_mul`, `plain_div`, `plain_sqrt_series`, and
 `plain_add`, `plain_scale`, `plain_truncate`, `plain_shift_down`,
@@ -161,7 +164,7 @@ def iter_pairings(num_vertices: int, legs: int = 0):
             stack.append((free[1:i] + free[i + 1 :], 1))
 
 
-def _enumerate_plain(vertex_patterns, legs, planar_only, connected_only):
+def _enumerate_plain(vertex_patterns, legs):
     """Reference counting: classify every matching at the leaf."""
     V = len(vertex_patterns)
     cells: dict = {}
@@ -173,14 +176,8 @@ def _enumerate_plain(vertex_patterns, legs, planar_only, connected_only):
         if legs == 0:
             comps = len(set(roots))
             chi = V - E + faces
-            genus2 = 2 * comps - chi
-            genus = genus2 // 2
-            connected = comps == 1
-            if connected_only and not connected:
-                continue
-            if planar_only and genus != 0:
-                continue
-            key = (genus, kin, connected)
+            genus = (2 * comps - chi) // 2
+            key = (genus, kin, comps == 1)
         else:
             # every internal component must touch the boundary (vacuum parts cancel)
             attached = _leg_components(matching, legs, roots)
@@ -188,12 +185,57 @@ def _enumerate_plain(vertex_patterns, legs, planar_only, connected_only):
                 continue
             chi = (V + 1) - E + faces
             genus = (2 - chi) // 2
-            if planar_only and genus != 0:
-                continue
             conn4 = legs == 4 and len(attached) == 4 and len(set(attached)) == 1
             key = (genus, kin, kext, conn4, None)
         cells[key] = cells.get(key, 0) + 1
     return cells
+
+
+def _twopi_reference(vertex_patterns, planar):
+    """Connected four-leg cells, each flagged as two-particle irreducible or not."""
+    V = len(vertex_patterns)
+    cells: dict = {}
+    sigma, strand = _vertex_permutations(vertex_patterns, 4)
+    for matching in iter_pairings(V, 4):
+        if _has_vacuum_component(matching, 4, V) or not _four_leg_connected(matching, 4, V):
+            continue
+        faces, kin, kext = _faces_and_loops(matching, sigma, strand, 4)
+        genus = (2 - (V + 1) + (2 + 2 * V) - faces) // 2
+        if planar and genus:
+            continue
+        key = (genus, kin, kext, True, not _two_two_cut(matching, V))
+        cells[key] = cells.get(key, 0) + 1
+    return cells
+
+
+def _two_two_cut(matching, V) -> bool:
+    """Does some split of the vertices into two sides, each connected on its
+    own and carrying two of the four legs, have exactly two internal edges
+    running between the sides?"""
+    ends = [((s - 4) // 4, (matching[s] - 4) // 4)
+            for s in range(4, 4 + 4 * V) if s < matching[s]]
+    leg_at = [(matching[e] - 4) // 4 for e in range(4)]
+    for mask in range(1, 2**V - 1):
+        side = [mask >> v & 1 for v in range(V)]
+        across = sum(side[u] != side[v] for u, v in ends)
+        if (across == 2 and sum(side[v] for v in leg_at) == 2
+                and _induced_connected(ends, side, 0) and _induced_connected(ends, side, 1)):
+            return True
+    return False
+
+
+def _induced_connected(ends, side, which) -> bool:
+    """Do the vertices on side ``which`` span a connected subgraph by themselves?"""
+    members = {v for v, s in enumerate(side) if s == which}
+    reached = {min(members)}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in ends:
+            if u in members and v in members and (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    return reached == members
 
 
 def _has_vacuum_component(matching, legs, V) -> bool:
@@ -318,14 +360,12 @@ def _bivariate(poly: sp.Poly) -> BivariatePoly:
     return BivariatePoly.from_dict({(i, j): Fraction(int(c)) for (i, j), c in poly.terms()})
 
 
-def quintic_sympy() -> BivariatePoly:
+def quintic_sympy(series: Series) -> BivariatePoly:
     """The flype quintic: sympy's resultant in z of the squared system, then `factor_list`.
 
-    The factor that annihilates the order-12 flype series, with a positive
-    leading coefficient in (g, then W) order.
+    The factor that annihilates ``series``, the flype series W(g) to a few
+    orders, with a positive leading coefficient in (g, then W) order.
     """
-    from linkcensus.flype import _flype_series
-
     z, g, W = (
         sp.Poly.from_dict({exponents: 1}, *sp.symbols("z g W"), domain=sp.ZZ)
         for exponents in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -338,7 +378,6 @@ def quintic_sympy() -> BivariatePoly:
         + (1 + W) * (1 + 10 * W - 2 * W**2)
     )
     e2 = lhs**2 - (1 + W) ** 2 * (1 - 4 * W) ** 3
-    series = _flype_series(12)
     (quintic,) = [poly for poly, _mult in e1.resultant(e2).factor_list()[1]
                   if _bivariate(poly).eval_series(series).is_zero()]
     return _bivariate(-quintic if quintic.LC() < 0 else quintic)

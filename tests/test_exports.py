@@ -62,6 +62,19 @@ def test_commands_do_not_load_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def _imported_modules(path) -> set:
+    """The module named by every import statement in the file, nested ones too."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+    return names
+
+
 def test_no_module_imports_sympy():
     package = os.path.dirname(linkcensus.__file__)
     importers = set()
@@ -70,18 +83,16 @@ def test_no_module_imports_sympy():
             if not filename.endswith(".py"):
                 continue
             path = os.path.join(folder, filename)
-            with open(path) as handle:
-                tree = ast.parse(handle.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                else:
-                    continue
-                if any(name.split(".")[0] == "sympy" for name in names):
-                    importers.add(os.path.relpath(path, package))
+            if any(name.split(".")[0] == "sympy" for name in _imported_modules(path)):
+                importers.add(os.path.relpath(path, package))
     assert importers == set()
+
+
+def test_reference_imports_only_the_series_from_the_package():
+    # the reference engines check the package, so they must not borrow from it
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference.py")
+    borrowed = {name for name in _imported_modules(path) if name.split(".")[0] == "linkcensus"}
+    assert borrowed == {"linkcensus.series"}
 
 
 def test_commands_run_with_sympy_refused():

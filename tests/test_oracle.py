@@ -4,15 +4,14 @@ import inspect
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 import pytest
 
 from linkcensus import onematrix as om
 from linkcensus import oracle as oc
 from linkcensus.oracle import CROSSING, TANGENCY
-from reference import (_enumerate_plain, _four_leg_connected, _has_vacuum_component,
-                       classify_pairing, iter_pairings)
+from linkcensus.series import Series, log_series
+from reference import _enumerate_plain, _twopi_reference, classify_pairing, iter_pairings
 
 F = Fraction
 
@@ -52,14 +51,14 @@ def test_euler_characteristic_bounds():
 @pytest.mark.parametrize("V", [1, 2, 3])
 def test_fast_matches_reference_closed(V):
     fast = oc.enumerate_pairings(V)
-    plain = _enumerate_plain((CROSSING.strand_pairs,) * V, 0, False, False)
+    plain = _enumerate_plain((CROSSING.strand_pairs,) * V, 0)
     assert fast.cells == dict(sorted(plain.items()))
 
 
 @pytest.mark.parametrize("V,legs", [(0, 2), (1, 2), (2, 2), (0, 4), (1, 4), (2, 4)])
 def test_fast_matches_reference_marked(V, legs):
     fast = oc.two_point_table(V, legs, planar_only=False)
-    plain = _enumerate_plain((CROSSING.strand_pairs,) * V, legs, False, False)
+    plain = _enumerate_plain((CROSSING.strand_pairs,) * V, legs)
     assert fast.cells == dict(sorted(plain.items()))
 
 
@@ -120,32 +119,11 @@ WIRINGS = [CROSSING, TANGENCY]
 @cache
 def _reference(vertex_type, V, legs):
     """Reference cells with no filter; every search mode is a slice of them."""
-    return _enumerate_plain((vertex_type.strand_pairs,) * V, legs, False, False)
+    return _enumerate_plain((vertex_type.strand_pairs,) * V, legs)
 
 
 def _slice(cells, keep):
     return {key: count for key, count in cells.items() if keep(key)}
-
-
-def _twopi_reference(vertex_type, V, planar):
-    """Connected four-leg cells split by two-particle irreducibility, trying
-    every pair of internal edges as a cut."""
-    patterns = (vertex_type.strand_pairs,) * V
-    cells = {}
-    for m in iter_pairings(V, 4):
-        if _has_vacuum_component(m, 4, V) or not _four_leg_connected(m, 4, V):
-            continue
-        faces, kin, kext, _ = classify_pairing(m, patterns, 4)
-        genus = (2 - (V + 1) + (2 + 2 * V) - faces) // 2
-        if planar and genus:
-            continue
-        edges = [((s - 4) // 4, (m[s] - 4) // 4) for s in range(4, 4 + 4 * V) if s < m[s]]
-        leg_at = [(m[e] - 4) // 4 for e in range(4)]
-        reducible = any(oc._cut_splits_two_two(V, edges, leg_at, i, j)
-                        for i, j in combinations(range(len(edges)), 2))
-        key = (genus, kin, kext, True, not reducible)
-        cells[key] = cells.get(key, 0) + 1
-    return cells
 
 
 @pytest.mark.parametrize("vertex_type", WIRINGS, ids=lambda vt: vt.name)
@@ -182,7 +160,7 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
         merged[key] = merged.get(key, 0) + count
     assert merged == gamma
     if V <= 2:
-        assert twopi == _twopi_reference(vertex_type, V, planar)
+        assert twopi == _twopi_reference((vertex_type.strand_pairs,) * V, planar)
 
 
 def test_relabeling_invariance_mixed_model():
@@ -191,7 +169,7 @@ def test_relabeling_invariance_mixed_model():
         (CROSSING.strand_pairs, CROSSING.strand_pairs, TANGENCY.strand_pairs),
         (TANGENCY.strand_pairs, CROSSING.strand_pairs, CROSSING.strand_pairs),
     ]
-    tables = [_enumerate_plain(patterns, 0, False, False) for patterns in orders]
+    tables = [_enumerate_plain(patterns, 0) for patterns in orders]
     assert tables[0] == tables[1] == tables[2]
 
 
@@ -205,7 +183,7 @@ def test_mixed_model_total_and_planar_cells():
 
 # -- several vertex species in one search --------------------------------------------
 
-THIRD = oc.VertexType("third", ((0, 3), (1, 2)), "k")
+THIRD = oc.VertexType("third", ((0, 3), (1, 2)))
 SPLITS = [counts for V in (2, 3)
           for counts in [(c, t, V - c - t) for c in range(V + 1) for t in range(V + 1 - c)]
           if sum(1 for count in counts if count) >= 2]
@@ -221,7 +199,7 @@ def _mixed_reference(counts):
     patterns = []
     for vt, count in zip((CROSSING, TANGENCY, THIRD), counts):
         patterns.extend([vt.strand_pairs] * count)
-    return _enumerate_plain(tuple(patterns), 0, False, False)
+    return _enumerate_plain(tuple(patterns), 0)
 
 
 @pytest.mark.parametrize("counts", SPLITS, ids=lambda counts: "-".join(map(str, counts)))
@@ -288,6 +266,23 @@ def test_mixed_disconnected_cells_from_connected_convolution():
         assert merged == convolve(a, b)
 
 
+@pytest.mark.parametrize("n", [F(1), F(2), F(1, 2)])
+def test_planar_cells_exponentiate_the_free_energy(n):
+    """The exponential formula, by a series logarithm rather than the
+    first-block recursion: the planar gluings of every content, vacuum
+    components included, sum to exp of the planar free energy."""
+    vmax = 6
+    coeffs = [F(1)]
+    for V in range(1, vmax + 1):
+        cells = oc.enumerate_pairings(V, planar_only=True).cells
+        coeffs.append(F(sum(c * n**k for (_h, k, _conn), c in cells.items()),
+                        4**V * math.factorial(V)))
+    free = log_series(Series.from_coeffs(coeffs, vmax))
+    assert free == oc.free_energy_series(vmax, n)
+    if n == 1:
+        assert free == om.free_energy_raw_series(vmax)
+
+
 @pytest.mark.parametrize("tangencies", [1, 2, 3])
 def test_mixed_total_at_four_vertices(tangencies):
     table = oc.enumerate_pairings(4, oc.VertexModel.generalized(),
@@ -351,7 +346,7 @@ def test_reduced_tangles_from_oracle_data_alone():
 
 
 def test_twopi_tangle_series_raw():
-    assert oc.twopi_gamma_series(3).coeffs == (0, 1, 8, 60)
+    assert oc.twopi_gamma_series(5).coeffs == (0, 1, 8, 60, 464, 3743)
 
 
 def test_twopi_tangles_renormalize_to_skeleton_form():
@@ -368,7 +363,7 @@ def test_twopi_tangles_renormalize_to_skeleton_form():
 def test_twopi_tangles_renormalize_to_skeleton_form_deeper():
     from linkcensus import flype
 
-    order = 4
+    order = 5
     t = om.solve_unit_two_point(oc.g2_series(order))
     reduced_2pi = om.substitute_renormalized(oc.twopi_gamma_series(order), t, legs=4)
     assert reduced_2pi == flype.d_of_gamma(om.gamma_reduced_series(order))
@@ -389,6 +384,8 @@ def test_twopi_flag_needs_the_four_leg_boundary():
         oc.two_point_table(3, 2, twopi=True)
     with pytest.raises(ValueError, match="four-leg boundary"):
         oc.two_point_table(3, 2, gamma_only=True)
+    with pytest.raises(ValueError, match="gamma_only=True"):
+        oc.two_point_table(3, 4, twopi=True)
 
 
 def test_twopi_selection_needs_a_flagged_table():
@@ -403,7 +400,7 @@ def test_twopi_selection_needs_a_flagged_table():
 
 def test_vertex_model_validation():
     with pytest.raises(ValueError):
-        oc.VertexModel((oc.VertexType("bad", ((0, 1), (1, 2)), "x"),))
+        oc.VertexModel((oc.VertexType("bad", ((0, 1), (1, 2))),))
 
 
 def test_iter_pairings_counts():
@@ -428,13 +425,13 @@ def test_csv_export_schema():
 def test_cache_is_keyed_by_wiring_not_name():
     crossing = oc.enumerate_pairings(2)
     # a type named "crossing" but wired as a tangency must not get the cached crossing table
-    odd = oc.VertexType("crossing", TANGENCY.strand_pairs, "g")
+    odd = oc.VertexType("crossing", TANGENCY.strand_pairs)
     table = oc.enumerate_pairings(2, oc.VertexModel((odd,)))
     assert table.cells == oc.enumerate_pairings(2, oc.VertexModel((TANGENCY,))).cells
     assert table.cells != crossing.cells
     assert table.vertex_counts == (("crossing", 2),)
     # the same wiring under another name (and strand order) shares the counts, not the label
-    renamed = oc.VertexType("x", ((3, 1), (2, 0)), "g")
+    renamed = oc.VertexType("x", ((3, 1), (2, 0)))
     table = oc.enumerate_pairings(2, oc.VertexModel((renamed,)))
     assert table.cells == crossing.cells
     assert table.vertex_counts == (("x", 2),)
