@@ -248,7 +248,12 @@ def main(argv=None) -> int:
     config = RunConfig(**fields)
     try:
         return run(config)
-    except (ValueError, oracle.CeilingError) as exc:
+    except oracle.CeilingError as exc:
+        # the library's hint names a keyword argument the command line lacks
+        print(f"error: V = {exc.vertices} exceeds the enumeration ceiling: the "
+              f"command line enumerates at most {exc.ceiling} vertices", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (flype.BranchMismatchError, ArithmeticError) as exc:

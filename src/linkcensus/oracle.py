@@ -88,6 +88,15 @@ DEFAULT_CEILING = 6
 class CeilingError(ValueError):
     """The requested vertex count exceeds the configured enumeration ceiling."""
 
+    def __init__(self, vertices: int, ceiling: int) -> None:
+        super().__init__(vertices, ceiling)
+        self.vertices = vertices
+        self.ceiling = ceiling
+
+    def __str__(self) -> str:
+        return (f"V = {self.vertices} exceeds the enumeration ceiling {self.ceiling}; "
+                f"pass a larger `ceiling=` explicitly if you really want this run")
+
 
 @dataclass(frozen=True)
 class VertexType:
@@ -807,10 +816,7 @@ def _strand_offsets(vertex_type: VertexType) -> tuple:
 
 def _check_ceiling(V: int, ceiling: int) -> None:
     if V > ceiling:
-        raise CeilingError(
-            f"V = {V} exceeds the enumeration ceiling {ceiling}; pass a larger "
-            f"`ceiling=` explicitly if you really want this run"
-        )
+        raise CeilingError(V, ceiling)
 
 
 def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,

@@ -17,6 +17,10 @@ that gcd once per result.  Equal series therefore have equal ``num``, ``den``
 and ``var``.  The `Fraction` coefficients (``coeffs``) are built only when
 read, and then cached.
 
+`reversion` is Lagrange inversion with baby-step/giant-step powers: it
+builds about ``2*sqrt(n)`` truncated products at order n, not one per power,
+and reads each coefficient of the inverse off one integer dot product.
+
 The module also provides `AlgebraicSystem`, a bivariate polynomial relation
 ``P(g, y) = 0`` together with the value of the branch at ``g = 0``, and
 `newton_solve`, which expands the selected branch as a series by Newton
@@ -432,7 +436,12 @@ def reversion(s: Series) -> Series:
 
     Requires a zero constant term and a nonzero linear term; the result ``r``
     satisfies ``compose(s, r) = identity`` through the available order.
-    Coefficient k of ``r`` is coefficient k - 1 of ``(w/s)^k``, over k.
+    Coefficient k of ``r`` is coefficient k - 1 of ``h^k``, over k, with
+    ``h = w/s``.  The powers are split baby-step/giant-step: with
+    ``m = isqrt(n)``, ``H = h^m`` and ``k = m*j + i`` (``0 <= i < m``),
+    coefficient k - 1 of ``h^k`` is one integer dot product of ``h^i`` with
+    ``H^j``.  That takes about ``2*sqrt(n)`` truncated products instead of
+    the ``n - 1`` of building every power.
     """
     if s.num[0] != 0:
         raise SeriesError("reversion requires a zero constant term")
@@ -441,14 +450,21 @@ def reversion(s: Series) -> Series:
     n = s.order
     if n == 1:
         return _series([0, s.den], s.num[1], s.var)
-    # base = w / s(w), a unit series of order n - 1
-    base = div(Series.one(n - 1, s.var), _series(s.num[1:], s.den, s.var))
-    nums, dens = [0, base.num[0]], [1, base.den]
-    power = base  # (w/s)^k, maintained iteratively
-    for k in range(2, n + 1):
-        power = mul(power, base)
-        nums.append(power.num[k - 1])
-        dens.append(power.den * k)
+    # h = w / s(w), a unit series of order n - 1
+    h = div(Series.one(n - 1, s.var), _series(s.num[1:], s.den, s.var))
+    m = math.isqrt(n)
+    baby = [Series.one(n - 1, s.var), h]  # h^0 .. h^m
+    for _ in range(m - 1):
+        baby.append(mul(baby[-1], h))
+    giant = [baby[0], baby[m]]  # H^0 .. H^(n // m)
+    for _ in range(n // m - 1):
+        giant.append(mul(giant[-1], baby[m]))
+    nums, dens = [0], [1]
+    for k in range(1, n + 1):
+        j, i = divmod(k, m)
+        a, b = baby[i], giant[j]
+        nums.append(sum(map(operator.mul, a.num[:k], b.num[k - 1 :: -1])))
+        dens.append(a.den * b.den * k)
     den = math.lcm(*dens)
     return _series([p * (den // d) for p, d in zip(nums, dens)], den, s.var)
 

@@ -338,7 +338,8 @@ def plain_integrate(s: Series) -> Series:
 
 
 def plain_reversion(s: Series) -> Series:
-    """Lagrange inversion in Fractions: [w^k] r = [w^(k-1)] (w/s)^k / k."""
+    """Lagrange inversion in Fractions: [w^k] r = [w^(k-1)] (w/s)^k / k, with
+    every power (w/s)^k built in turn by one more product."""
     n = s.order
     out = [Fraction(0), 1 / s.coeffs[1]]
     if n > 1:

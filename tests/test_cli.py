@@ -168,6 +168,22 @@ def test_domain_error_exits_two(capsys):
     assert "ceiling" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--model", "on", "--order", "7"],
+    ["enumerate", "--vertices", "7"],
+    ["crosscheck", "--vmax", "7"],
+])
+def test_ceiling_error_names_the_limit_not_a_keyword(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: V = 7 exceeds the enumeration ceiling")
+    assert "at most 6 vertices" in captured.err
+    assert "`ceiling=`" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_enumerate_rejects_more_tangencies_than_vertices(capsys):
     # 5 tangencies among 2 vertices would leave -3 crossings
     code = cli.main(["enumerate", "--vertices", "2", "--tangencies", "5"])

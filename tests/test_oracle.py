@@ -11,7 +11,15 @@ from linkcensus import onematrix as om
 from linkcensus import oracle as oc
 from linkcensus.oracle import CROSSING, TANGENCY
 from linkcensus.series import Series, log_series
-from reference import _enumerate_plain, _twopi_reference, classify_pairing, iter_pairings
+from reference import (
+    _enumerate_plain,
+    _four_leg_connected,
+    _has_vacuum_component,
+    _twopi_reference,
+    _two_two_cut,
+    classify_pairing,
+    iter_pairings,
+)
 
 F = Fraction
 
@@ -161,6 +169,39 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
     assert merged == gamma
     if V <= 2:
         assert twopi == _twopi_reference((vertex_type.strand_pairs,) * V, planar)
+
+
+def _four_leg_gluing(V, legs_at, edges):
+    """The matching with leg e at vertex ``legs_at[e]`` and the given internal
+    edges, each vertex handing out its half-edges in order."""
+    matching = [-1] * (4 + 4 * V)
+    free = [iter(range(4 + 4 * v, 8 + 4 * v)) for v in range(V)]
+    ends = [(e, next(free[v])) for e, v in enumerate(legs_at)]
+    ends += [(next(free[u]), next(free[v])) for u, v in edges]
+    for a, b in ends:
+        matching[a], matching[b] = b, a
+    assert -1 not in matching
+    assert _four_leg_connected(matching, 4, V) and not _has_vacuum_component(matching, 4, V)
+    return tuple(matching)
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+# At V <= 3 the reference's 2PI comparison cannot tell its cut rule from a
+# looser one: a side with one vertex and two legs has at most two edges
+# across, and the count is always even.  These hand-built gluings can.
+@pytest.mark.parametrize("V,legs_at,edges,cut", [
+    # K4 with one leg at each vertex: every 2/2 split has 4 edges across
+    (4, (0, 1, 2, 3), K4_EDGES, False),
+    # two doubled edges joined by two edges: {0, 1} | {2, 3} is a two-edge cut
+    (4, (0, 1, 2, 3), [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)], True),
+    # a K4 core with a self-loop blob on two of its legs: the split
+    # {4, 5} | core has two edges across, but its blob side is disconnected
+    (6, (0, 1, 4, 5), K4_EDGES + [(2, 4), (3, 5), (4, 4), (5, 5)], False),
+])
+def test_reference_two_particle_cut_rule(V, legs_at, edges, cut):
+    assert _two_two_cut(_four_leg_gluing(V, legs_at, edges), V) is cut
 
 
 def test_relabeling_invariance_mixed_model():

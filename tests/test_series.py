@@ -19,6 +19,9 @@ from reference import (
     plain_truncate,
 )
 
+from linkcensus import abab, flype
+from linkcensus import onematrix as om
+from linkcensus import oracle as oc
 from linkcensus.series import (
     AlgebraicSystem,
     BivariatePoly,
@@ -131,6 +134,17 @@ def wild_series(rng, order, var="g", constant=None):
     return Series.from_coeffs(coeffs[: order + 1], var=var)
 
 
+def small_digit_reversible(rng, order, var="g"):
+    """A zero constant term, a nonzero linear term and single-digit rationals.
+
+    Single digits because reversion grows the numbers fast, and the Fraction
+    reference with them (1.5 s at order 40 on 10^6-sized inputs).
+    """
+    linear = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    tail = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order - 1)]
+    return Series.from_coeffs([0, linear] + tail, var=var)
+
+
 def assert_same(got, want):
     assert (got.var, got.order) == (want.var, want.order)
     assert got == want
@@ -170,11 +184,7 @@ def test_kernels_match_reference_through_order_40():
         assert_same(derivative(a), plain_derivative(a))
         assert_same(integrate(a), plain_integrate(a))
         if order >= 1:
-            # single digits: reversion grows the numbers fast, and the Fraction
-            # reference with them (1.5 s at order 40 on 10^6-sized inputs)
-            linear = F(more.choice([-1, 1]) * more.randint(1, 9), more.randint(1, 9))
-            tail = [F(more.randint(-9, 9), more.randint(1, 9)) for _ in range(order - 1)]
-            rev = Series.from_coeffs([0, linear] + tail, var=var)
+            rev = small_digit_reversible(more, order, var)
             assert_same(reversion(rev), plain_reversion(rev))
 
 
@@ -303,6 +313,58 @@ def test_reversion_round_trips_random():
         assert compose(s, r) == Series.identity(order)
         assert compose(r, s) == Series.identity(order)
         assert reversion(r) == s
+
+
+# with m = isqrt(n), reversion builds h^i for i <= m and (h^m)^j for j <= n // m:
+# orders on each side of a square change m and the last giant step
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26])
+def test_reversion_matches_reference_on_each_side_of_a_square(order):
+    rng = random.Random(order)
+    for _ in range(5):
+        s = small_digit_reversible(rng, order)
+        assert_same(reversion(s), plain_reversion(s))
+
+
+def _reversion_inputs(monkeypatch, module, run):
+    """Every series that ``run()`` hands to ``module.reversion``."""
+    seen = []
+
+    def recording(s):
+        seen.append(s)
+        return reversion(s)
+
+    monkeypatch.setattr(module, "reversion", recording)
+    run()
+    return seen
+
+
+# the package's own reversions: the flype coupling g(W) at the order that
+# flype-certify runs, and the t(g) inputs of the closed-form, oracle and
+# two-color renormalizations at the largest orders the tests and the CLI
+# reach
+PACKAGE_REVERSIONS = {
+    "flype-coupling-60": (flype, lambda: flype._flype_series(60)),
+    "t-closed-form-10": (om, lambda: om.solve_unit_two_point(om.g2_raw_series(10))),
+    "t-oracle-5": (om, lambda: om.solve_unit_two_point(oc.g2_series(5))),
+    "t-two-color-5": (om, lambda: abab.renormalization(5)),
+}
+
+
+@pytest.mark.parametrize("name", PACKAGE_REVERSIONS)
+def test_reversion_matches_reference_on_package_inputs(monkeypatch, name):
+    inputs = _reversion_inputs(monkeypatch, *PACKAGE_REVERSIONS[name])
+    assert inputs
+    for s in inputs:
+        assert_same(reversion(s), plain_reversion(s))
+
+
+def test_reversion_round_trips_the_flype_coupling(monkeypatch):
+    (s,) = _reversion_inputs(monkeypatch, *PACKAGE_REVERSIONS["flype-coupling-60"])
+    assert s.order == 60
+    r = reversion(s)
+    assert compose(s, r) == Series.identity(60)
+    assert compose(r, s) == Series.identity(60)
+    assert reversion(r) == s
 
 
 def test_reversion_preconditions():
