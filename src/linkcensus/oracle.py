@@ -22,10 +22,14 @@ partially glued surface incrementally.  Gluing two half-edges on the same
 boundary cycle splits it (possibly completing faces); gluing across two
 cycles adds a handle, which is exactly the move the planar mode prunes, so
 planar mode looks for partners only on the glued half-edge's own boundary
-cycle.  A closed table with vacuum components is not searched: it follows
-from the connected tables of its vertex content and of every smaller one by
-the labeled first-block recursion (the exponential formula), in which the
-component holding the lowest label is one connected block.  The Wick
+cycle, and only at odd steps along it: every cycle starts even, a fresh
+vertex grows it by two, and an even step would split it into two odd arcs,
+which no planar gluing can ever close.  The last gluing, once it is forced,
+is not made: its diagram is classified in place.  A closed table with
+vacuum components is not searched: it follows from the connected tables of
+its vertex content and of every smaller one by the labeled first-block
+recursion (the exponential formula), in which the component holding the
+lowest label is one connected block.  The Wick
 factor ``4^V V!`` per species is a symmetry the search divides out as it
 goes: the not-yet-touched labeled vertices of one species are
 interchangeable (the ``V!``), so touching one branches once per species with
@@ -245,9 +249,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     two orbits of 2 for a tangency).  A closed diagram (``legs=0``) starts
     on the lowest label, so on the first species with a nonzero count, with
     weight 1; every other vertex is reached by gluing, so the search counts
-    only gluings without vacuum components.  A branch whose half-edges are
-    all matched while vertices are left over is a dead end.  Returns the
-    cells dict.
+    only gluings without vacuum components.  Returns the cells dict.
 
     The recursion keeps, with O(1) amortized rollback per gluing:
 
@@ -264,7 +266,21 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     adds a handle, which is what ``planar_only`` prunes; gluing to a fresh
     vertex splices its other three legs into the cycle.  The lowest free
     half-edge is glued first; its partners are the rest of the free list,
-    or in planar mode only the rest of its own boundary ring.
+    or in planar mode only the members of its own boundary ring at odd
+    steps from it (``nxt``, ``nxt^3``, ...).  A ring of n splits into arcs of
+    k and n - 2 - k, and a fresh vertex adds 2, so an odd ring stays odd
+    and never closes; every ring starts even, and the odd steps are exactly
+    the gluings that keep both arcs even (a non-crossing matching on a
+    cycle pairs points at odd distance).
+
+    There is one leaf path: the forced last gluing.  With two free
+    half-edges and every vertex placed, the search does not glue them but
+    classifies the diagram in place: two more faces if they share a ring,
+    else one more (a handle, never reached in planar mode), one more loop,
+    internal or external by the flag of their strand segment, and for four
+    legs the connectivity and 2PI tests on the completed matching.  With
+    two free half-edges and vertices left, gluing them would close the
+    component early, so only fresh vertices are tried.
 
     ``gamma_only`` (four marked legs) keeps only gluings whose internal graph
     stays a single component carrying all four legs: leg-leg matches are
@@ -359,20 +375,35 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E,
             planar_only=planar_only, gamma_only=gamma_only,
             track_internal=track_internal, twopi=twopi,
-            kinds=kinds, left=left, walk=nxt if planar_only else fnx):
+            kinds=kinds, left=left):
         s0 = fnx[HEAD]
-        if s0 == HEAD:
-            if ninst < V:
-                return  # the component closed with vertices left over
-            # ---- leaf ----
+        if nfree == 2 and ninst == V:
+            # ---- the forced last gluing: classify its leaf in place (in
+            # gamma mode never of two legs: that branch sealed earlier) ----
+            t = fnx[s0]
+            # two half-edges left on one ring close two faces; on two rings of
+            # one each they add a handle and close one (planar mode, whose
+            # rings stay even, never gets there, and would refuse it)
+            faces += 2 if cyc[s0] == cyc[t] else 1
             genus = (2 - faces + V) // 2 if legs == 0 else (2 - (V + 1) + E - faces) // 2
             if planar_only and genus != 0:
                 return
+            # they are the two open ends of the last strand segment
+            rs = s0
+            while spar[rs] != rs:
+                rs = spar[rs]
+            if sext[rs]:
+                kext += 1
+            else:
+                kint += 1
             if legs == 0:
                 key = (genus, kint, True)
             else:
-                conn4 = legs == 4 and (gamma_only or _leaf_four_connected())
+                match[s0] = t
+                match[t] = s0
+                conn4 = legs == 4 and (gamma_only or _leaf_four_connected(s0, t))
                 flag = not _leaf_two_particle_reducible() if twopi else None
+                match[s0] = match[t] = -1
                 key = (genus, kint, kext, conn4, flag)
             cells[key] = cells.get(key, 0) + weight
             return
@@ -388,21 +419,23 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             ifree0 = 0
 
         # -- candidates among already-active stubs: the rest of the free
-        # list, or in planar mode the rest of s0's own boundary ring (a
-        # partner on another cycle would add a handle) --
+        # list, or in planar mode the partners at odd steps along s0's own
+        # boundary ring (a partner on another cycle would add a handle, and
+        # one at an even step would leave two odd arcs, which never close).
+        # With vertices left, gluing the last two half-edges is a dead end --
         if planar_only:
-            t = nxt[s0]
-            stop = s0
+            t = prv[s0]
+            ncand = csz[ca] >> 1
         else:
-            t = fnx[s0]
-            stop = HEAD
-        while t != stop:
+            t = s0
+            ncand = nfree - 1
+        for _ in range(ncand if nfree > 2 else 0):
+            t = nxt[nxt[t]] if planar_only else fnx[t]
             cb = cyc[t]
             if gamma_only:
                 # keep the internal graph one open component over all 4 legs
                 if ir0 < 0:
                     if t < legs:
-                        t = walk[t]
                         continue  # leg paired with leg: never connected
                     r2 = vx[t]
                     while ipar[r2] != r2:
@@ -415,8 +448,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     while ipar[r2] != r2:
                         r2 = ipar[r2]
                     newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
-                if newf == 0 and nfree > 2:
-                    t = walk[t]
+                if newf == 0:
                     continue  # an internal component sealed before the end
             a = s0
             b = t
@@ -596,7 +628,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             fnx[fpv[b]] = b
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
-            t = walk[t]
 
         # -- candidates on a fresh vertex: splice its other three legs in --
         if ninst < V:
@@ -709,14 +740,16 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     fnx[fpv[a]] = a
                 left[sp] = m
 
-    def _leaf_four_connected() -> bool:
+    def _leaf_four_connected(a: int, b: int) -> bool:
+        # the last gluing a-b is in ``match`` but not in ``ipar``: if both
+        # are internal, it joins their two components
         roots = set()
         for e in range(4):
             p = match[e]
             if p < 4:
                 return False
             roots.add(ifind(vx[p]))
-        return len(roots) == 1
+        return len(roots) == 1 or (a >= 4 and roots == {ifind(vx[a]), ifind(vx[b])})
 
     def _leaf_two_particle_reducible() -> bool:
         # is there a pair of internal edges whose removal leaves exactly two
@@ -902,6 +935,7 @@ def free_energy_polynomials(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> dic
     Returns ``{V: {k: coefficient of n^k}}`` for 1 <= V <= vmax, from the
     connected planar count with k strands divided by 4^V V!.
     """
+    _check_ceiling(vmax, ceiling)
     out: dict = {}
     for V in range(1, vmax + 1):
         table = enumerate_pairings(V, planar_only=True, connected_only=True,
@@ -923,6 +957,7 @@ def free_energy_series(vmax: int, n: Fraction | int = 1, *,
 
 def g2_series(vmax: int, n: Fraction | int = 1, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle two-point series with a fixed external color (planar)."""
+    _check_ceiling(vmax, ceiling)
     n = Fraction(n)
     coeffs = []
     for V in range(vmax + 1):
@@ -939,6 +974,7 @@ def g4_series(vmax: int, n: Fraction | int = 1, *, color_boundary: bool = False,
     which is the color-summed correlator whose quarter is d/dg of the free
     energy of the n-color model.
     """
+    _check_ceiling(vmax, ceiling)
     n = Fraction(n)
     coeffs = []
     for V in range(vmax + 1):
@@ -949,6 +985,7 @@ def g4_series(vmax: int, n: Fraction | int = 1, *, color_boundary: bool = False,
 
 def gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle connected four-point (tangle) series, one color, planar."""
+    _check_ceiling(vmax, ceiling)
     coeffs = []
     for V in range(vmax + 1):
         table = two_point_table(V, 4, gamma_only=True, ceiling=ceiling)
@@ -958,6 +995,7 @@ def gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
 
 def twopi_gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle series of two-particle-irreducible tangles (one color, planar)."""
+    _check_ceiling(vmax, ceiling)
     coeffs = []
     for V in range(vmax + 1):
         table = two_point_table(V, 4, twopi=True, gamma_only=True, ceiling=ceiling)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from linkcensus import cli, flype
+from linkcensus import cli, flype, oracle
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +182,23 @@ def test_ceiling_error_names_the_limit_not_a_keyword(capsys, argv):
     assert "at most 6 vertices" in captured.err
     assert "`ceiling=`" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--model", "on", "--order", "7"],
+    ["crosscheck", "--vmax", "7"],
+])
+def test_ceiling_is_refused_before_any_search(capsys, monkeypatch, argv):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched below the ceiling before refusing")
+
+    monkeypatch.setattr(oracle, "_fast_search", no_search)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: V = 7 exceeds the enumeration ceiling: the command "
+                            "line enumerates at most 6 vertices\n")
 
 
 def test_enumerate_rejects_more_tangencies_than_vertices(capsys):

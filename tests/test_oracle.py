@@ -171,6 +171,26 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
         assert twopi == _twopi_reference((vertex_type.strand_pairs,) * V, planar)
 
 
+# The all-genus search walks the whole free list: it never takes the planar
+# ring walk (odd steps along the glued half-edge's ring) nor its refusals, so
+# the genus-0 slice of its tables checks that pruning independently, at a V
+# the reference engine cannot reach.  The tangency four-leg tables take about
+# 13 s all genus, so they run only on request.
+@pytest.mark.parametrize("vertex_type,legs,gamma", [
+    pytest.param(vt, legs, gamma, id=f"{vt.name}-{mode}",
+                 marks=pytest.mark.slow if vt is TANGENCY and legs == 4 else ())
+    for vt in WIRINGS
+    for mode, legs, gamma in [("closed", 0, False), ("leg2", 2, False),
+                              ("leg4", 4, False), ("gamma", 4, True)]
+])
+def test_planar_search_equals_genus_zero_slice_at_v4(vertex_type, legs, gamma):
+    species = ((oc._strand_offsets(vertex_type), 4),)
+    full = oc._fast_search(legs, species, False, False, gamma)
+    planar = oc._fast_search(legs, species, True, False, gamma)
+    assert planar
+    assert planar == _slice(full, lambda key: key[0] == 0)
+
+
 def _four_leg_gluing(V, legs_at, edges):
     """The matching with leg e at vertex ``legs_at[e]`` and the given internal
     edges, each vertex handing out its half-edges in order."""
