@@ -8,11 +8,11 @@ data of the renormalized two-color count are closed forms:
 
 tied together by ``g_c / t_c^2 = 1 / (4 pi)``, with growth ``1/g_c``.
 
-Everything series-shaped here comes from the enumeration oracle evaluated at
-loop weight n = 2 — the raw free energy, the raw two-point series, the
-renormalization ``t(g)`` enforcing a unit two-point function, and the
-renormalized count.  The general two-coupling model away from the counting
-line is out of scope; only the endpoints above are implemented.
+Everything series-shaped here comes from the oracle at loop weight n = 2: the
+raw free energy, the renormalization ``t(g)`` solved from the raw two-point
+series, and the renormalized count, whose growth `reduced_growth_estimate`
+brackets.  The general two-coupling model away from the counting line is out
+of scope; only the endpoints above are implemented.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ __all__ = [
     "CriticalConstants",
     "critical_constants",
     "two_color_series",
-    "g2_raw",
     "renormalization",
-    "g2_reduced",
     "reduced_growth_estimate",
 ]
 
@@ -62,20 +60,9 @@ def critical_constants() -> CriticalConstants:
                              identity_residual=residual)
 
 
-def g2_raw(vmax: int, **kwargs) -> Series:
-    """Raw two-color two-point series from the oracle (fixed external color)."""
-    return oracle.g2_series(vmax, n=2, **kwargs)
-
-
 def renormalization(vmax: int, **kwargs) -> Series:
-    """The two-color t(g) enforcing a unit two-point function, by reversion."""
-    return onematrix.solve_unit_two_point(g2_raw(vmax, **kwargs))
-
-
-def g2_reduced(vmax: int, **kwargs) -> Series:
-    """Renormalized two-color two-point series; identically 1 by construction."""
-    t = renormalization(vmax, **kwargs)
-    return onematrix.substitute_renormalized(g2_raw(vmax, **kwargs), t, legs=2)
+    """The two-color t(g) making the oracle's G2 at n = 2 unity, by reversion."""
+    return onematrix.solve_unit_two_point(oracle.g2_series(vmax, n=2, **kwargs))
 
 
 def two_color_series(order: int, *, reduced: bool = False,

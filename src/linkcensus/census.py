@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 from . import abab, flype, onematrix, oracle
-from .series import BivariatePoly, Series, rational_to_str
+from .series import BivariatePoly, Series
 
 __all__ = [
     "CountingSequence",
@@ -41,10 +41,7 @@ __all__ = [
     "reduced_link_diagrams",
     "reduced_tangles",
     "flype_tangle_classes",
-    "oracle_link_diagrams",
     "load_external_sequence",
-    "sequences_to_csv",
-    "sequences_to_json",
     "constants_to_csv",
     "constants_to_json",
 ]
@@ -99,18 +96,22 @@ def flype_tangle_classes(order: int) -> CountingSequence:
     )
 
 
-def oracle_link_diagrams(vmax: int, n: Fraction | int = 1, **kwargs) -> CountingSequence:
-    return sequence_from_series(
-        f"oracle-link-diagrams-n{n}", oracle.free_energy_series(vmax, n, **kwargs), "oracle"
-    )
-
-
 def load_external_sequence(path: str, name: str | None = None) -> CountingSequence:
-    """Import a user-supplied CSV (columns p, count) for side-by-side display."""
+    """Import a CSV (columns p, count) for display; a bad header or row raises ValueError."""
     coeffs: dict = {}
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            coeffs[int(row["p"])] = Fraction(row["count"])
+        reader = csv.DictReader(handle)
+        if not {"p", "count"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{path}, line 1: need columns p and count, got {reader.fieldnames}")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            try:
+                p, count = int(row["p"]), Fraction(row["count"])
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: unreadable row {row}") from None
+            if p < 0 or p in coeffs:
+                raise ValueError(f"{where}: {'repeated' if p in coeffs else 'negative'} p = {p}")
+            coeffs[p] = count
     top = max(coeffs) if coeffs else 0
     seq = tuple(coeffs.get(p, Fraction(0)) for p in range(top + 1))
     return CountingSequence(name or path, seq, "external")
@@ -336,28 +337,6 @@ def constants_report(reduced_terms: int = 12) -> list:
 # ---------------------------------------------------------------------------
 # emitters
 # ---------------------------------------------------------------------------
-
-
-def sequences_to_csv(sequences) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["name", "provenance", "p", "count"])
-    for seq in sequences:
-        for p, c in enumerate(seq.coefficients):
-            writer.writerow([seq.name, seq.provenance, p, rational_to_str(c)])
-    return out.getvalue()
-
-
-def sequences_to_json(sequences) -> str:
-    payload = [
-        {
-            "name": seq.name,
-            "provenance": seq.provenance,
-            "coefficients": [rational_to_str(c) for c in seq.coefficients],
-        }
-        for seq in sequences
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def constants_to_csv(rows) -> str:

@@ -17,18 +17,17 @@ decorations from the counted diagrams.  Its endpoint parameter solves the
 cubic ``27 g = (a^2 - 1)(4 - a^2)^2`` on the branch through ``a^2(0) = 1``,
 and ``t(g) = a^2 (4 - a^2) / 3``.
 
-Everything is available both as exact rational series (the authoritative
-mode) and as double-precision evaluations for plotting-free numerics such
-as spectral-density checks.  The float side needs only the standard library:
-closed forms, plus an equally spaced rule that is exact for the density's
-moments.  Exact arithmetic lives in `linkcensus.series`; this module never
-mixes floats into series.
+The exact rational series are authoritative.  Float evaluations serve only
+the spectral-density checks (the resolvent, the density, and its moments
+against G2 and G4) and the series-tail checks (raw Gamma, reduced free
+energy and Gamma).  They use only the standard library: closed forms and an
+equally spaced rule exact for the density's moments.  Exact arithmetic lives
+in `linkcensus.series`; floats never enter a series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import (
@@ -50,7 +49,6 @@ __all__ = [
     "SingularityError",
     "RAW_CRITICAL_G",
     "REDUCED_CRITICAL_G",
-    "SpectralData",
     "a2_raw_series",
     "g2_raw_series",
     "g4_raw_series",
@@ -65,20 +63,16 @@ __all__ = [
     "gamma_reduced_series",
     "g4_reduced_series",
     "free_energy_reduced_series",
-    "g2_scaled_series",
     "solve_unit_two_point",
     "substitute_renormalized",
     "a2_raw",
     "g2_raw",
     "g4_raw",
     "gamma_raw",
-    "free_energy_raw",
     "resolvent",
     "density",
-    "spectral_data",
     "density_moment",
     "a2_reduced",
-    "t_of_g",
     "gamma_reduced",
     "free_energy_reduced",
 ]
@@ -196,22 +190,6 @@ def free_energy_reduced_series(order: int) -> Series:
     return integrate(g4_reduced_series(order - 1) / 4)
 
 
-def g2_scaled_series(t: Fraction, order: int) -> Series:
-    """Two-point series of the model with quadratic weight ``t`` (exact in g).
-
-    Solves ``t y - 3 g y^2 = 1`` for the endpoint parameter and substitutes
-    into ``G2 = t y^2 - 4 g y^3``.  Used to pin the scaling property
-    ``G2(t, g) = G2(1, g / t^2) / t`` against an independent expansion.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise SeriesError("the quadratic weight must be positive")
-    relation = BivariatePoly.from_dict({(0, 1): t, (1, 2): -3, (0, 0): -1})
-    y = newton_solve(AlgebraicSystem(relation, Fraction(1) / t), order)
-    g = Series.identity(order)
-    return t * mul(y, y) - 4 * mul(g, mul(y, mul(y, y)))
-
-
 def solve_unit_two_point(g2_raw: Series) -> Series:
     """Solve ``G2(t(g), g) = 1`` for ``t(g)`` by series reversion.
 
@@ -283,11 +261,6 @@ def gamma_raw(g: float) -> float:
 
 def g4_raw(g: float) -> float:
     return gamma_raw(g) + 2.0 * g2_raw(g) ** 2
-
-
-def free_energy_raw(g: float) -> float:
-    a2 = a2_raw(g)
-    return 0.5 * math.log(a2) - (a2 - 1.0) * (9.0 - a2) / 24.0
 
 
 def resolvent(g: float, lam: complex) -> complex:
@@ -372,11 +345,6 @@ def a2_reduced(g: float) -> float:
     return u
 
 
-def t_of_g(g: float) -> float:
-    u = a2_reduced(g)
-    return u * (4.0 - u) / 3.0
-
-
 def gamma_reduced(g: float) -> float:
     u = a2_reduced(g)
     return (u - 1.0) * (5.0 - 2.0 * u) / (4.0 - u) ** 2
@@ -392,29 +360,3 @@ def free_energy_reduced(g: float) -> float:
     """
     u = a2_reduced(g)
     return 0.5 * math.log1p((u - 1.0) / (4.0 - u)) - (u - 1.0) ** 2 / 8.0
-
-
-# ---------------------------------------------------------------------------
-# spectral container
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Endpoint parameter and support of the eigenvalue density at one coupling."""
-
-    a2: float
-    support: tuple
-
-
-def spectral_data(g: float) -> SpectralData:
-    """Build `SpectralData`, verifying its defining equation and normalization."""
-    a2 = a2_raw(g)
-    residual = a2 - 3.0 * g * a2 * a2 - 1.0
-    if abs(residual) > 1e-12:
-        raise SingularityError(f"endpoint equation residual {residual:g} exceeds 1e-12")
-    norm = density_moment(g, 0)
-    if abs(norm - 1.0) > 1e-9:
-        raise SingularityError(f"density normalization {norm!r} deviates from 1")
-    a = math.sqrt(a2)
-    return SpectralData(a2=a2, support=(-2.0 * a, 2.0 * a))

@@ -30,7 +30,6 @@ checked internally before it is handed back.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
@@ -55,7 +54,6 @@ __all__ = [
     "integrate",
     "newton_solve",
     "rational_to_str",
-    "rational_from_str",
 ]
 
 
@@ -85,10 +83,6 @@ def rational_to_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def rational_from_str(text: str) -> Fraction:
-    return Fraction(text)
 
 
 class Series:
@@ -312,21 +306,6 @@ class Series:
             "order": self.order,
             "coeffs": [rational_to_str(c) for c in self.coeffs],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Series":
-        coeffs = [rational_from_str(c) for c in data["coeffs"]]
-        s = cls(tuple(coeffs), data.get("var", "g"))
-        if s.order != data["order"]:
-            raise SeriesError("JSON order field disagrees with the coefficient list")
-        return s
-
-    @classmethod
-    def from_json(cls, text: str) -> "Series":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _init(s: Series, num: tuple, den: int, var: str) -> None:

@@ -17,6 +17,10 @@ coefficient operation in `Fraction` arithmetic, the textbook recurrences
 term by term.  The tests compare the integer-numerator kernels of
 `linkcensus.series` with them for exact equality.
 
+`g2_scaled_series` expands the two-point function at a general quadratic
+weight from its own endpoint relation, an independent source for the
+scaling property that the renormalization relies on.
+
 The computer-algebra references at the end use sympy, which the package
 itself does not import: the flype quintic by resultant and factorization
 (`quintic_sympy`), discriminants, square-free decompositions and the
@@ -31,7 +35,8 @@ from fractions import Fraction
 
 import sympy as sp
 
-from linkcensus.series import BivariatePoly, Series, SeriesError
+from linkcensus.series import (AlgebraicSystem, BivariatePoly, Series, SeriesError, mul,
+                               newton_solve)
 
 
 def classify_pairing(matching, vertex_patterns, legs: int = 0):
@@ -349,6 +354,26 @@ def plain_reversion(s: Series) -> Series:
             power = plain_mul(power, base)
             out.append(power.coeffs[k - 1] / k)
     return Series(tuple(out), s.var)
+
+
+# -- the two-point series at a general quadratic weight ---------------------------
+
+
+def g2_scaled_series(t: Fraction, order: int) -> Series:
+    """Two-point series of the model with quadratic weight ``t`` (exact in g).
+
+    Solves ``t y - 3 g y^2 = 1`` for the endpoint parameter by Newton
+    expansion and substitutes into ``G2 = t y^2 - 4 g y^3``.  The tests pin
+    the scaling property ``G2(t, g) = G2(1, g / t^2) / t``, on which
+    `linkcensus.onematrix.solve_unit_two_point` relies, against it.
+    """
+    t = Fraction(t)
+    if t <= 0:
+        raise SeriesError("the quadratic weight must be positive")
+    relation = BivariatePoly.from_dict({(0, 1): t, (1, 2): -3, (0, 0): -1})
+    y = newton_solve(AlgebraicSystem(relation, Fraction(1) / t), order)
+    g = Series.identity(order)
+    return t * mul(y, y) - 4 * mul(g, mul(y, mul(y, y)))
 
 
 # ---------------------------------------------------------------------------

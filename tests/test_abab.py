@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from linkcensus import abab, oracle
-from linkcensus import onematrix as om
-from linkcensus.series import Series, derivative
+from linkcensus.series import derivative
 
 F = Fraction
 
@@ -52,10 +51,6 @@ def test_marked_vertex_identity_against_direct_enumeration():
     raw = abab.two_color_series(4)
     direct = oracle.g4_series(3, n=2, color_boundary=True)
     assert 4 * derivative(raw) == direct
-
-
-def test_reduced_two_point_is_unity():
-    assert abab.g2_reduced(4) == Series.one(4)
 
 
 def test_renormalization_head():

@@ -78,11 +78,6 @@ def test_flype_classes_never_exceed_diagram_counts():
     assert all(c.denominator == 1 for c in flype_seq.coefficients)
 
 
-def test_oracle_sequence_matches_closed_form():
-    assert (census.oracle_link_diagrams(4).coefficients
-            == census.raw_link_diagrams(4).coefficients)
-
-
 def test_unknown_provenance_rejected():
     with pytest.raises(ValueError):
         CountingSequence("x", (1, 2), "guesswork")
@@ -94,6 +89,22 @@ def test_external_sequence_loader(tmp_path):
     seq = census.load_external_sequence(str(path), "imported")
     assert seq.provenance == "external"
     assert seq.coefficients == (0, 1, 3, 0, 17)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p,count\n1,1\n-2,5\n1,7\n", "line 3: negative p = -2"),
+    ("p,count\n1,1\n2,5\n1,7\n", "line 4: repeated p = 1"),
+    ("p,total\n1,1\n", r"line 1: need columns p and count, got \['p', 'total'\]"),
+    ("count\n1\n", r"line 1: need columns p and count, got \['count'\]"),
+    ("p,count\n1,1\n2\n", "line 3: unreadable row"),
+    ("p,count\n1.5,1\n", "line 2: unreadable row"),
+], ids=["negative-p", "repeated-p", "no-count-column", "no-p-column", "short-row",
+        "non-integer-p"])
+def test_external_sequence_loader_refuses_bad_rows(tmp_path, text, message):
+    path = tmp_path / "external.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"external.csv, {message}"):
+        census.load_external_sequence(str(path))
 
 
 # -- component decomposition -----------------------------------------------------
@@ -184,12 +195,3 @@ def test_constants_json_round_trip(report):
     assert "two-color-growth" in names
     assert all(set(row) >= {"name", "paper_value", "computed_value", "abs_error", "anchor"}
                for row in payload)
-
-
-def test_sequence_emitters():
-    seqs = [census.reduced_tangles(4)]
-    text = census.sequences_to_csv(seqs)
-    assert text.splitlines()[0] == "name,provenance,p,count"
-    assert "reduced-tangles,closed-form,4,22" in text
-    payload = json.loads(census.sequences_to_json(seqs))
-    assert payload[0]["coefficients"] == ["0", "1", "2", "6", "22"]

@@ -1,6 +1,6 @@
-"""Exported names resolve, and so do the names the benchmark tracer wraps;
-commands load no numpy, no module imports sympy, and every command runs with
-sympy refused."""
+"""Exported names resolve and are each read somewhere, and so do the names the
+benchmark tracer wraps; commands load no numpy, no module imports sympy, and
+every command runs with sympy refused."""
 
 import ast
 import importlib
@@ -26,6 +26,48 @@ def test_all_names_resolve(name):
     assert module.__all__
     for export in module.__all__:
         assert hasattr(module, export), f"{name}.__all__ lists missing {export!r}"
+
+
+def _names_read(path) -> set:
+    """Every name a file reads: loaded names, attributes, imported names and
+    string constants, except the strings listed in an ``__all__``."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    listed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            listed.update(id(item) for item in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in listed):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_is_used():
+    # a public name stays only if a command, another module or a check reads it;
+    # a definition and its __all__ entry are not reads.  Dunders such as
+    # __version__ are metadata for packaging tools, not code, and are exempt.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    read = set()
+    for top in ("src", "tests", "perfbench"):
+        for folder, _dirs, filenames in os.walk(os.path.join(root, top)):
+            for filename in filenames:
+                if filename.endswith(".py"):
+                    read |= _names_read(os.path.join(folder, filename))
+    unused = [f"{name}.{export}" for name in MODULES
+              for export in importlib.import_module(name).__all__
+              if export not in read and not export.startswith("__")]
+    assert unused == []
 
 
 def test_tracer_targets_resolve():
