@@ -18,18 +18,21 @@ package.
 
 Every table, for one vertex species or several, comes from one engine that
 searches connected gluings only, maintaining the boundary structure of the
-partially glued surface incrementally.  Gluing two half-edges on the same
-boundary cycle splits it (possibly completing faces); gluing across two
-cycles adds a handle, which is exactly the move the planar mode prunes, so
-planar mode looks for partners only on the glued half-edge's own boundary
-cycle, and only at odd steps along it: every cycle starts even, a fresh
-vertex grows it by two, and an even step would split it into two odd arcs,
-which no planar gluing can ever close.  The last gluing, once it is forced,
-is not made: its diagram is classified in place.  A closed table with
-vacuum components is not searched: it follows from the connected tables of
-its vertex content and of every smaller one by the labeled first-block
-recursion (the exponential formula), in which the component holding the
-lowest label is one connected block.  The Wick
+partially glued surface incrementally, with one gluing move.  Gluing two
+half-edges on the same boundary cycle splits it (possibly completing
+faces); gluing across two cycles merges them.  A fresh vertex is a new
+boundary cycle of its four legs in a new component, so gluing to it merges
+two components and adds no handle; across two cycles of the one component
+grown so far a merge adds a handle, which is exactly the move the planar
+mode prunes.  So planar mode looks for active partners only on the glued
+half-edge's own boundary cycle, and only at odd steps along it: every cycle
+starts even, a fresh vertex grows it by two, and an even step would split
+it into two odd arcs, which no planar gluing can ever close.  The last
+gluing, once it is forced, is not made: its diagram is classified in
+place.  A closed table with vacuum components is not searched: it follows
+from the connected tables of its vertex content and of every smaller one
+by the labeled first-block recursion (the exponential formula), in which
+the component holding the lowest label is one connected block.  The Wick
 factor ``4^V V!`` per species is a symmetry the search divides out as it
 goes: the not-yet-touched labeled vertices of one species are
 interchangeable (the ``V!``), so touching one branches once per species with
@@ -251,27 +254,34 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     weight 1; every other vertex is reached by gluing, so the search counts
     only gluings without vacuum components.  Returns the cells dict.
 
-    The recursion keeps, with O(1) amortized rollback per gluing:
+    Each call of the recursion makes one gluing on entry and undoes it on
+    exit, with O(1) amortized rollback, keeping:
 
     * the boundary cycles of the partial surface as doubly linked rings over
       the unmatched half-edges (``nxt``/``prv``/``cyc``/``csz``), with faces
       counted as cycles empty out;
-    * a sorted free list of unmatched active half-edges (``fnx``/``fpv``);
+    * a sorted free list of every unmatched half-edge (``fnx``/``fpv``),
+      whose first ``nfree`` members are the active ones: those of the legs
+      and of the vertices touched so far, which have the lowest ids;
     * rollback union-find structures for internal components (``ipar``,
       four-point typing only) and strand segments (``spar``; closing a
       segment closes one loop).
 
-    Every active half-edge lies in the one component grown so far, so
-    gluing inside one boundary cycle splits it, and gluing across two cycles
-    adds a handle, which is what ``planar_only`` prunes; gluing to a fresh
-    vertex splices its other three legs into the cycle.  The lowest free
-    half-edge is glued first; its partners are the rest of the free list,
-    or in planar mode only the members of its own boundary ring at odd
-    steps from it (``nxt``, ``nxt^3``, ...).  A ring of n splits into arcs of
-    k and n - 2 - k, and a fresh vertex adds 2, so an odd ring stays odd
-    and never closes; every ring starts even, and the odd steps are exactly
-    the gluings that keep both arcs even (a non-crossing matching on a
-    cycle pairs points at odd distance).
+    Every vertex's four legs start as a boundary ring of their own, in
+    rotation order, in a component of their own.  Every active half-edge
+    lies in the one component grown so far, so gluing inside one boundary
+    cycle splits it, and gluing across two cycles merges them: a handle,
+    which is what ``planar_only`` prunes, unless the other cycle is the ring
+    of a fresh vertex, whose gluing joins two components and so adds no
+    handle (the genus is read from the faces at the leaf either way).  The
+    lowest free half-edge is glued first; its partners are the rest of the
+    active free list, or in planar mode only the members of its own boundary
+    ring at odd steps from it (``nxt``, ``nxt^3``, ...), and then one leg per
+    rotation orbit of a fresh vertex.  A ring of n splits into arcs of k and
+    n - 2 - k, and a fresh vertex adds 2, so an odd ring stays odd and never
+    closes; every ring starts even, and the odd steps are exactly the
+    gluings that keep both arcs even (a non-crossing matching on a cycle
+    pairs points at odd distance).
 
     There is one leaf path: the forced last gluing.  With two free
     half-edges and every vertex placed, the search does not glue them but
@@ -291,14 +301,29 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     """
     V = sum(count for _, count in species)
     S = legs + 4 * V
+    E = S // 2
     HEAD = S
     match = [-1] * S
+    # ``vx`` maps a half-edge to its vertex (V for a marked leg), and the
+    # rings are built once: each vertex's legs in rotation order with its
+    # label as cycle id, the marked legs with id V.  Every gluing is undone
+    # exactly, so a vertex's ring is as built here whenever the search
+    # touches it; ids above V go to the rings that splitting gluings make.
     nxt = [0] * S
     prv = [0] * S
-    cyc = [-1] * S
-    csz = [0] * (S + 2 + 4 * V)
-    fnx = [HEAD] * (S + 1)
-    fpv = [HEAD] * (S + 1)
+    cyc = [0] * S
+    csz = [0] * (V + 1 + E)
+    vx = [0] * S
+    for cid, lo, n in ((V, 0, legs), *((i, legs + 4 * i, 4) for i in range(V))):
+        for k in range(n):
+            nxt[lo + k] = lo + (k + 1) % n
+            prv[lo + k] = lo + (k - 1) % n
+            cyc[lo + k] = vx[lo + k] = cid
+        csz[cid] = n
+    # the free list holds every unmatched half-edge in id order, so the legs
+    # of the untouched vertices follow the nfree active ones
+    fnx = list(range(1, S + 1)) + [0]
+    fpv = [HEAD] + list(range(S))
     # internal components (four-point connectivity typing) and their counts
     # of still-unmatched internal half-edges (for the gamma_only seal prune)
     ipar = list(range(V + 1))
@@ -307,33 +332,23 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # strand structure over half-edges
     spar = list(range(S))
     sext = [False] * S
-    vx = [V] * S
-    for i in range(V):
-        for j in range(4):
-            vx[legs + 4 * i + j] = i
 
     cells: dict = {}
-    E = S // 2
-    # per species, flat for the hot loop: its index, its wiring, and its
-    # rotation orbits; ``left`` counts its untouched vertices.  The rotations
-    # j -> j+k of a vertex that keep its strand wiring form a subgroup of Z4
-    # of order nrot; its orbits on the legs are the residues mod 4 // nrot,
-    # each of nrot legs, so legs 0 .. 4 // nrot - 1 stand for all
+    # per species, flat for the hot loop: its index, for each of legs 1..3
+    # the lower leg of the strand through it (the root of its strand
+    # segment on a fresh vertex), and its rotation orbits; ``left`` counts
+    # its untouched vertices.  The rotations j -> j+k of a vertex that keep
+    # its strand wiring form a subgroup of Z4 of order nrot; its orbits on the
+    # legs are the residues mod 4 // nrot, each of nrot legs, so legs
+    # 0 .. 4 // nrot - 1 stand for all
     kinds = []
     for sp, (off, _count) in enumerate(species):
         nrot = sum(all(off[(j + k) & 3] == (off[j] + k) & 3 for j in range(4))
                    for k in range(4))
-        kinds.append((sp, *off, nrot, range(4 // nrot)))
+        kinds.append((sp, *(min(k, off[k]) for k in (1, 2, 3)), nrot, range(4 // nrot)))
     left = [count for _, count in species]
 
-    def freelist_append(x: int) -> None:
-        last = fpv[HEAD]
-        fnx[last] = x
-        fpv[x] = last
-        fnx[x] = HEAD
-        fpv[HEAD] = x
-
-    # the first boundary cycle: the marked legs, or else the four legs of the
+    # the first active ring: the marked legs, or else the four legs of the
     # lowest label (of the first species with a nonzero count, weight 1)
     ninst = 0
     if legs == 2:
@@ -347,112 +362,33 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     elif V:
         sp = next(sp for sp, count in enumerate(left) if count)
         left[sp] -= 1
-        off = species[sp][0]
-        for k in range(4):
-            if off[k] > k:
-                spar[off[k]] = k
+        spar[1:4] = kinds[sp][1:4]  # its strands, wired as on a fresh vertex
         ninst = 1
     else:
         return cells
-    ring = legs + 4 * ninst
-    for k in range(ring):
-        nxt[k] = (k + 1) % ring
-        prv[k] = (k - 1) % ring
-        cyc[k] = 0
-        freelist_append(k)
-    csz[0] = ring
 
-    ncid_box = [1]
+    ncid_box = [V + 1]
 
     def ifind(x: int) -> int:
         while ipar[x] != x:
             x = ipar[x]
         return x
 
-    def rec(weight, ninst, faces, kint, kext, nfree,
+    # Legs have the lowest ids and s0 is the lowest free half-edge, so every
+    # leg is glued before any internal half-edge: while s0 is a leg, no two
+    # vertices have been joined (each is its own internal component), and
+    # once s0 is internal, so is every partner.
+    def rec(a, b, weight, ninst, faces, kint, kext, nfree,
             match=match, nxt=nxt, prv=prv, cyc=cyc, csz=csz, fnx=fnx, fpv=fpv,
             ipar=ipar, ifree=ifree, spar=spar, sext=sext,
             vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E,
             planar_only=planar_only, gamma_only=gamma_only,
             track_internal=track_internal, twopi=twopi,
             kinds=kinds, left=left):
-        s0 = fnx[HEAD]
-        if nfree == 2 and ninst == V:
-            # ---- the forced last gluing: classify its leaf in place (in
-            # gamma mode never of two legs: that branch sealed earlier) ----
-            t = fnx[s0]
-            # two half-edges left on one ring close two faces; on two rings of
-            # one each they add a handle and close one (planar mode, whose
-            # rings stay even, never gets there, and would refuse it)
-            faces += 2 if cyc[s0] == cyc[t] else 1
-            genus = (2 - faces + V) // 2 if legs == 0 else (2 - (V + 1) + E - faces) // 2
-            if planar_only and genus != 0:
-                return
-            # they are the two open ends of the last strand segment
-            rs = s0
-            while spar[rs] != rs:
-                rs = spar[rs]
-            if sext[rs]:
-                kext += 1
-            else:
-                kint += 1
-            if legs == 0:
-                key = (genus, kint, True)
-            else:
-                match[s0] = t
-                match[t] = s0
-                conn4 = legs == 4 and (gamma_only or _leaf_four_connected(s0, t))
-                flag = not _leaf_two_particle_reducible() if twopi else None
-                match[s0] = match[t] = -1
-                key = (genus, kint, kext, conn4, flag)
-            cells[key] = cells.get(key, 0) + weight
-            return
-
-        ca = cyc[s0]
-        if gamma_only and s0 >= legs:
-            ir0 = vx[s0]
-            while ipar[ir0] != ir0:
-                ir0 = ipar[ir0]
-            ifree0 = ifree[ir0]
-        else:
-            ir0 = -1
-            ifree0 = 0
-
-        # -- candidates among already-active stubs: the rest of the free
-        # list, or in planar mode the partners at odd steps along s0's own
-        # boundary ring (a partner on another cycle would add a handle, and
-        # one at an even step would leave two odd arcs, which never close).
-        # With vertices left, gluing the last two half-edges is a dead end --
-        if planar_only:
-            t = prv[s0]
-            ncand = csz[ca] >> 1
-        else:
-            t = s0
-            ncand = nfree - 1
-        for _ in range(ncand if nfree > 2 else 0):
-            t = nxt[nxt[t]] if planar_only else fnx[t]
-            cb = cyc[t]
-            if gamma_only:
-                # keep the internal graph one open component over all 4 legs
-                if ir0 < 0:
-                    if t < legs:
-                        continue  # leg paired with leg: never connected
-                    r2 = vx[t]
-                    while ipar[r2] != r2:
-                        r2 = ipar[r2]
-                    newf = ifree[r2] - 1
-                elif t < legs:
-                    newf = ifree0 - 1
-                else:
-                    r2 = vx[t]
-                    while ipar[r2] != r2:
-                        r2 = ipar[r2]
-                    newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
-                if newf == 0:
-                    continue  # an internal component sealed before the end
-            a = s0
-            b = t
-            # ---- glue (active-active) ----
+        if a >= 0:
+            # ---- glue a-b (the root call, a = -1, glues nothing); what
+            # this block binds is read back by the undo at the end, so the
+            # rest of the body leaves those names alone ----
             fnx[fpv[a]] = fnx[a]
             fpv[fnx[a]] = fpv[a]
             fnx[fpv[b]] = fnx[b]
@@ -467,26 +403,23 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 rt = spar[rt]
             s_child = -1
             s_oldflag = False
-            kint2 = kint
-            kext2 = kext
             if rs == rt:
                 if sext[rs]:
-                    kext2 += 1
+                    kext += 1
                 else:
-                    kint2 += 1
+                    kint += 1
             else:
                 s_child = rt
                 s_oldflag = sext[rs]
                 spar[rt] = rs
                 if sext[rt]:
                     sext[rs] = True
-            va = vx[a]
-            vb = vx[b]
             i_child = -1
             ifree_root = -1
-            if track_internal:
-                if va != V and vb != V:
-                    ria = va
+            if track_internal and b >= legs:
+                vb = vx[b]
+                if a >= legs:
+                    ria = vx[a]
                     while ipar[ria] != ria:
                         ria = ipar[ria]
                     rib = vb
@@ -502,21 +435,14 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                         ifree_root = ria
                         ifree_old = ifree[ria]
                         ifree[ria] = ifree_old - 2
-                elif va != V:
-                    r = va
-                    while ipar[r] != r:
-                        r = ipar[r]
-                    ifree_root = r
-                    ifree_old = ifree[r]
-                    ifree[r] = ifree_old - 1
-                elif vb != V:
-                    r = vb
-                    while ipar[r] != r:
-                        r = ipar[r]
-                    ifree_root = r
-                    ifree_old = ifree[r]
-                    ifree[r] = ifree_old - 1
+                else:
+                    # a is a leg, so b's vertex is still its own component
+                    ifree_root = vb
+                    ifree_old = ifree[vb]
+                    ifree[vb] = ifree_old - 1
             # boundary cycles
+            ca = cyc[a]
+            cb = cyc[b]
             pa = prv[a]
             sa = nxt[a]
             pb = prv[b]
@@ -526,18 +452,17 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             old_ca = csz[ca]
             old_cb = csz[cb]
             new_cid = False
-            faces2 = faces
             if ca == cb:
                 n = old_ca
                 if n == 2:
-                    faces2 += 2
+                    faces += 2
                 elif sa == b:
-                    faces2 += 1
+                    faces += 1
                     nxt[pa] = sb
                     prv[sb] = pa
                     csz[ca] = n - 2
                 elif sb == a:
-                    faces2 += 1
+                    faces += 1
                     nxt[pb] = sa
                     prv[sa] = pb
                     csz[ca] = n - 2
@@ -574,7 +499,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 na = old_ca
                 nb = old_cb
                 if na == 1 and nb == 1:
-                    faces2 += 1
+                    faces += 1
                 elif na == 1:
                     nxt[pb] = sb
                     prv[sb] = pb
@@ -601,9 +526,94 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     relabel_to = drop
                     csz[keep] = na + nb - 2
 
-            rec(weight, ninst, faces2, kint2, kext2, nfree - 2)
+        s0 = fnx[HEAD]
+        if nfree == 2 and ninst == V:
+            # ---- the forced last gluing: classify its leaf in place (in
+            # gamma mode never of two legs: that branch sealed earlier) ----
+            t = fnx[s0]
+            # two half-edges left on one ring close two faces; on two rings of
+            # one each they add a handle and close one (planar mode, whose
+            # rings stay even, never gets there, and would refuse it)
+            faces += 2 if cyc[s0] == cyc[t] else 1
+            genus = (2 - faces + V) // 2 if legs == 0 else (2 - (V + 1) + E - faces) // 2
+            if genus == 0 or not planar_only:
+                # they are the two open ends of the last strand segment
+                r = s0
+                while spar[r] != r:
+                    r = spar[r]
+                if sext[r]:
+                    kext += 1
+                else:
+                    kint += 1
+                if legs == 0:
+                    key = (genus, kint, True)
+                else:
+                    match[s0] = t
+                    match[t] = s0
+                    conn4 = legs == 4 and (gamma_only or _leaf_four_connected(s0, t))
+                    flag = not _leaf_two_particle_reducible() if twopi else None
+                    match[s0] = match[t] = -1
+                    key = (genus, kint, kext, conn4, flag)
+                cells[key] = cells.get(key, 0) + weight
+        else:
+            if gamma_only and s0 >= legs:
+                ir0 = vx[s0]
+                while ipar[ir0] != ir0:
+                    ir0 = ipar[ir0]
+                ifree0 = ifree[ir0]
+            else:
+                ir0 = -1
+                ifree0 = 0
 
-            # ---- undo ----
+            # -- partners among the active half-edges: the rest of the active
+            # free list, or in planar mode the partners at odd steps along
+            # s0's own boundary ring (a partner on another cycle would add a
+            # handle, and one at an even step would leave two odd arcs, which
+            # never close).  With vertices left, gluing the last two
+            # half-edges is a dead end --
+            if planar_only:
+                t = prv[s0]
+                ncand = csz[cyc[s0]] >> 1
+            else:
+                t = s0
+                ncand = nfree - 1
+            for _ in range(ncand if nfree > 2 else 0):
+                t = nxt[nxt[t]] if planar_only else fnx[t]
+                if gamma_only:
+                    # keep the internal graph one open component over all 4 legs
+                    if ir0 < 0:
+                        if t < legs:
+                            continue  # leg paired with leg: never connected
+                        newf = ifree[vx[t]] - 1
+                    else:
+                        r2 = vx[t]
+                        while ipar[r2] != r2:
+                            r2 = ipar[r2]
+                        newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
+                    if newf == 0:
+                        continue  # an internal component sealed before the end
+                rec(s0, t, weight, ninst, faces, kint, kext, nfree - 2)
+
+            # -- partners on a fresh vertex: touch the next label, wire its
+            # strands by its species, and glue s0 to one leg per orbit --
+            if ninst < V:
+                b0 = legs + 4 * ninst
+                ifree[ninst] = 4
+                for sp, w1, w2, w3, nrot, orbit_legs in kinds:
+                    m = left[sp]
+                    if not m:
+                        continue
+                    left[sp] = m - 1
+                    spar[b0 + 1] = b0 + w1
+                    spar[b0 + 2] = b0 + w2
+                    spar[b0 + 3] = b0 + w3
+                    wfresh = weight * m * nrot
+                    for j in orbit_legs:
+                        rec(s0, b0 + j, wfresh, ninst + 1, faces, kint, kext, nfree + 2)
+                    left[sp] = m
+
+        if a >= 0:
+            # ---- undo the gluing ----
             if new_cid:
                 ncid_box[0] -= 1
             if relabeled is not None:
@@ -628,117 +638,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             fnx[fpv[b]] = b
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
-
-        # -- candidates on a fresh vertex: splice its other three legs in --
-        if ninst < V:
-            b0 = legs + 4 * ninst
-            slot = ninst
-            a = s0
-            va = vx[a]
-            ria = -1
-            if track_internal and va != V:
-                ria = ifind(va)
-            rs = a
-            while spar[rs] != rs:
-                rs = spar[rs]
-            for sp, off0, off1, off2, off3, nrot, orbit_legs in kinds:
-                m = left[sp]
-                if not m:
-                    continue
-                wfresh = weight * m * nrot
-                left[sp] = m - 1
-                for j in orbit_legs:
-                    b = b0 + j
-                    # free list: a out, the three new legs in (ids ascend past all)
-                    fnx[fpv[a]] = fnx[a]
-                    fpv[fnx[a]] = fpv[a]
-                    for x in range(b0, b0 + 4):
-                        if x == b:
-                            continue
-                        last = fpv[HEAD]
-                        fnx[last] = x
-                        fpv[x] = last
-                        fnx[x] = HEAD
-                        fpv[HEAD] = x
-                    match[a] = b
-                    match[b] = a
-                    # strand wiring of the fresh vertex; segment through b joins rs
-                    spar[b0] = b0
-                    spar[b0 + 1] = b0 + 1
-                    spar[b0 + 2] = b0 + 2
-                    spar[b0 + 3] = b0 + 3
-                    sext[b0] = sext[b0 + 1] = sext[b0 + 2] = sext[b0 + 3] = False
-                    if off0 > 0:
-                        spar[b0 + off0] = b0
-                    if off1 > 1:
-                        spar[b0 + off1] = b0 + 1
-                    if off2 > 2:
-                        spar[b0 + off2] = b0 + 2
-                    if off3 > 3:
-                        spar[b0 + off3] = b0 + 3
-                    rt = b
-                    while spar[rt] != rt:
-                        rt = spar[rt]
-                    spar[rt] = rs
-                    if ria >= 0:
-                        # fresh vertex: 4 new internal stubs, 2 consumed by the glue
-                        ipar[slot] = ria
-                        if track_internal:
-                            ifree[ria] += 2
-                    else:
-                        ipar[slot] = slot
-                        if track_internal:
-                            ifree[slot] = 3
-                    # boundary: replace a by the three new legs, in rotation order
-                    pa = prv[a]
-                    sa = nxt[a]
-                    f1 = b0 + ((j + 1) & 3)
-                    f2 = b0 + ((j + 2) & 3)
-                    f3 = b0 + ((j + 3) & 3)
-                    old_ca = csz[ca]
-                    if old_ca == 1:
-                        nxt[f1] = f2
-                        prv[f2] = f1
-                        nxt[f2] = f3
-                        prv[f3] = f2
-                        nxt[f3] = f1
-                        prv[f1] = f3
-                    else:
-                        nxt[pa] = f1
-                        prv[f1] = pa
-                        nxt[f1] = f2
-                        prv[f2] = f1
-                        nxt[f2] = f3
-                        prv[f3] = f2
-                        nxt[f3] = sa
-                        prv[sa] = f3
-                    cyc[f1] = ca
-                    cyc[f2] = ca
-                    cyc[f3] = ca
-                    csz[ca] = old_ca + 2
-
-                    rec(wfresh, ninst + 1, faces, kint, kext, nfree + 2)
-
-                    # ---- undo ----
-                    csz[ca] = old_ca
-                    if old_ca > 1:
-                        nxt[pa] = a
-                        prv[sa] = a
-                    ipar[slot] = slot
-                    if ria >= 0 and track_internal:
-                        ifree[ria] -= 2
-                    spar[rt] = rt
-                    match[a] = -1
-                    match[b] = -1
-                    for x in range(b0 + 3, b0 - 1, -1):
-                        if x == b:
-                            continue
-                        last = fpv[x]
-                        fnx[last] = HEAD
-                        fpv[HEAD] = last
-                    fpv[fnx[a]] = a
-                    fnx[fpv[a]] = a
-                left[sp] = m
 
     def _leaf_four_connected(a: int, b: int) -> bool:
         # the last gluing a-b is in ``match`` but not in ``ipar``: if both
@@ -777,7 +676,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     return True
         return False
 
-    rec(1, ninst, 0, 0, 0, ring)
+    rec(-1, -1, 1, ninst, 0, 0, 0, legs + 4 * ninst)
     return cells
 
 
