@@ -28,11 +28,13 @@ mode prunes.  So planar mode looks for active partners only on the glued
 half-edge's own boundary cycle, and only at odd steps along it: every cycle
 starts even, a fresh vertex grows it by two, and an even step would split
 it into two odd arcs, which no planar gluing can ever close.  The last
-gluing, once it is forced, is not made: its diagram is classified in
-place.  A closed table with vacuum components is not searched: it follows
-from the connected tables of its vertex content and of every smaller one
-by the labeled first-block recursion (the exponential formula), in which
-the component holding the lowest label is one connected block.  The Wick
+two gluings are not made: once every vertex is placed and four half-edges
+are free, each way to pair them is classified in place, its faces read off
+the boundary rings and its loops off the strand segments.  A closed table
+with vacuum components is not searched: it follows from the connected
+tables of its vertex content and of every smaller one by the labeled
+first-block recursion (the exponential formula), in which the component
+holding the lowest label is one connected block.  The Wick
 factor ``4^V V!`` per species is a symmetry the search divides out as it
 goes: the not-yet-touched labeled vertices of one species are
 interchangeable (the ``V!``), so touching one branches once per species with
@@ -283,14 +285,20 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     gluings that keep both arcs even (a non-crossing matching on a cycle
     pairs points at odd distance).
 
-    There is one leaf path: the forced last gluing.  With two free
-    half-edges and every vertex placed, the search does not glue them but
-    classifies the diagram in place: two more faces if they share a ring,
-    else one more (a handle, never reached in planar mode), one more loop,
-    internal or external by the flag of their strand segment, and for four
-    legs the connectivity and 2PI tests on the completed matching.  With
-    two free half-edges and vertices left, gluing them would close the
-    component early, so only fresh vertices are tried.
+    There is one leaf path: the last two gluings.  With every vertex
+    placed and four half-edges s0, t, u, v free, the search does not glue
+    s0 to each partner t but classifies each completion {s0-t, u-v} in
+    place.  Its new faces are the cycles of ``nxt``∘matching on the four,
+    read off the sizes of their rings: s0 and t on one ring of 4 close three
+    if adjacent and one if opposite (a handle), and so on.  Its new loops are
+    two if s0 and t end one strand segment, else one, each internal or
+    external by the flags of the segments in it.  For four legs the
+    connectivity test reads the count of internal components (``icomp``)
+    and the two joins, and the 2PI test runs on the completed matching.
+    With two free half-edges and vertices left, gluing them would close the
+    component early, so only fresh vertices are tried; two marked legs and
+    no vertex, the one table that starts with two free half-edges, is
+    answered before the search.
 
     ``gamma_only`` (four marked legs) keeps only gluings whose internal graph
     stays a single component carrying all four legs: leg-leg matches are
@@ -324,9 +332,11 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # of the untouched vertices follow the nfree active ones
     fnx = list(range(1, S + 1)) + [0]
     fpv = [HEAD] + list(range(S))
-    # internal components (four-point connectivity typing) and their counts
-    # of still-unmatched internal half-edges (for the gamma_only seal prune)
+    # internal components (four-point connectivity typing), how many there
+    # are, and their counts of still-unmatched internal half-edges (for the
+    # gamma_only seal prune)
     ipar = list(range(V + 1))
+    icomp = [V]
     ifree = [0] * (V + 1)
     track_internal = legs == 4
     # strand structure over half-edges
@@ -352,6 +362,10 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # lowest label (of the first species with a nonzero count, weight 1)
     ninst = 0
     if legs == 2:
+        if not V:
+            # the one gluing, of the two legs to each other: two faces and
+            # the boundary loop
+            return {(0, 0, 1, False, None): 1}
         spar[1] = 0
         sext[0] = True
     elif legs == 4:
@@ -428,6 +442,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     if ria != rib:
                         ipar[rib] = ria
                         i_child = rib
+                        icomp[0] -= 1
                         ifree_root = ria
                         ifree_old = ifree[ria]
                         ifree[ria] = ifree_old + ifree[rib] - 2
@@ -527,90 +542,143 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     csz[keep] = na + nb - 2
 
         s0 = fnx[HEAD]
-        if nfree == 2 and ninst == V:
-            # ---- the forced last gluing: classify its leaf in place (in
-            # gamma mode never of two legs: that branch sealed earlier) ----
-            t = fnx[s0]
-            # two half-edges left on one ring close two faces; on two rings of
-            # one each they add a handle and close one (planar mode, whose
-            # rings stay even, never gets there, and would refuse it)
-            faces += 2 if cyc[s0] == cyc[t] else 1
-            genus = (2 - faces + V) // 2 if legs == 0 else (2 - (V + 1) + E - faces) // 2
-            if genus == 0 or not planar_only:
-                # they are the two open ends of the last strand segment
-                r = s0
-                while spar[r] != r:
-                    r = spar[r]
-                if sext[r]:
-                    kext += 1
+        if gamma_only and s0 >= legs:
+            ir0 = vx[s0]
+            while ipar[ir0] != ir0:
+                ir0 = ipar[ir0]
+            ifree0 = ifree[ir0]
+        else:
+            ir0 = -1
+            ifree0 = 0
+        # every vertex placed and four half-edges free: each completion
+        # {s0-t, u-v} is a leaf, classified in place instead of glued
+        leaf = nfree == 4 and ninst == V
+        if leaf:
+            f1 = fnx[s0]
+            f2 = fnx[f1]
+            f3 = fnx[f2]
+            c0 = cyc[s0]
+            seg0 = s0
+            while spar[seg0] != seg0:
+                seg0 = spar[seg0]
+            if track_internal and not gamma_only:
+                # the internal components the last two gluings may join, or
+                # none once a leg was glued to a leg, which nothing mends
+                n4 = icomp[0]
+                for e in range(4):
+                    if 0 <= match[e] < 4:
+                        n4 = 0
+
+        # -- partners among the active half-edges: the rest of the active
+        # free list, or in planar mode the partners at odd steps along s0's
+        # own boundary ring (a partner on another cycle would add a handle,
+        # and one at an even step would leave two odd arcs, which never
+        # close).  With vertices left, gluing the last two half-edges is a
+        # dead end --
+        if planar_only:
+            t = prv[s0]
+            ncand = csz[cyc[s0]] >> 1
+        else:
+            t = s0
+            ncand = nfree - 1
+        for _ in range(ncand if nfree > 2 else 0):
+            t = nxt[nxt[t]] if planar_only else fnx[t]
+            if gamma_only:
+                # keep the internal graph one open component over all 4 legs
+                if ir0 < 0:
+                    if t < legs:
+                        continue  # leg paired with leg: never connected
+                    newf = ifree[vx[t]] - 1
                 else:
-                    kint += 1
-                if legs == 0:
-                    key = (genus, kint, True)
-                else:
+                    r2 = vx[t]
+                    while ipar[r2] != r2:
+                        r2 = ipar[r2]
+                    newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
+                if newf == 0:
+                    continue  # an internal component sealed before the end
+            if not leaf:
+                rec(s0, t, weight, ninst, faces, kint, kext, nfree - 2)
+                continue
+            # ---- the leaf: the last two gluings s0-t and u-v ----
+            if t == f1:
+                u, v = f2, f3
+            elif t == f2:
+                u, v = f1, f3
+            else:
+                u, v = f1, f2
+            # the faces they close are the cycles of nxt∘μ on s0, t, u, v,
+            # set by the ring sizes: one ring of 2 holding s0 and t closes
+            # two faces, two rings of 1 one, and u-v then does the same with
+            # what is left; s0, t on a ring of 3 (beside a ring of 1) close
+            # two, on rings of 2 and 1 one; on one ring of 4, adjacent pairs
+            # close three and opposite pairs one (a handle); on two rings
+            # (2 + 2 or 3 + 1) they close two
+            ct = cyc[t]
+            size = csz[c0] if ct == c0 else csz[c0] + csz[ct]
+            if size == 2:
+                closed = (2 if ct == c0 else 1) + (2 if cyc[u] == cyc[v] else 1)
+            elif size == 3:
+                closed = 2 if ct == c0 else 1
+            elif ct == c0:
+                closed = 3 if t == nxt[s0] or t == prv[s0] else 1
+            else:
+                closed = 2
+            faces_t = faces + closed
+            genus = (2 - faces_t + V) // 2 if legs == 0 else (2 - (V + 1) + E - faces_t) // 2
+            if genus and planar_only:
+                continue
+            # the loops: s0-t closes the strand segment they both end and u-v
+            # the other one, or else s0-t joins two segments and u-v closes
+            # the result; a loop is external if a segment in it is
+            segt = t
+            while spar[segt] != segt:
+                segt = spar[segt]
+            if segt == seg0:
+                segu = u
+                while spar[segu] != segu:
+                    segu = spar[segu]
+                ext = sext[seg0] + sext[segu]
+                kint_t = kint + 2 - ext
+                kext_t = kext + ext
+            elif sext[seg0] or sext[segt]:
+                kint_t = kint
+                kext_t = kext + 1
+            else:
+                kint_t = kint + 1
+                kext_t = kext
+            if legs == 0:
+                key = (genus, kint_t, True)
+            else:
+                conn4 = legs == 4 and (gamma_only or _leaf_four_connected(n4, s0, t, u, v))
+                if twopi:
                     match[s0] = t
                     match[t] = s0
-                    conn4 = legs == 4 and (gamma_only or _leaf_four_connected(s0, t))
-                    flag = not _leaf_two_particle_reducible() if twopi else None
-                    match[s0] = match[t] = -1
-                    key = (genus, kint, kext, conn4, flag)
-                cells[key] = cells.get(key, 0) + weight
-        else:
-            if gamma_only and s0 >= legs:
-                ir0 = vx[s0]
-                while ipar[ir0] != ir0:
-                    ir0 = ipar[ir0]
-                ifree0 = ifree[ir0]
-            else:
-                ir0 = -1
-                ifree0 = 0
+                    match[u] = v
+                    match[v] = u
+                    flag = not _leaf_two_particle_reducible()
+                    match[s0] = match[t] = match[u] = match[v] = -1
+                else:
+                    flag = None
+                key = (genus, kint_t, kext_t, conn4, flag)
+            cells[key] = cells.get(key, 0) + weight
 
-            # -- partners among the active half-edges: the rest of the active
-            # free list, or in planar mode the partners at odd steps along
-            # s0's own boundary ring (a partner on another cycle would add a
-            # handle, and one at an even step would leave two odd arcs, which
-            # never close).  With vertices left, gluing the last two
-            # half-edges is a dead end --
-            if planar_only:
-                t = prv[s0]
-                ncand = csz[cyc[s0]] >> 1
-            else:
-                t = s0
-                ncand = nfree - 1
-            for _ in range(ncand if nfree > 2 else 0):
-                t = nxt[nxt[t]] if planar_only else fnx[t]
-                if gamma_only:
-                    # keep the internal graph one open component over all 4 legs
-                    if ir0 < 0:
-                        if t < legs:
-                            continue  # leg paired with leg: never connected
-                        newf = ifree[vx[t]] - 1
-                    else:
-                        r2 = vx[t]
-                        while ipar[r2] != r2:
-                            r2 = ipar[r2]
-                        newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
-                    if newf == 0:
-                        continue  # an internal component sealed before the end
-                rec(s0, t, weight, ninst, faces, kint, kext, nfree - 2)
-
-            # -- partners on a fresh vertex: touch the next label, wire its
-            # strands by its species, and glue s0 to one leg per orbit --
-            if ninst < V:
-                b0 = legs + 4 * ninst
-                ifree[ninst] = 4
-                for sp, w1, w2, w3, nrot, orbit_legs in kinds:
-                    m = left[sp]
-                    if not m:
-                        continue
-                    left[sp] = m - 1
-                    spar[b0 + 1] = b0 + w1
-                    spar[b0 + 2] = b0 + w2
-                    spar[b0 + 3] = b0 + w3
-                    wfresh = weight * m * nrot
-                    for j in orbit_legs:
-                        rec(s0, b0 + j, wfresh, ninst + 1, faces, kint, kext, nfree + 2)
-                    left[sp] = m
+        # -- partners on a fresh vertex: touch the next label, wire its
+        # strands by its species, and glue s0 to one leg per orbit --
+        if ninst < V:
+            b0 = legs + 4 * ninst
+            ifree[ninst] = 4
+            for sp, w1, w2, w3, nrot, orbit_legs in kinds:
+                m = left[sp]
+                if not m:
+                    continue
+                left[sp] = m - 1
+                spar[b0 + 1] = b0 + w1
+                spar[b0 + 2] = b0 + w2
+                spar[b0 + 3] = b0 + w3
+                wfresh = weight * m * nrot
+                for j in orbit_legs:
+                    rec(s0, b0 + j, wfresh, ninst + 1, faces, kint, kext, nfree + 2)
+                left[sp] = m
 
         if a >= 0:
             # ---- undo the gluing ----
@@ -629,6 +697,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 ifree[ifree_root] = ifree_old
             if i_child >= 0:
                 ipar[i_child] = i_child
+                icomp[0] += 1
             if s_child >= 0:
                 spar[s_child] = s_child
                 sext[rs] = s_oldflag
@@ -639,16 +708,30 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
 
-    def _leaf_four_connected(a: int, b: int) -> bool:
-        # the last gluing a-b is in ``match`` but not in ``ipar``: if both
-        # are internal, it joins their two components
-        roots = set()
-        for e in range(4):
-            p = match[e]
-            if p < 4:
-                return False
-            roots.add(ifind(vx[p]))
-        return len(roots) == 1 or (a >= 4 and roots == {ifind(vx[a]), ifind(vx[b])})
+    def _leaf_four_connected(n4: int, s0: int, t: int, u: int, v: int) -> bool:
+        # the last two gluings s0-t and u-v are in neither ``match`` nor
+        # ``ipar``, and ``n4`` counts the internal components before them (0
+        # if a leg is glued to a leg).  A leg glued to a leg hangs off no
+        # internal component; otherwise every leg hangs off one, and the
+        # diagram is connected, so all four share one exactly when one
+        # component is left after the two joins.  u and v are both legs only
+        # if every free half-edge is (V = 0), t included
+        if t < 4 or not n4:
+            return False
+        if n4 == 1:
+            return True
+        # while s0 is a leg no two vertices are joined, and a leaf has four
+        # half-edges free only if V <= 1: with more components than one, s0
+        # and with it every free half-edge is internal
+        a = ifind(vx[s0])
+        b = ifind(vx[t])
+        c = ifind(vx[u])
+        d = ifind(vx[v])
+        if c == b:
+            c = a
+        if d == b:
+            d = a
+        return n4 - (a != b) - (c != d) == 1
 
     def _leaf_two_particle_reducible() -> bool:
         # is there a pair of internal edges whose removal leaves exactly two
