@@ -184,14 +184,16 @@ class CountTable:
 class TwoPointTable:
     """Counts for diagrams with one marked boundary carrying 2 or 4 legs.
 
-    ``cells`` maps ``(genus, internal_strands, boundary_strands, four_leg_connected,
-    two_particle_irreducible)`` to counts.  ``four_leg_connected`` flags the
-    diagrams where all four legs hang off a single internal component (the
-    connected four-point part).  The last entry is None unless the table was
-    built with ``twopi``, which only the connected four-point search takes:
-    then every cell says whether its diagrams are 2PI, that is, whether no
-    pair of internal edges cuts them into exactly two components with two
-    legs on each.  Like `CountTable.cells`, ``cells`` is read-only.
+    ``cells`` maps ``(genus, internal_strands, boundary_strands,
+    two_particle_irreducible)`` to counts.  A table built with ``gamma_only``
+    holds the connected four-point part (all four legs on one internal
+    component) and nothing else; a plain table holds every diagram whose
+    internal components all touch the boundary.  The last entry is None
+    unless the table was built with ``twopi``, which only the connected
+    four-point search takes: then every cell says whether its diagrams are
+    2PI, that is, whether no pair of internal edges cuts them into exactly
+    two components with two legs on each.  Like `CountTable.cells`,
+    ``cells`` is read-only.
     """
 
     num_vertices: int
@@ -200,8 +202,8 @@ class TwoPointTable:
     cells: Mapping
     twopi: bool = False
 
-    def coefficient(self, n: Fraction | int = 1, *, connected_four: bool | None = None,
-                    color_boundary: bool = False, twopi: bool | None = None) -> Fraction:
+    def coefficient(self, n: Fraction | int = 1, *, color_boundary: bool = False,
+                    twopi: bool | None = None) -> Fraction:
         """Wick-normalized coefficient with loop weight ``n``.
 
         ``color_boundary`` also weights the loops running through the marked
@@ -213,9 +215,7 @@ class TwoPointTable:
             raise ValueError("this table carries no 2PI flags; build it with twopi=True")
         n = Fraction(n)
         acc = Fraction(0)
-        for (h, kin, kext, conn4, is2pi), c in self.cells.items():
-            if connected_four is not None and conn4 != connected_four:
-                continue
+        for (h, kin, kext, is2pi), c in self.cells.items():
             if twopi is not None and is2pi != twopi:
                 continue
             weight = n ** (kin + kext) if color_boundary else n**kin
@@ -266,8 +266,8 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
       whose first ``nfree`` members are the active ones: those of the legs
       and of the vertices touched so far, which have the lowest ids;
     * rollback union-find structures for internal components (``ipar``,
-      four-point typing only) and strand segments (``spar``; closing a
-      segment closes one loop).
+      gamma mode only) and strand segments (``spar``; closing a segment
+      closes one loop).
 
     Every vertex's four legs start as a boundary ring of their own, in
     rotation order, in a component of their own.  Every active half-edge
@@ -292,13 +292,13 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     read off the sizes of their rings: s0 and t on one ring of 4 close three
     if adjacent and one if opposite (a handle), and so on.  Its new loops are
     two if s0 and t end one strand segment, else one, each internal or
-    external by the flags of the segments in it.  For four legs the
-    connectivity test reads the count of internal components (``icomp``)
-    and the two joins, and the 2PI test runs on the completed matching.
-    With two free half-edges and vertices left, gluing them would close the
-    component early, so only fresh vertices are tried; two marked legs and
-    no vertex, the one table that starts with two free half-edges, is
-    answered before the search.
+    external by the flags of the segments in it.  The Euler numerator of
+    the genus is even on every gluing, so an odd one (a face miscounted)
+    raises `ArithmeticError` rather than floor to a genus.  The 2PI test
+    runs on the completed matching.  With two free half-edges and vertices
+    left, gluing them would close the component early, so only fresh
+    vertices are tried; two marked legs and no vertex, the one table that
+    starts with two free half-edges, is answered before the search.
 
     ``gamma_only`` (four marked legs) keeps only gluings whose internal graph
     stays a single component carrying all four legs: leg-leg matches are
@@ -332,13 +332,10 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # of the untouched vertices follow the nfree active ones
     fnx = list(range(1, S + 1)) + [0]
     fpv = [HEAD] + list(range(S))
-    # internal components (four-point connectivity typing), how many there
-    # are, and their counts of still-unmatched internal half-edges (for the
-    # gamma_only seal prune)
+    # internal components and their counts of still-unmatched internal
+    # half-edges, for the gamma_only seal prune
     ipar = list(range(V + 1))
-    icomp = [V]
     ifree = [0] * (V + 1)
-    track_internal = legs == 4
     # strand structure over half-edges
     spar = list(range(S))
     sext = [False] * S
@@ -365,7 +362,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
         if not V:
             # the one gluing, of the two legs to each other: two faces and
             # the boundary loop
-            return {(0, 0, 1, False, None): 1}
+            return {(0, 0, 1, None): 1}
         spar[1] = 0
         sext[0] = True
     elif legs == 4:
@@ -383,11 +380,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
 
     ncid_box = [V + 1]
 
-    def ifind(x: int) -> int:
-        while ipar[x] != x:
-            x = ipar[x]
-        return x
-
     # Legs have the lowest ids and s0 is the lowest free half-edge, so every
     # leg is glued before any internal half-edge: while s0 is a leg, no two
     # vertices have been joined (each is its own internal component), and
@@ -396,8 +388,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             match=match, nxt=nxt, prv=prv, cyc=cyc, csz=csz, fnx=fnx, fpv=fpv,
             ipar=ipar, ifree=ifree, spar=spar, sext=sext,
             vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E,
-            planar_only=planar_only, gamma_only=gamma_only,
-            track_internal=track_internal, twopi=twopi,
+            planar_only=planar_only, gamma_only=gamma_only, twopi=twopi,
             kinds=kinds, left=left):
         if a >= 0:
             # ---- glue a-b (the root call, a = -1, glues nothing); what
@@ -430,7 +421,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     sext[rs] = True
             i_child = -1
             ifree_root = -1
-            if track_internal and b >= legs:
+            if gamma_only and b >= legs:
                 vb = vx[b]
                 if a >= legs:
                     ria = vx[a]
@@ -442,7 +433,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     if ria != rib:
                         ipar[rib] = ria
                         i_child = rib
-                        icomp[0] -= 1
                         ifree_root = ria
                         ifree_old = ifree[ria]
                         ifree[ria] = ifree_old + ifree[rib] - 2
@@ -561,13 +551,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             seg0 = s0
             while spar[seg0] != seg0:
                 seg0 = spar[seg0]
-            if track_internal and not gamma_only:
-                # the internal components the last two gluings may join, or
-                # none once a leg was glued to a leg, which nothing mends
-                n4 = icomp[0]
-                for e in range(4):
-                    if 0 <= match[e] < 4:
-                        n4 = 0
 
         # -- partners among the active half-edges: the rest of the active
         # free list, or in planar mode the partners at odd steps along s0's
@@ -623,10 +606,13 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 closed = 3 if t == nxt[s0] or t == prv[s0] else 1
             else:
                 closed = 2
-            faces_t = faces + closed
-            genus = (2 - faces_t + V) // 2 if legs == 0 else (2 - (V + 1) + E - faces_t) // 2
-            if genus and planar_only:
-                continue
+            # the Euler numerator 2 - chi is even on every gluing, so an odd
+            # one means a face was miscounted
+            euler = 2 + V - faces - closed if legs == 0 else 1 - V + E - faces - closed
+            if euler & 1:
+                raise ArithmeticError(f"odd Euler numerator {euler} at a leaf: "
+                                      "a face count is off by one")
+            genus = euler // 2
             # the loops: s0-t closes the strand segment they both end and u-v
             # the other one, or else s0-t joins two segments and u-v closes
             # the result; a loop is external if a segment in it is
@@ -648,18 +634,15 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 kext_t = kext
             if legs == 0:
                 key = (genus, kint_t, True)
+            elif twopi:
+                match[s0] = t
+                match[t] = s0
+                match[u] = v
+                match[v] = u
+                key = (genus, kint_t, kext_t, not _leaf_two_particle_reducible())
+                match[s0] = match[t] = match[u] = match[v] = -1
             else:
-                conn4 = legs == 4 and (gamma_only or _leaf_four_connected(n4, s0, t, u, v))
-                if twopi:
-                    match[s0] = t
-                    match[t] = s0
-                    match[u] = v
-                    match[v] = u
-                    flag = not _leaf_two_particle_reducible()
-                    match[s0] = match[t] = match[u] = match[v] = -1
-                else:
-                    flag = None
-                key = (genus, kint_t, kext_t, conn4, flag)
+                key = (genus, kint_t, kext_t, None)
             cells[key] = cells.get(key, 0) + weight
 
         # -- partners on a fresh vertex: touch the next label, wire its
@@ -697,7 +680,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 ifree[ifree_root] = ifree_old
             if i_child >= 0:
                 ipar[i_child] = i_child
-                icomp[0] += 1
             if s_child >= 0:
                 spar[s_child] = s_child
                 sext[rs] = s_oldflag
@@ -707,31 +689,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             fnx[fpv[b]] = b
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
-
-    def _leaf_four_connected(n4: int, s0: int, t: int, u: int, v: int) -> bool:
-        # the last two gluings s0-t and u-v are in neither ``match`` nor
-        # ``ipar``, and ``n4`` counts the internal components before them (0
-        # if a leg is glued to a leg).  A leg glued to a leg hangs off no
-        # internal component; otherwise every leg hangs off one, and the
-        # diagram is connected, so all four share one exactly when one
-        # component is left after the two joins.  u and v are both legs only
-        # if every free half-edge is (V = 0), t included
-        if t < 4 or not n4:
-            return False
-        if n4 == 1:
-            return True
-        # while s0 is a leg no two vertices are joined, and a leaf has four
-        # half-edges free only if V <= 1: with more components than one, s0
-        # and with it every free half-edge is internal
-        a = ifind(vx[s0])
-        b = ifind(vx[t])
-        c = ifind(vx[u])
-        d = ifind(vx[v])
-        if c == b:
-            c = a
-        if d == b:
-            d = a
-        return n4 - (a != b) - (c != d) == 1
 
     def _leaf_two_particle_reducible() -> bool:
         # is there a pair of internal edges whose removal leaves exactly two
@@ -876,7 +833,9 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
     """Count gluings with one marked boundary carrying ``legs`` half-edges.
 
     ``gamma_only`` keeps only connected four-point diagrams (pruning the
-    search) and needs the four-leg boundary.  ``twopi`` needs ``gamma_only``
+    search) and needs the four-leg boundary; it is the one source of the
+    connected four-point part, since a plain four-leg table does not say
+    which of its diagrams are connected.  ``twopi`` needs ``gamma_only``
     too: it flags each diagram as 2PI or not by trying every pair of
     internal edges as a cut, at the leaf.
     """
@@ -971,7 +930,7 @@ def gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
     coeffs = []
     for V in range(vmax + 1):
         table = two_point_table(V, 4, gamma_only=True, ceiling=ceiling)
-        coeffs.append(table.coefficient(1, connected_four=True))
+        coeffs.append(table.coefficient(1))
     return Series.from_coeffs(coeffs, vmax)
 
 
@@ -981,7 +940,7 @@ def twopi_gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
     coeffs = []
     for V in range(vmax + 1):
         table = two_point_table(V, 4, twopi=True, gamma_only=True, ceiling=ceiling)
-        coeffs.append(table.coefficient(1, connected_four=True, twopi=True))
+        coeffs.append(table.coefficient(1, twopi=True))
     return Series.from_coeffs(coeffs, vmax)
 
 
