@@ -60,9 +60,9 @@ def critical_constants() -> CriticalConstants:
                              identity_residual=residual)
 
 
-def renormalization(vmax: int, **kwargs) -> Series:
+def renormalization(vmax: int, *, ceiling: int = oracle.DEFAULT_CEILING) -> Series:
     """The two-color t(g) making the oracle's G2 at n = 2 unity, by reversion."""
-    return onematrix.solve_unit_two_point(oracle.g2_series(vmax, n=2, **kwargs))
+    return onematrix.solve_unit_two_point(oracle.g2_series(vmax, n=2, ceiling=ceiling))
 
 
 def two_color_series(order: int, *, reduced: bool = False,
@@ -87,7 +87,7 @@ def two_color_series(order: int, *, reduced: bool = False,
     return integrate(g4_sum_reduced / 4)
 
 
-def reduced_growth_estimate(order: int = 5, **kwargs) -> float:
+def reduced_growth_estimate(order: int = 5, *, ceiling: int = oracle.DEFAULT_CEILING) -> float:
     """Loose few-term growth estimate for the renormalized two-color count.
 
     The last coefficient ratio, debiased to first order in 1/p by the
@@ -96,7 +96,7 @@ def reduced_growth_estimate(order: int = 5, **kwargs) -> float:
     forms in `critical_constants`; the exponent class itself is never
     fitted from the few available terms.
     """
-    series = two_color_series(order, reduced=True, **kwargs)
+    series = two_color_series(order, reduced=True, ceiling=ceiling)
     coeffs = series.coeffs
     ps = [p for p in range(1, len(coeffs)) if coeffs[p] != 0]
     if len(ps) < 2 or ps[-1] - ps[-2] != 1:

@@ -10,8 +10,10 @@ asymptotics ratio-method growth/exponent estimate with full diagnostics
 
 Exit codes: 0 success, 1 crosscheck mismatch, 2 usage error, 3 a library
 self-check failed (a lost or ambiguous series branch in the flype
-singularity analysis, or an out-of-range arithmetic residual); codes 2 and 3
-print a one-line ``error:`` message on stderr.  Enumerations run in a single
+singularity analysis, an out-of-range arithmetic residual, an inexact
+polynomial division in the flype elimination, or an odd Euler numerator at
+an oracle leaf, which means a miscounted face); codes 2 and 3 print a
+one-line ``error:`` message on stderr.  Enumerations run in a single
 process, so identical configurations produce byte-identical output.
 """
 
@@ -20,37 +22,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import abab, census, flype, onematrix, oracle
 from .series import Series, rational_to_str
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, fully resolved."""
-
-    command: str                 # series | enumerate | constants | crosscheck | asymptotics
-    model: str = "reduced"       # raw | reduced | flype | on | two-color
-    what: str = "links"          # links | tangles
-    n: Fraction = Fraction(1)    # loop weight for model "on"
-    reduced: bool = False        # renormalized variant for "on"/"two-color"
-    order: int = 8
-    vertices: int = 3
-    vmax: int = 4
-    planar: bool = False
-    connected: bool = False
-    tangencies: int = 0
-    sequence: str = "reduced-links"
-    terms: int = 12
-    output: str = "json"         # json | csv
-
-
-def _series_for(config: RunConfig) -> Series:
-    model, what, order = config.model, config.what, config.order
+def _series_for(args: argparse.Namespace) -> Series:
+    model, what, order = args.model, args.what, args.order
     if model == "raw":
         return (onematrix.free_energy_raw_series(order) if what == "links"
                 else onematrix.gamma_raw_series(order))
@@ -64,11 +45,11 @@ def _series_for(config: RunConfig) -> Series:
     if model == "on":
         if what != "links":
             raise ValueError("loop-weight series are computed for links")
-        return oracle.free_energy_series(order, n=config.n)
+        return oracle.free_energy_series(order, n=args.n)
     if model == "two-color":
         if what != "links":
             raise ValueError("two-color series are computed for links")
-        return abab.two_color_series(order, reduced=config.reduced)
+        return abab.two_color_series(order, reduced=args.reduced)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -80,22 +61,22 @@ def _emit_series(series: Series, output: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_series(config: RunConfig) -> int:
-    print(_emit_series(_series_for(config), config.output))
+def _cmd_series(args: argparse.Namespace) -> int:
+    print(_emit_series(_series_for(args), args.output))
     return 0
 
 
-def _cmd_enumerate(config: RunConfig) -> int:
-    if config.tangencies:
-        counts = {"crossing": config.vertices - config.tangencies,
-                  "tangency": config.tangencies}
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.tangencies:
+        counts = {"crossing": args.vertices - args.tangencies,
+                  "tangency": args.tangencies}
         table = oracle.enumerate_pairings(
-            config.vertices, oracle.VertexModel.generalized(), type_counts=counts,
-            planar_only=config.planar, connected_only=config.connected)
+            args.vertices, oracle.VertexModel.generalized(), type_counts=counts,
+            planar_only=args.planar, connected_only=args.connected)
     else:
         table = oracle.enumerate_pairings(
-            config.vertices, planar_only=config.planar, connected_only=config.connected)
-    if config.output == "csv":
+            args.vertices, planar_only=args.planar, connected_only=args.connected)
+    if args.output == "csv":
         sys.stdout.write(oracle.count_table_csv([table]))
     else:
         payload = {
@@ -112,18 +93,18 @@ def _cmd_enumerate(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_constants(config: RunConfig) -> int:
+def _cmd_constants(args: argparse.Namespace) -> int:
     rows = census.constants_report()
-    if config.output == "csv":
+    if args.output == "csv":
         sys.stdout.write(census.constants_to_csv(rows))
     else:
         print(census.constants_to_json(rows))
     return 0
 
 
-def _cmd_crosscheck(config: RunConfig) -> int:
+def _cmd_crosscheck(args: argparse.Namespace) -> int:
     """Closed forms against the oracle, coefficient by coefficient."""
-    vmax = config.vmax
+    vmax = args.vmax
     if vmax < 1:
         raise ValueError(f"crosscheck needs --vmax >= 1, got {vmax}")
     checks = [
@@ -150,18 +131,18 @@ def _cmd_crosscheck(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_asymptotics(config: RunConfig) -> int:
+def _cmd_asymptotics(args: argparse.Namespace) -> int:
     builders = {
         "raw-links": census.raw_link_diagrams,
         "reduced-links": census.reduced_link_diagrams,
         "reduced-tangles": census.reduced_tangles,
         "flype-classes": census.flype_tangle_classes,
     }
-    seq = builders[config.sequence](config.terms)
+    seq = builders[args.sequence](args.terms)
     est = census.ratio_asymptotics(seq)
     payload = {
         "sequence": seq.name,
-        "terms": config.terms,
+        "terms": args.terms,
         "growth": est.growth,
         "exponent": est.exponent,
         "ratios": list(est.ratios),
@@ -178,14 +159,6 @@ _COMMANDS = {
     "crosscheck": _cmd_crosscheck,
     "asymptotics": _cmd_asymptotics,
 }
-
-
-def run(config: RunConfig) -> int:
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 2
-    return handler(config)
 
 
 def _fraction(text: str) -> Fraction:
@@ -243,11 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
-              if hasattr(args, f)}
-    config = RunConfig(**fields)
     try:
-        return run(config)
+        return _COMMANDS[args.command](args)
     except oracle.CeilingError as exc:
         # the library's hint names a keyword argument the command line lacks
         print(f"error: V = {exc.vertices} exceeds the enumeration ceiling: the "

@@ -8,8 +8,8 @@ This module is the ground truth of the package: it counts perfect matchings
   vertex according to its strand pattern),
 * connectivity,
 * two-particle irreducibility (2PI) of connected four-point diagrams, on
-  request: no pair of internal edges cuts the diagram into exactly two
-  components carrying two legs each,
+  request, as a restriction to the diagrams that no pair of internal edges
+  cuts into exactly two components carrying two legs each,
 
 and exposes the counts as `CountTable` objects whose entries, divided by the
 Wick normalization ``4^V V!`` per vertex type, are the exact coefficients of
@@ -184,40 +184,28 @@ class CountTable:
 class TwoPointTable:
     """Counts for diagrams with one marked boundary carrying 2 or 4 legs.
 
-    ``cells`` maps ``(genus, internal_strands, boundary_strands,
-    two_particle_irreducible)`` to counts.  A table built with ``gamma_only``
-    holds the connected four-point part (all four legs on one internal
-    component) and nothing else; a plain table holds every diagram whose
-    internal components all touch the boundary.  The last entry is None
-    unless the table was built with ``twopi``, which only the connected
-    four-point search takes: then every cell says whether its diagrams are
-    2PI, that is, whether no pair of internal edges cuts them into exactly
-    two components with two legs on each.  Like `CountTable.cells`,
-    ``cells`` is read-only.
+    ``cells`` maps ``(genus, internal_strands, boundary_strands)`` to counts.
+    A plain table holds every diagram whose internal components all touch
+    the boundary; one built with ``gamma_only`` holds the connected
+    four-point part (all four legs on one internal component) and nothing
+    else, and one also built with ``twopi`` only its 2PI diagrams, those
+    that no pair of internal edges cuts into exactly two components with two
+    legs on each.  Like `CountTable.cells`, ``cells`` is read-only.
     """
 
     num_vertices: int
-    legs: int
-    planar_only: bool
     cells: Mapping
-    twopi: bool = False
 
-    def coefficient(self, n: Fraction | int = 1, *, color_boundary: bool = False,
-                    twopi: bool | None = None) -> Fraction:
+    def coefficient(self, n: Fraction | int = 1, *, color_boundary: bool = False) -> Fraction:
         """Wick-normalized coefficient with loop weight ``n``.
 
         ``color_boundary`` also weights the loops running through the marked
         boundary (the color-summed four-point correlator); otherwise boundary
-        loops carry weight 1 (a fixed external color).  Selecting by ``twopi``
-        needs a table built with ``twopi=True``.
+        loops carry weight 1 (a fixed external color).
         """
-        if twopi is not None and not self.twopi:
-            raise ValueError("this table carries no 2PI flags; build it with twopi=True")
         n = Fraction(n)
         acc = Fraction(0)
-        for (h, kin, kext, is2pi), c in self.cells.items():
-            if twopi is not None and is2pi != twopi:
-                continue
+        for (h, kin, kext), c in self.cells.items():
             weight = n ** (kin + kext) if color_boundary else n**kin
             acc += c * weight
         norm = 4**self.num_vertices * factorial(self.num_vertices)
@@ -294,18 +282,21 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     two if s0 and t end one strand segment, else one, each internal or
     external by the flags of the segments in it.  The Euler numerator of
     the genus is even on every gluing, so an odd one (a face miscounted)
-    raises `ArithmeticError` rather than floor to a genus.  The 2PI test
-    runs on the completed matching.  With two free half-edges and vertices
-    left, gluing them would close the component early, so only fresh
-    vertices are tried; two marked legs and no vertex, the one table that
-    starts with two free half-edges, is answered before the search.
+    raises `ArithmeticError` rather than floor to a genus.  With two free
+    half-edges and vertices left, gluing them would close the component
+    early, so only fresh vertices are tried; two marked legs and no vertex,
+    the one table that starts with two free half-edges, is answered before
+    the search.
 
     ``gamma_only`` (four marked legs) keeps only gluings whose internal graph
     stays a single component carrying all four legs: leg-leg matches are
     skipped and a branch dies the moment an internal component runs out of
     free half-edges while anything else is still open.  Every surviving leaf
-    is then a connected four-point diagram, and ``twopi`` flags it as 2PI
-    or not by trying every pair of its internal edges as a cut.
+    is then a connected four-point diagram.  ``twopi`` (with ``gamma_only``)
+    keeps only the 2PI ones: the leaf completes the matching and skips it if
+    some pair of its internal edges cuts it into two components with two
+    legs each.  Closed cells are keyed ``(genus, strands, True)``, marked
+    ones ``(genus, internal strands, boundary strands)``.
     """
     V = sum(count for _, count in species)
     S = legs + 4 * V
@@ -362,7 +353,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
         if not V:
             # the one gluing, of the two legs to each other: two faces and
             # the boundary loop
-            return {(0, 0, 1, None): 1}
+            return {(0, 0, 1): 1}
         spar[1] = 0
         sext[0] = True
     elif legs == 4:
@@ -632,17 +623,9 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             else:
                 kint_t = kint + 1
                 kext_t = kext
-            if legs == 0:
-                key = (genus, kint_t, True)
-            elif twopi:
-                match[s0] = t
-                match[t] = s0
-                match[u] = v
-                match[v] = u
-                key = (genus, kint_t, kext_t, not _leaf_two_particle_reducible())
-                match[s0] = match[t] = match[u] = match[v] = -1
-            else:
-                key = (genus, kint_t, kext_t, None)
+            if twopi and _leaf_two_particle_reducible(s0, t, u, v):
+                continue
+            key = (genus, kint_t, True) if legs == 0 else (genus, kint_t, kext_t)
             cells[key] = cells.get(key, 0) + weight
 
         # -- partners on a fresh vertex: touch the next label, wire its
@@ -690,10 +673,14 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
 
-    def _leaf_two_particle_reducible() -> bool:
-        # is there a pair of internal edges whose removal leaves exactly two
-        # components with two legs on each?
+    def _leaf_two_particle_reducible(s0, t, x, y) -> bool:
+        # with the leaf's last two gluings s0-t and x-y made: is there a pair
+        # of internal edges whose removal leaves exactly two components with
+        # two legs on each?
+        match[s0], match[t], match[x], match[y] = t, s0, y, x
         edges = [(vx[s], vx[match[s]]) for s in range(legs, S) if s < match[s]]
+        leg_at = [vx[match[e]] for e in range(legs)]
+        match[s0] = match[t] = match[x] = match[y] = -1
         for i, j in combinations(range(len(edges)), 2):
             parent = list(range(V))
             comps = V
@@ -707,8 +694,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     comps -= 1
             if comps == 2:
                 sides = []
-                for e in range(legs):
-                    u = vx[match[e]]
+                for u in leg_at:
                     while parent[u] != u:
                         u = parent[u]
                     sides.append(u)
@@ -836,8 +822,8 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
     search) and needs the four-leg boundary; it is the one source of the
     connected four-point part, since a plain four-leg table does not say
     which of its diagrams are connected.  ``twopi`` needs ``gamma_only``
-    too: it flags each diagram as 2PI or not by trying every pair of
-    internal edges as a cut, at the leaf.
+    too: it keeps only the 2PI diagrams, trying every pair of internal edges
+    as a cut at the leaf.
     """
     if legs not in (2, 4):
         raise ValueError("the marked boundary carries 2 or 4 legs")
@@ -846,12 +832,11 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
     if (gamma_only or twopi) and legs != 4:
         raise ValueError("gamma_only and twopi apply to the four-leg boundary")
     if twopi and not gamma_only:
-        raise ValueError("twopi flags connected four-point diagrams; pass gamma_only=True")
+        raise ValueError("twopi restricts connected four-point diagrams; pass gamma_only=True")
     _check_ceiling(num_vertices, ceiling)
     species = ((_strand_offsets(CROSSING), num_vertices),)
     cells = _cached_cells(legs, species, planar_only, twopi, gamma_only)
-    return TwoPointTable(num_vertices=num_vertices, legs=legs, planar_only=planar_only,
-                         cells=cells, twopi=twopi)
+    return TwoPointTable(num_vertices=num_vertices, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -896,15 +881,19 @@ def free_energy_series(vmax: int, n: Fraction | int = 1, *,
     return Series.from_coeffs(coeffs, vmax)
 
 
+def _marked_series(vmax: int, legs: int, n: Fraction | int = 1, *,
+                   color_boundary: bool = False, gamma_only: bool = False,
+                   twopi: bool = False, ceiling: int) -> Series:
+    """Planar marked-boundary coefficients at V = 0..vmax, as one series."""
+    _check_ceiling(vmax, ceiling)
+    coeffs = [two_point_table(V, legs, gamma_only=gamma_only, twopi=twopi, ceiling=ceiling)
+              .coefficient(n, color_boundary=color_boundary) for V in range(vmax + 1)]
+    return Series.from_coeffs(coeffs, vmax)
+
+
 def g2_series(vmax: int, n: Fraction | int = 1, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle two-point series with a fixed external color (planar)."""
-    _check_ceiling(vmax, ceiling)
-    n = Fraction(n)
-    coeffs = []
-    for V in range(vmax + 1):
-        table = two_point_table(V, 2, ceiling=ceiling)
-        coeffs.append(table.coefficient(n))
-    return Series.from_coeffs(coeffs, vmax)
+    return _marked_series(vmax, 2, n, ceiling=ceiling)
 
 
 def g4_series(vmax: int, n: Fraction | int = 1, *, color_boundary: bool = False,
@@ -915,33 +904,17 @@ def g4_series(vmax: int, n: Fraction | int = 1, *, color_boundary: bool = False,
     which is the color-summed correlator whose quarter is d/dg of the free
     energy of the n-color model.
     """
-    _check_ceiling(vmax, ceiling)
-    n = Fraction(n)
-    coeffs = []
-    for V in range(vmax + 1):
-        table = two_point_table(V, 4, ceiling=ceiling)
-        coeffs.append(table.coefficient(n, color_boundary=color_boundary))
-    return Series.from_coeffs(coeffs, vmax)
+    return _marked_series(vmax, 4, n, color_boundary=color_boundary, ceiling=ceiling)
 
 
 def gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle connected four-point (tangle) series, one color, planar."""
-    _check_ceiling(vmax, ceiling)
-    coeffs = []
-    for V in range(vmax + 1):
-        table = two_point_table(V, 4, gamma_only=True, ceiling=ceiling)
-        coeffs.append(table.coefficient(1))
-    return Series.from_coeffs(coeffs, vmax)
+    return _marked_series(vmax, 4, gamma_only=True, ceiling=ceiling)
 
 
 def twopi_gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
     """Oracle series of two-particle-irreducible tangles (one color, planar)."""
-    _check_ceiling(vmax, ceiling)
-    coeffs = []
-    for V in range(vmax + 1):
-        table = two_point_table(V, 4, twopi=True, gamma_only=True, ceiling=ceiling)
-        coeffs.append(table.coefficient(1, twopi=True))
-    return Series.from_coeffs(coeffs, vmax)
+    return _marked_series(vmax, 4, gamma_only=True, twopi=True, ceiling=ceiling)
 
 
 # ---------------------------------------------------------------------------

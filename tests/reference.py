@@ -191,13 +191,13 @@ def _enumerate_plain(vertex_patterns, legs):
             chi = (V + 1) - E + faces
             genus = (2 - chi) // 2
             conn4 = legs == 4 and len(attached) == 4 and len(set(attached)) == 1
-            key = (genus, kin, kext, conn4, None)
+            key = (genus, kin, kext, conn4)
         cells[key] = cells.get(key, 0) + 1
     return cells
 
 
 def _twopi_reference(vertex_patterns, planar):
-    """Connected four-leg cells, each flagged as two-particle irreducible or not."""
+    """Connected four-leg cells of the two-particle irreducible gluings only."""
     V = len(vertex_patterns)
     cells: dict = {}
     sigma, strand = _vertex_permutations(vertex_patterns, 4)
@@ -206,9 +206,9 @@ def _twopi_reference(vertex_patterns, planar):
             continue
         faces, kin, kext = _faces_and_loops(matching, sigma, strand, 4)
         genus = (2 - (V + 1) + (2 + 2 * V) - faces) // 2
-        if planar and genus:
+        if (planar and genus) or _two_two_cut(matching, V):
             continue
-        key = (genus, kin, kext, True, not _two_two_cut(matching, V))
+        key = (genus, kin, kext)
         cells[key] = cells.get(key, 0) + 1
     return cells
 

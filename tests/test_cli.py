@@ -208,8 +208,3 @@ def test_enumerate_rejects_more_tangencies_than_vertices(capsys):
     assert code == 2
     assert captured.out == ""
     assert "nonnegative" in captured.err
-
-
-def test_run_config_dataclass():
-    config = cli.RunConfig(command="series", model="raw", order=2)
-    assert cli.run(config) == 0

@@ -5,6 +5,7 @@ every command runs with sympy refused."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 import linkcensus
-from linkcensus import onematrix
+from linkcensus import onematrix, oracle
 from linkcensus.series import Series
 
 MODULES = ["linkcensus"] + [f"linkcensus.{info.name}"
@@ -71,8 +72,9 @@ def test_every_export_is_used():
 
 
 def test_tracer_targets_resolve():
-    # perfbench/tracer.py wraps these names and reads these attributes of the
-    # kernel arguments; a rename should fail here, not in a traced benchmark run
+    # perfbench/tracer.py wraps these names, reads these attributes of the
+    # kernel arguments and reads each oracle call's mode off its bound
+    # arguments; a rename should fail here, not in a traced benchmark run
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "perfbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
@@ -87,6 +89,26 @@ def test_tracer_targets_resolve():
             "compose": (s, Series.identity(6)), "newton_solve": (onematrix.reduced_cubic(), 6)}
     for name in tracer.SERIES:
         assert tracer.coeff_ops(name, args[name]) > 0
+
+    def bound(fn, *args, **kwargs):
+        # bound as the tracer's wrapper binds an oracle call
+        arguments = inspect.signature(fn).bind(*args, **kwargs)
+        arguments.apply_defaults()
+        return arguments
+
+    marked, closed = oracle.two_point_table, oracle.enumerate_pairings
+    calls = {
+        "leg2": bound(marked, 3, 2),
+        "leg4": bound(marked, 3, 4),
+        "gamma": bound(marked, 3, 4, gamma_only=True),
+        "twopi": bound(marked, 3, 4, gamma_only=True, twopi=True),
+        "closed_all": bound(closed, 3),
+        "closed_planar": bound(closed, 3, planar_only=True),
+        "mixed": bound(closed, 3, oracle.VertexModel.generalized(),
+                       type_counts={"crossing": 2, "tangency": 1}),
+    }
+    assert {mode: tracer.oracle_mode(call) for mode, call in calls.items()} == {
+        mode: mode for mode in calls}
 
 
 def test_commands_do_not_load_numpy():

@@ -1,6 +1,5 @@
 """The exhaustive pairing enumerator: engines, stratification, series assembly."""
 
-import inspect
 import math
 from fractions import Fraction
 from functools import cache
@@ -67,9 +66,9 @@ def _unflagged(cells, connected=None):
     """Reference marked cells without their four-leg connectivity element:
     summed over it, or only those whose element equals ``connected``."""
     out = {}
-    for (h, kin, kext, conn4, flag), count in cells.items():
+    for (h, kin, kext, conn4), count in cells.items():
         if connected is None or conn4 == connected:
-            key = (h, kin, kext, flag)
+            key = (h, kin, kext)
             out[key] = out.get(key, 0) + count
     return out
 
@@ -155,7 +154,7 @@ def _slice(cells, keep):
 
 
 @pytest.mark.parametrize("vertex_type", WIRINGS, ids=lambda vt: vt.name)
-@pytest.mark.parametrize("V,planar", [(1, False), (2, False), (3, False),
+@pytest.mark.parametrize("V,planar", [(1, False), (2, False), (3, False), (4, False),
                                       (1, True), (2, True), (3, True), (4, True)])
 def test_orbit_engine_matches_reference_closed(vertex_type, V, planar):
     off = oc._strand_offsets(vertex_type)
@@ -181,15 +180,11 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
         return
     gamma = _unflagged(want, connected=True)
     assert oc._fast_search(4, species, planar, False, gamma_only=True) == gamma
+    # the 2PI diagrams are some of the connected ones
     twopi = oc._fast_search(4, species, planar, True, gamma_only=True)
-    merged = {}
-    for (h, kin, kext, _flag), count in twopi.items():
-        key = (h, kin, kext, None)
-        merged[key] = merged.get(key, 0) + count
-    assert merged == gamma
+    assert all(0 < count <= gamma.get(key, 0) for key, count in twopi.items())
     if V <= 2:
-        reference = _twopi_reference((vertex_type.strand_pairs,) * V, planar)
-        assert twopi == _unflagged(reference, connected=True)
+        assert twopi == _twopi_reference((vertex_type.strand_pairs,) * V, planar)
 
 
 # The all-genus search walks the whole free list: it never takes the planar
@@ -385,9 +380,9 @@ def test_two_point_coefficients_match_closed_forms():
 
 def test_boundary_strand_count_is_consistent():
     table = oc.two_point_table(2, 2)
-    assert all(kext == 1 for (_h, _kin, kext, _t) in table.cells)
+    assert all(kext == 1 for (_h, _kin, kext) in table.cells)
     table4 = oc.two_point_table(2, 4)
-    assert {kext for (_h, _kin, kext, _t) in table4.cells} <= {1, 2}
+    assert {kext for (_h, _kin, kext) in table4.cells} <= {1, 2}
 
 
 def test_loop_polynomial_of_single_table():
@@ -471,14 +466,9 @@ def test_twopi_flag_needs_the_four_leg_boundary():
         oc.two_point_table(3, 4, twopi=True)
 
 
-def test_twopi_selection_needs_a_flagged_table():
-    table = oc.two_point_table(3, 4, gamma_only=True)
-    for twopi in (True, False):
-        with pytest.raises(ValueError, match="twopi=True"):
-            table.coefficient(1, twopi=twopi)
-    assert table.coefficient(1) == 90
-    flagged = oc.two_point_table(3, 4, gamma_only=True, twopi=True)
-    assert flagged.coefficient(1, twopi=True) == 60
+def test_twopi_table_keeps_the_2pi_part_of_the_gamma_table():
+    assert oc.two_point_table(3, 4, gamma_only=True).coefficient(1) == 90
+    assert oc.two_point_table(3, 4, gamma_only=True, twopi=True).coefficient(1) == 60
 
 
 def test_vertex_model_validation():
@@ -527,11 +517,3 @@ def test_cached_cells_are_read_only():
         with pytest.raises(TypeError):
             table.cells[key] = 99
     assert sum(oc.enumerate_pairings(2).cells.values()) == oc.double_factorial(7)
-
-
-def test_tracer_parameter_names_are_kept():
-    # perfbench/tracer.py binds oracle calls by these parameter names
-    closed = inspect.signature(oc.enumerate_pairings).parameters
-    assert {"type_counts", "planar_only"} <= set(closed)
-    marked = inspect.signature(oc.two_point_table).parameters
-    assert {"legs", "planar_only", "twopi", "gamma_only"} <= set(marked)
