@@ -60,13 +60,12 @@ def critical_constants() -> CriticalConstants:
                              identity_residual=residual)
 
 
-def renormalization(vmax: int, *, ceiling: int = oracle.DEFAULT_CEILING) -> Series:
+def renormalization(vmax: int) -> Series:
     """The two-color t(g) making the oracle's G2 at n = 2 unity, by reversion."""
-    return onematrix.solve_unit_two_point(oracle.g2_series(vmax, n=2, ceiling=ceiling))
+    return onematrix.solve_unit_two_point(oracle.g2_series(vmax, n=2))
 
 
-def two_color_series(order: int, *, reduced: bool = False,
-                     ceiling: int = oracle.DEFAULT_CEILING) -> Series:
+def two_color_series(order: int, *, reduced: bool = False) -> Series:
     """Two-color diagram-counting series from the oracle at loop weight 2.
 
     Raw: the free energy of the two-color model.  Reduced: integral of a
@@ -75,19 +74,19 @@ def two_color_series(order: int, *, reduced: bool = False,
     marked-vertex identity, cross-checked against direct enumeration in the
     test suite).
     """
-    raw = oracle.free_energy_series(order, n=2, ceiling=ceiling)
+    raw = oracle.free_energy_series(order, n=2)
     if not reduced:
         return raw
     if order < 1:
         return Series.zero(order)
     # color-summed raw four-point series from the marked-vertex identity
     g4_sum_raw = 4 * derivative(raw)
-    t = renormalization(order - 1, ceiling=ceiling)
+    t = renormalization(order - 1)
     g4_sum_reduced = onematrix.substitute_renormalized(g4_sum_raw, t, legs=4)
     return integrate(g4_sum_reduced / 4)
 
 
-def reduced_growth_estimate(order: int = 5, *, ceiling: int = oracle.DEFAULT_CEILING) -> float:
+def reduced_growth_estimate(order: int = 5) -> float:
     """Loose few-term growth estimate for the renormalized two-color count.
 
     The last coefficient ratio, debiased to first order in 1/p by the
@@ -96,7 +95,7 @@ def reduced_growth_estimate(order: int = 5, *, ceiling: int = oracle.DEFAULT_CEI
     forms in `critical_constants`; the exponent class itself is never
     fitted from the few available terms.
     """
-    series = two_color_series(order, reduced=True, ceiling=ceiling)
+    series = two_color_series(order, reduced=True)
     coeffs = series.coeffs
     ps = [p for p in range(1, len(coeffs)) if coeffs[p] != 0]
     if len(ps) < 2 or ps[-1] - ps[-2] != 1:

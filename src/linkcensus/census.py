@@ -23,16 +23,14 @@ import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
-from . import abab, flype, onematrix, oracle
+from . import abab, flype, onematrix
 from .series import BivariatePoly, Series
 
 __all__ = [
     "CountingSequence",
     "AsymptoticEstimate",
-    "ComponentTable",
     "ConstantRow",
     "ratio_asymptotics",
-    "component_decomposition",
     "constants_report",
     "reduced_cubic_growth",
     "raw_growth",
@@ -197,46 +195,6 @@ def ratio_asymptotics(seq: CountingSequence, levels: int = 4) -> AsymptoticEstim
         ratios=tuple(r for _, r in ratios),
         diagnostics=tuple(v for _, v in growth_tab),
     )
-
-
-# ---------------------------------------------------------------------------
-# component decomposition (replica columns)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComponentTable:
-    """Coefficients of the link count stratified by number of components.
-
-    ``by_order[p][k]`` is the weight of diagrams with p crossings whose link
-    has exactly k components; column k = 1 is the knot-diagram series.
-    """
-
-    by_order: dict
-
-    def component_series(self, k: int) -> tuple:
-        top = max(self.by_order) if self.by_order else 0
-        return tuple(
-            self.by_order.get(p, {}).get(k, Fraction(0)) for p in range(top + 1)
-        )
-
-    def knots(self) -> tuple:
-        return self.component_series(1)
-
-    def evaluate(self, n: Fraction | int) -> tuple:
-        n = Fraction(n)
-        top = max(self.by_order) if self.by_order else 0
-        return tuple(
-            sum((c * n**k for k, c in self.by_order.get(p, {}).items()), Fraction(0))
-            for p in range(top + 1)
-        )
-
-
-def component_decomposition(order: int, *,
-                            ceiling: int = oracle.DEFAULT_CEILING) -> ComponentTable:
-    """Stratify the oracle's diagram counts by number of link components."""
-    polys = oracle.free_energy_polynomials(order, ceiling=ceiling)
-    return ComponentTable(by_order={0: {}, **polys})
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,12 @@ __all__ = ["main"]
 
 def _series_for(args: argparse.Namespace) -> Series:
     model, what, order = args.model, args.what, args.order
+    # refused rather than ignored: a flag a model does not read would print
+    # some other series than the one asked for
+    if args.n is not None and model != "on":
+        raise ValueError("--n sets the loop weight of --model on only")
+    if args.reduced and model != "two-color":
+        raise ValueError("--reduced applies to --model two-color only")
     if model == "raw":
         return (onematrix.free_energy_raw_series(order) if what == "links"
                 else onematrix.gamma_raw_series(order))
@@ -45,7 +51,7 @@ def _series_for(args: argparse.Namespace) -> Series:
     if model == "on":
         if what != "links":
             raise ValueError("loop-weight series are computed for links")
-        return oracle.free_energy_series(order, n=args.n)
+        return oracle.free_energy_series(order, n=1 if args.n is None else args.n)
     if model == "two-color":
         if what != "links":
             raise ValueError("two-color series are computed for links")
@@ -183,8 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--model", choices=["raw", "reduced", "flype", "on", "two-color"],
                           default="reduced")
     p_series.add_argument("--what", choices=["links", "tangles"], default="links")
-    p_series.add_argument("--n", type=_fraction, default=Fraction(1),
-                          help="loop weight for --model on (a rational, e.g. 1/2)")
+    p_series.add_argument("--n", type=_fraction, default=None,
+                          help="loop weight for --model on (a rational, e.g. 1/2; default 1)")
     p_series.add_argument("--reduced", action="store_true",
                           help="renormalized variant (two-color model)")
     p_series.add_argument("--order", type=int, default=8)
@@ -209,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                                "reduced-tangles", "flype-classes"],
                         default="reduced-links")
     p_asym.add_argument("--terms", type=int, default=12)
-    p_asym.add_argument("--format", dest="output", choices=["json"], default="json")
 
     return parser
 
@@ -219,7 +224,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except oracle.CeilingError as exc:
-        # the library's hint names a keyword argument the command line lacks
+        # the command line cannot raise the ceiling, so it names it as a fixed limit
         print(f"error: V = {exc.vertices} exceeds the enumeration ceiling: the "
               f"command line enumerates at most {exc.ceiling} vertices", file=sys.stderr)
         return 2

@@ -61,7 +61,6 @@ __all__ = [
     "BranchMismatchError",
     "FlypeSingularity",
     "d_of_gamma",
-    "gamma_of_d",
     "zeta_of_gamma",
     "skeleton_series",
     "gamma_tilde",
@@ -83,17 +82,11 @@ def d_of_gamma(gamma: Series) -> Series:
     return div(mul(gamma, 1 - gamma), 1 + gamma)
 
 
-def gamma_of_d(d: Series) -> Series:
-    """Full tangle series rebuilt from the 2PI series (inverts d_of_gamma)."""
-    if d.num[0] != 0:
-        raise SeriesError("2PI series must have zero constant term")
-    return skeleton_series(d)
-
-
 def skeleton_series(slot: Series) -> Series:
     """Fully two-particle-reducible skeletons with ``slot`` in every slot.
 
-    For ``slot = g`` this is the Schroeder-type series 1, 2, 6, 22, 90, ...
+    For ``slot = g`` this is the Schroeder-type series 1, 2, 6, 22, 90, ...;
+    for the 2PI series ``slot = d_of_gamma(gamma)`` it is ``gamma`` again.
     """
     if slot.num[0] != 0:
         raise SeriesError("slot series must have zero constant term")

@@ -77,10 +77,9 @@ __all__ = [
     "TwoPointTable",
     "CROSSING",
     "TANGENCY",
-    "DEFAULT_CEILING",
+    "CEILING",
     "enumerate_pairings",
     "two_point_table",
-    "loop_polynomial",
     "free_energy_polynomials",
     "free_energy_series",
     "g2_series",
@@ -91,11 +90,16 @@ __all__ = [
     "double_factorial",
 ]
 
-DEFAULT_CEILING = 6
+# the most vertices any table is enumerated at; read at call time, so a run
+# that means to go further raises it for its own duration
+CEILING = 6
 
 
 class CeilingError(ValueError):
-    """The requested vertex count exceeds the configured enumeration ceiling."""
+    """The requested vertex count exceeds `CEILING`, the enumeration ceiling.
+
+    Every table builder and series builder raises it before any search.
+    """
 
     def __init__(self, vertices: int, ceiling: int) -> None:
         super().__init__(vertices, ceiling)
@@ -103,8 +107,7 @@ class CeilingError(ValueError):
         self.ceiling = ceiling
 
     def __str__(self) -> str:
-        return (f"V = {self.vertices} exceeds the enumeration ceiling {self.ceiling}; "
-                f"pass a larger `ceiling=` explicitly if you really want this run")
+        return f"V = {self.vertices} exceeds the enumeration ceiling {self.ceiling}"
 
 
 @dataclass(frozen=True)
@@ -171,13 +174,6 @@ class CountTable:
 
     def wick_normalization(self) -> int:
         return prod(4**c * factorial(c) for _, c in self.vertex_counts)
-
-    def connected_planar_by_strands(self) -> dict:
-        out: dict = {}
-        for (h, k, conn), c in self.cells.items():
-            if conn and h == 0:
-                out[k] = out.get(k, 0) + c
-        return out
 
 
 @dataclass(frozen=True)
@@ -772,15 +768,14 @@ def _strand_offsets(vertex_type: VertexType) -> tuple:
     return tuple(off)
 
 
-def _check_ceiling(V: int, ceiling: int) -> None:
-    if V > ceiling:
-        raise CeilingError(V, ceiling)
+def _check_ceiling(V: int) -> None:
+    if V > CEILING:
+        raise CeilingError(V, CEILING)
 
 
 def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
                        type_counts: dict | None = None, planar_only: bool = False,
-                       connected_only: bool = False,
-                       ceiling: int = DEFAULT_CEILING) -> CountTable:
+                       connected_only: bool = False) -> CountTable:
     """Count every gluing of closed diagrams at the given vertex content.
 
     For a single vertex species ``num_vertices`` suffices; for mixed species
@@ -799,7 +794,7 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
         raise ValueError("type_counts must sum to num_vertices")
     if V < 1:
         raise ValueError("enumeration needs V >= 1")
-    _check_ceiling(V, ceiling)
+    _check_ceiling(V)
     active = [(model.by_name(name), count) for name, count in sorted(type_counts.items())
               if count > 0]
     # the counts depend on the wiring, not on what the caller named it
@@ -814,8 +809,7 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
 
 
 def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
-                    twopi: bool = False, gamma_only: bool = False,
-                    ceiling: int = DEFAULT_CEILING) -> TwoPointTable:
+                    twopi: bool = False, gamma_only: bool = False) -> TwoPointTable:
     """Count gluings with one marked boundary carrying ``legs`` half-edges.
 
     ``gamma_only`` keeps only connected four-point diagrams (pruning the
@@ -833,7 +827,7 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
         raise ValueError("gamma_only and twopi apply to the four-leg boundary")
     if twopi and not gamma_only:
         raise ValueError("twopi restricts connected four-point diagrams; pass gamma_only=True")
-    _check_ceiling(num_vertices, ceiling)
+    _check_ceiling(num_vertices)
     species = ((_strand_offsets(CROSSING), num_vertices),)
     cells = _cached_cells(legs, species, planar_only, twopi, gamma_only)
     return TwoPointTable(num_vertices=num_vertices, cells=cells)
@@ -844,77 +838,64 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
 # ---------------------------------------------------------------------------
 
 
-def loop_polynomial(table: CountTable) -> dict:
-    """Free-energy coefficient of one count table as a polynomial in n.
-
-    Maps strand count k to the Wick-normalized weight of the connected
-    planar cells: the coefficient of ``n^k`` at this vertex content.
-    """
-    norm = table.wick_normalization()
-    return {k: Fraction(c, norm)
-            for k, c in sorted(table.connected_planar_by_strands().items())}
-
-
-def free_energy_polynomials(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> dict:
+def free_energy_polynomials(vmax: int) -> dict:
     """Free-energy coefficients as polynomials in the loop weight n.
 
-    Returns ``{V: {k: coefficient of n^k}}`` for 1 <= V <= vmax, from the
-    connected planar count with k strands divided by 4^V V!.
+    Returns ``{V: {k: coefficient of n^k}}`` for 1 <= V <= vmax: the
+    connected planar gluings with k strands, whose cells are all keyed
+    ``(0, k, True)``, divided by 4^V V!.
     """
-    _check_ceiling(vmax, ceiling)
+    _check_ceiling(vmax)
     out: dict = {}
     for V in range(1, vmax + 1):
-        table = enumerate_pairings(V, planar_only=True, connected_only=True,
-                                   ceiling=ceiling)
-        out[V] = loop_polynomial(table)
+        table = enumerate_pairings(V, planar_only=True, connected_only=True)
+        norm = table.wick_normalization()
+        out[V] = {k: Fraction(c, norm) for (_h, k, _conn), c in table.cells.items()}
     return out
 
 
-def free_energy_series(vmax: int, n: Fraction | int = 1, *,
-                       ceiling: int = DEFAULT_CEILING) -> Series:
+def free_energy_series(vmax: int, n: Fraction | int = 1) -> Series:
     """Oracle free-energy series at loop weight ``n`` (exact)."""
     n = Fraction(n)
-    polys = free_energy_polynomials(vmax, ceiling=ceiling)
     coeffs = [Fraction(0)] * (vmax + 1)
-    for V, poly in polys.items():
+    for V, poly in free_energy_polynomials(vmax).items():
         coeffs[V] = sum((c * n**k for k, c in poly.items()), Fraction(0))
     return Series.from_coeffs(coeffs, vmax)
 
 
 def _marked_series(vmax: int, legs: int, n: Fraction | int = 1, *,
                    color_boundary: bool = False, gamma_only: bool = False,
-                   twopi: bool = False, ceiling: int) -> Series:
+                   twopi: bool = False) -> Series:
     """Planar marked-boundary coefficients at V = 0..vmax, as one series."""
-    _check_ceiling(vmax, ceiling)
-    coeffs = [two_point_table(V, legs, gamma_only=gamma_only, twopi=twopi, ceiling=ceiling)
+    _check_ceiling(vmax)
+    coeffs = [two_point_table(V, legs, gamma_only=gamma_only, twopi=twopi)
               .coefficient(n, color_boundary=color_boundary) for V in range(vmax + 1)]
     return Series.from_coeffs(coeffs, vmax)
 
 
-def g2_series(vmax: int, n: Fraction | int = 1, *, ceiling: int = DEFAULT_CEILING) -> Series:
+def g2_series(vmax: int, n: Fraction | int = 1) -> Series:
     """Oracle two-point series with a fixed external color (planar)."""
-    return _marked_series(vmax, 2, n, ceiling=ceiling)
+    return _marked_series(vmax, 2, n)
 
 
-def g4_series(vmax: int, n: Fraction | int = 1, *, color_boundary: bool = False,
-              ceiling: int = DEFAULT_CEILING) -> Series:
+def g4_series(vmax: int, n: Fraction | int = 1, *, color_boundary: bool = False) -> Series:
     """Oracle four-point series (planar).
 
     With ``color_boundary`` the boundary loops are also weighted by ``n``,
     which is the color-summed correlator whose quarter is d/dg of the free
     energy of the n-color model.
     """
-    return _marked_series(vmax, 4, n, color_boundary=color_boundary, ceiling=ceiling)
+    return _marked_series(vmax, 4, n, color_boundary=color_boundary)
 
 
-def gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
+def gamma_series(vmax: int) -> Series:
     """Oracle connected four-point (tangle) series, one color, planar."""
-    return _marked_series(vmax, 4, gamma_only=True, ceiling=ceiling)
+    return _marked_series(vmax, 4, gamma_only=True)
 
 
-def twopi_gamma_series(vmax: int, *, ceiling: int = DEFAULT_CEILING) -> Series:
+def twopi_gamma_series(vmax: int) -> Series:
     """Oracle series of two-particle-irreducible tangles (one color, planar)."""
-    return _marked_series(vmax, 4, gamma_only=True, twopi=True, ceiling=ceiling)
+    return _marked_series(vmax, 4, gamma_only=True, twopi=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Acceptance gate: every headline requirement at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run pytest with -s to watch them).  The
-oracle checks of criterion 1 reach V = 6 under the default ceiling, and
-V = 7 where they raise the ceiling explicitly (planar searches, about 7 s
-together); the totals of criterion 2 and the genus strata of criterion 2b
-reach V = 5.  Tables are computed once per session and shared through the
+oracle checks of criterion 1 reach V = 6 under `oracle.CEILING`, and V = 7
+where a test raises that constant for its own duration (planar searches,
+about 7 s together); the totals of criterion 2 and the genus strata of
+criterion 2b reach V = 5.  Tables are computed once per session and shared through the
 module-level caches.  Only V = 6 of criteria 2 and 2b (about 20 s of
 all-genus enumeration, one table for both, in one process on a 2-core VM)
 stays behind the LINKCENSUS_SLOW_TESTS switch.
@@ -66,26 +66,31 @@ def test_criterion_1_optional_v6_free_energy():
     report("1d closed-diagram counts == oracle at V = 6", closed == counted)
 
 
-# criteria 1a-1c at V = 7, above the default ceiling: planar searches only
+# criteria 1a-1c at V = 7, above the ceiling: planar searches only
 
 
-def test_criterion_1_free_energy_oracle_equivalence_v7():
+@pytest.fixture
+def gate_ceiling(monkeypatch):
+    monkeypatch.setattr(oc, "CEILING", VGATE)
+
+
+def test_criterion_1_free_energy_oracle_equivalence_v7(gate_ceiling):
     closed = om.free_energy_raw_series(VGATE)
-    counted = oc.free_energy_series(VGATE, ceiling=VGATE)
+    counted = oc.free_energy_series(VGATE)
     report("1a closed-diagram counts == oracle at V = 7", closed == counted,
            f"closed {closed.coeffs[VGATE]} vs oracle {counted.coeffs[VGATE]}")
 
 
-def test_criterion_1_two_point_oracle_equivalence_v7():
+def test_criterion_1_two_point_oracle_equivalence_v7(gate_ceiling):
     closed = om.g2_raw_series(VGATE)
-    counted = oc.g2_series(VGATE, ceiling=VGATE)
+    counted = oc.g2_series(VGATE)
     report("1b two-point counts == oracle at V = 7", closed == counted,
            f"closed {closed.coeffs[VGATE]} vs oracle {counted.coeffs[VGATE]}")
 
 
-def test_criterion_1_tangle_oracle_equivalence_v7():
+def test_criterion_1_tangle_oracle_equivalence_v7(gate_ceiling):
     closed = om.gamma_raw_series(VGATE)
-    counted = oc.gamma_series(VGATE, ceiling=VGATE)
+    counted = oc.gamma_series(VGATE)
     report("1c connected-four-point counts == oracle at V = 7", closed == counted,
            f"closed {closed.coeffs[VGATE]} vs oracle {counted.coeffs[VGATE]}")
 
@@ -242,14 +247,15 @@ def test_criterion_6_spectral_density_checks():
 
 
 def test_criterion_7_replica_decomposition():
-    table = census.component_decomposition(VMAX)
+    polys = oc.free_energy_polynomials(VMAX)
     polys_ok = all(
-        all(c > 0 for c in table.by_order[p].values())
-        and (max(table.by_order[p]) <= p + 1 if table.by_order[p] else True)
+        polys[p] and all(c > 0 for c in polys[p].values()) and max(polys[p]) <= p + 1
         for p in range(1, VMAX + 1)
     )
-    n_one_ok = table.evaluate(1) == om.free_energy_raw_series(VMAX).coeffs
-    knots = table.knots()
+    at_one = tuple([0] + [sum(polys[p].values()) for p in range(1, VMAX + 1)])
+    n_one_ok = at_one == om.free_energy_raw_series(VMAX).coeffs
+    # the coefficient of n^1: diagrams whose link has one component (knots)
+    knots = tuple([0] + [polys[p].get(1, 0) for p in range(1, VMAX + 1)])
     knots_ok = len(knots) == VMAX + 1 and knots[1] == F(1, 2) and all(
         c > 0 for c in knots[1:])
     report("7 loop-weight polynomials with n=1 specialization exact and a "

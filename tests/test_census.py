@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from linkcensus import census
+from linkcensus import census, oracle
+from linkcensus import onematrix as om
 from linkcensus.census import CountingSequence
 
 F = Fraction
@@ -107,24 +108,25 @@ def test_external_sequence_loader_refuses_bad_rows(tmp_path, text, message):
         census.load_external_sequence(str(path))
 
 
-# -- component decomposition -----------------------------------------------------
+# -- component columns of the oracle's loop-weight polynomials ---------------------
+# the coefficient of n^k at order p weighs the p-crossing diagrams whose link
+# has exactly k components; column k = 1 is the knot-diagram series
 
 
 def test_knot_column():
-    table = census.component_decomposition(4)
-    assert table.knots() == (0, F(1, 2), F(1), F(7, 2), F(65, 4))
+    polys = oracle.free_energy_polynomials(4)
+    assert [polys[p].get(1, 0) for p in range(1, 5)] == [F(1, 2), F(1), F(7, 2), F(65, 4)]
 
 
 def test_component_columns_vanish_beyond_strand_bound():
-    table = census.component_decomposition(3)
-    assert table.component_series(5) == (0, 0, 0, 0)
+    polys = oracle.free_energy_polynomials(3)
+    assert [polys[p].get(5, 0) for p in range(1, 4)] == [0, 0, 0]
 
 
 def test_single_color_specialization_identity():
-    table = census.component_decomposition(4)
-    from linkcensus import onematrix as om
-
-    assert table.evaluate(1) == om.free_energy_raw_series(4).coeffs
+    polys = oracle.free_energy_polynomials(4)
+    at_one = [0] + [sum(polys[p].values()) for p in range(1, 5)]
+    assert at_one == list(om.free_energy_raw_series(4).coeffs)
 
 
 # -- constants table ---------------------------------------------------------------

@@ -161,6 +161,35 @@ def test_usage_error_exits_two():
     assert wrapped.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["series", "--model", "two-color", "--n", "3"], "--n sets the loop weight of --model on only"),
+    (["series", "--model", "reduced", "--n", "1/2"], "--n sets the loop weight of --model on only"),
+    (["series", "--model", "flype", "--what", "tangles", "--n", "0"],
+     "--n sets the loop weight of --model on only"),
+    (["series", "--model", "on", "--reduced"], "--reduced applies to --model two-color only"),
+    (["series", "--model", "raw", "--reduced"], "--reduced applies to --model two-color only"),
+])
+def test_flags_the_model_would_ignore_are_refused(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_zero_loop_weight_is_a_loop_weight(capsys):
+    # every closed diagram has a loop, so n = 0 weighs the free energy to zero
+    code, out = run_cli(capsys, "series", "--model", "on", "--n", "0", "--order", "3")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == ["0", "0", "0", "0"]
+
+
+def test_asymptotics_has_no_format_option():
+    with pytest.raises(SystemExit) as wrapped:
+        cli.main(["asymptotics", "--format", "json"])
+    assert wrapped.value.code == 2
+
+
 def test_domain_error_exits_two(capsys):
     code = cli.main(["enumerate", "--vertices", "9"])
     captured = capsys.readouterr()

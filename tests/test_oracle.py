@@ -6,6 +6,7 @@ from functools import cache
 
 import pytest
 
+from linkcensus import abab
 from linkcensus import onematrix as om
 from linkcensus import oracle as oc
 from linkcensus.oracle import CROSSING, TANGENCY
@@ -385,11 +386,6 @@ def test_boundary_strand_count_is_consistent():
     assert {kext for (_h, _kin, kext) in table4.cells} <= {1, 2}
 
 
-def test_loop_polynomial_of_single_table():
-    table = oc.enumerate_pairings(2, planar_only=True, connected_only=True)
-    assert oc.loop_polynomial(table) == {1: F(1), 2: F(1, 8)}
-
-
 def test_free_energy_polynomials_low_orders():
     polys = oc.free_energy_polynomials(4)
     assert polys[1] == {1: F(1, 2)}
@@ -455,6 +451,32 @@ def test_ceiling_is_enforced_with_message():
         oc.enumerate_pairings(7)
     with pytest.raises(oc.CeilingError):
         oc.two_point_table(9, 2)
+
+
+@pytest.mark.parametrize("build", [
+    oc.free_energy_polynomials,
+    oc.free_energy_series,
+    oc.g2_series,
+    oc.g4_series,
+    oc.gamma_series,
+    oc.twopi_gamma_series,
+    abab.renormalization,
+    abab.two_color_series,
+    lambda V: abab.two_color_series(V, reduced=True),
+], ids=["free_energy_polynomials", "free_energy_series", "g2_series", "g4_series",
+        "gamma_series", "twopi_gamma_series", "renormalization", "two_color_series",
+        "two_color_series_reduced"])
+def test_series_builders_refuse_beyond_the_ceiling_before_any_search(monkeypatch, build):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before refusing")
+
+    monkeypatch.setattr(oc, "_fast_search", no_search)
+    with pytest.raises(oc.CeilingError, match="V = 7 exceeds the enumeration ceiling 6"):
+        build(7)
+    # the ceiling is read at call time
+    monkeypatch.setattr(oc, "CEILING", 2)
+    with pytest.raises(oc.CeilingError, match="V = 3 exceeds the enumeration ceiling 2"):
+        build(3)
 
 
 def test_twopi_flag_needs_the_four_leg_boundary():
