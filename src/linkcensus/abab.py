@@ -37,9 +37,6 @@ class CriticalConstants:
     g_critical: float
     t_critical: float
     growth: float
-    # g_c / t_c^2 - 1/(4 pi): zero by algebra for the two hard-coded closed
-    # forms, so it measures float rounding only, not the constants
-    identity_residual: float
 
 
 def critical_constants() -> CriticalConstants:
@@ -47,17 +44,12 @@ def critical_constants() -> CriticalConstants:
 
     The three numbers are hard-coded closed forms, not computed from any
     count.  ``g_c / t_c^2 = 1/(4 pi)`` is an algebraic identity of the two
-    expressions, so its residual can only measure float rounding: it is
-    carried as a rounding diagnostic, not as a check of the constants.
+    expressions, so it checks nothing about them and is not checked here.
     """
     g_c = math.pi * (math.pi - 4.0) ** 2 / 16.0
     t_c = 0.5 * math.pi * (4.0 - math.pi)
     growth = 16.0 / (math.pi * (math.pi - 4.0) ** 2)
-    residual = g_c / t_c**2 - 1.0 / (4.0 * math.pi)
-    if abs(residual) > 1e-12:
-        raise ArithmeticError(f"two-color identity residual {residual:g} out of range")
-    return CriticalConstants(g_critical=g_c, t_critical=t_c, growth=growth,
-                             identity_residual=residual)
+    return CriticalConstants(g_critical=g_c, t_critical=t_c, growth=growth)
 
 
 def renormalization(vmax: int) -> Series:

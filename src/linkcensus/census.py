@@ -44,7 +44,10 @@ __all__ = [
     "constants_to_json",
 ]
 
-_PROVENANCES = ("closed-form", "oracle", "implicit-solve", "external")
+# Richardson levels that `ratio_asymptotics` eliminates
+_RICHARDSON_LEVELS = 4
+# reduced-count coefficients behind the ratio estimate of the constants table
+_REDUCED_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,8 @@ class CountingSequence:
 
     name: str
     coefficients: tuple  # Fraction per crossing number, starting at p = 0
-    provenance: str
 
     def __post_init__(self) -> None:
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(
             self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
         )
@@ -66,32 +66,26 @@ class CountingSequence:
         return len(self.coefficients)
 
 
-def sequence_from_series(name: str, series: Series, provenance: str) -> CountingSequence:
-    return CountingSequence(name, tuple(series.coeffs), provenance)
+def sequence_from_series(name: str, series: Series) -> CountingSequence:
+    return CountingSequence(name, tuple(series.coeffs))
 
 
 def raw_link_diagrams(order: int) -> CountingSequence:
-    return sequence_from_series(
-        "raw-link-diagrams", onematrix.free_energy_raw_series(order), "closed-form"
-    )
+    return sequence_from_series("raw-link-diagrams", onematrix.free_energy_raw_series(order))
 
 
 def reduced_link_diagrams(order: int) -> CountingSequence:
     return sequence_from_series(
-        "reduced-link-diagrams", onematrix.free_energy_reduced_series(order), "closed-form"
+        "reduced-link-diagrams", onematrix.free_energy_reduced_series(order)
     )
 
 
 def reduced_tangles(order: int) -> CountingSequence:
-    return sequence_from_series(
-        "reduced-tangles", onematrix.gamma_reduced_series(order), "closed-form"
-    )
+    return sequence_from_series("reduced-tangles", onematrix.gamma_reduced_series(order))
 
 
 def flype_tangle_classes(order: int) -> CountingSequence:
-    return sequence_from_series(
-        "flype-tangle-classes", flype.gamma_tilde(order), "implicit-solve"
-    )
+    return sequence_from_series("flype-tangle-classes", flype.gamma_tilde(order))
 
 
 def load_external_sequence(path: str, name: str | None = None) -> CountingSequence:
@@ -112,7 +106,7 @@ def load_external_sequence(path: str, name: str | None = None) -> CountingSequen
             coeffs[p] = count
     top = max(coeffs) if coeffs else 0
     seq = tuple(coeffs.get(p, Fraction(0)) for p in range(top + 1))
-    return CountingSequence(name or path, seq, "external")
+    return CountingSequence(name or path, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +128,11 @@ class AsymptoticEstimate:
     diagnostics: tuple
 
 
-def _richardson(points, levels: int):
-    """Eliminate successive 1/p corrections from a sequence of (p, value)."""
+def _richardson(points):
+    """Eliminate up to ``_RICHARDSON_LEVELS`` successive 1/p corrections from (p, value) pairs."""
     ps = [float(p) for p, _ in points]
     vals = [float(v) for _, v in points]
-    for m in range(1, levels + 1):
+    for m in range(1, _RICHARDSON_LEVELS + 1):
         if len(vals) < 2:
             break
         vals = [
@@ -149,8 +143,8 @@ def _richardson(points, levels: int):
     return list(zip(ps, vals))
 
 
-def ratio_asymptotics(seq: CountingSequence, levels: int = 4) -> AsymptoticEstimate:
-    """Domb-Sykes ratio analysis with Richardson extrapolation.
+def ratio_asymptotics(seq: CountingSequence) -> AsymptoticEstimate:
+    """Domb-Sykes ratio analysis with ``_RICHARDSON_LEVELS`` of Richardson extrapolation.
 
     Coefficients must form a single run of strictly positive terms after
     leading zeros; at least six nonzero terms are required.  The exponent is
@@ -175,8 +169,7 @@ def ratio_asymptotics(seq: CountingSequence, levels: int = 4) -> AsymptoticEstim
     ratios = [
         (start + k, float(terms[k] / terms[k - 1])) for k in range(1, len(terms))
     ]
-    depth = min(levels, len(ratios) - 1)
-    growth_tab = _richardson(ratios, depth)
+    growth_tab = _richardson(ratios)
     growth = growth_tab[-1][1]
 
     # slope of r_p against 1/p tends to growth * exponent
@@ -186,7 +179,7 @@ def ratio_asymptotics(seq: CountingSequence, levels: int = 4) -> AsymptoticEstim
         p0, r0 = ratios[i]
         slope = (r0 - r1) / (1.0 / p0 - 1.0 / p1)
         slopes.append((p0, slope))
-    slope_tab = _richardson(slopes, min(levels, len(slopes) - 1)) if len(slopes) > 1 else slopes
+    slope_tab = _richardson(slopes)
     exponent = slope_tab[-1][1] / growth
 
     return AsymptoticEstimate(
@@ -241,10 +234,10 @@ def reduced_cubic_growth() -> tuple:
     return g_c, float(1 / g_c)
 
 
-def constants_report(reduced_terms: int = 12) -> list:
+def constants_report() -> list:
     """Every headline constant, computed here, next to its reference value."""
     _g_c, growth_red = reduced_cubic_growth()
-    est = ratio_asymptotics(reduced_link_diagrams(reduced_terms))
+    est = ratio_asymptotics(reduced_link_diagrams(_REDUCED_TERMS))
     sing = flype.flype_singularity()
     tc = abab.critical_constants()
     root21001 = math.sqrt(21001.0)
@@ -254,7 +247,7 @@ def constants_report(reduced_terms: int = 12) -> list:
         ("reduced-growth", 6.75, growth_red,
          "fold of the endpoint cubic (g_c = 4/27)"),
         ("reduced-growth-ratio-estimate", 6.75, est.growth,
-         f"Domb-Sykes ratios of {reduced_terms} reduced-count coefficients"),
+         f"Domb-Sykes ratios of {_REDUCED_TERMS} reduced-count coefficients"),
         ("flype-growth", (101.0 + root21001) / 40.0, sing.growth,
          "smallest positive discriminant root of the flype quintic"),
         ("flype-critical-coupling", (root21001 - 101.0) / 270.0, sing.g_critical,

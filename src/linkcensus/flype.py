@@ -90,7 +90,7 @@ def skeleton_series(slot: Series) -> Series:
     """
     if slot.num[0] != 0:
         raise SeriesError("slot series must have zero constant term")
-    one = Series.one(slot.order, slot.var)
+    one = Series.one(slot.order)
     rad = mul(1 - slot, 1 - slot) - 4 * slot
     return (one - slot - sqrt_series(rad)) / 2
 
@@ -105,7 +105,7 @@ def zeta_of_gamma(gamma: Series) -> Series:
     """
     if gamma.num[0] != 0:
         raise SeriesError("tangle series must have zero constant term")
-    one = Series.one(gamma.order, gamma.var)
+    one = Series.one(gamma.order)
     first = -2 * div(one, 1 + gamma) + 2 - gamma
     one_minus = 1 - 4 * gamma
     radical32 = mul(one_minus, sqrt_series(one_minus))
@@ -116,7 +116,7 @@ def zeta_of_gamma(gamma: Series) -> Series:
 
 def _flype_skeleton_map(g: Series, zeta: Series) -> Series:
     """The flype-corrected skeleton generating function of (g, zeta)."""
-    one = Series.one(g.order, g.var)
+    one = Series.one(g.order)
     inner = mul(1 - g + zeta, 1 - g + zeta) - 8 * zeta - 8 * div(mul(g, g), 1 - g)
     return (one + g - zeta - sqrt_series(inner)) / 2
 
@@ -177,9 +177,10 @@ def flype_quintic() -> BivariatePoly:
         (L0 a1 - L1 a0)^2 - (1 + W)^2 (1 - 4W)^3 a1^2,
 
     which splits into its content in Z[W], the spurious 64 (W + 1)^2 (W + 2)^3,
-    and its primitive part in g.  Exactly one of the two must annihilate the
-    series solution, and it must have degree five in W.  All arithmetic is on
-    Python integers.
+    and its primitive part in g.  The content cannot vanish on the series
+    W(g) = g + O(g^2), so the primitive part is the candidate: it must
+    annihilate the series solution and have degree five in W.  All arithmetic
+    is on Python integers.
     """
     w2_cubed = _power([2, 1], 3)                            # (W + 2)^3
     l1 = _mul([2, 2], w2_cubed)                             # 2 (1 + W)(W + 2)^3
@@ -197,19 +198,10 @@ def flype_quintic() -> BivariatePoly:
     content = reduce(_gcd, rows)
     content = [math.gcd(*(math.gcd(*row) for row in rows)) * c for c in content]
     primitive = [_divide_exactly(row, content) for row in resultant]
-    series = _flype_series(12)
-    quintic = None
-    for factor in (
-        BivariatePoly.from_dict({(0, j): c for j, c in enumerate(content)}),
-        BivariatePoly.from_dict(
-            {(i, j): c for i, row in enumerate(primitive) for j, c in enumerate(row)}
-        ),
-    ):
-        if factor.eval_series(series).is_zero():
-            if quintic is not None:
-                raise BranchMismatchError("two resultant factors match the series")
-            quintic = factor
-    if quintic is None or quintic.degree_y() != 5:
+    quintic = BivariatePoly.from_dict(
+        {(i, j): c for i, row in enumerate(primitive) for j, c in enumerate(row)}
+    )
+    if not quintic.eval_series(_flype_series(12)).is_zero() or quintic.degree_y() != 5:
         raise BranchMismatchError("no quintic factor matches the series branch")
     # canonical sign: positive leading coefficient in (g, then W) ordering
     if quintic.terms[-1][1] < 0:

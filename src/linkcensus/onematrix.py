@@ -200,10 +200,10 @@ def solve_unit_two_point(g2_raw: Series) -> Series:
     """
     if g2_raw.num[0] == 0:
         raise SeriesError("raw two-point series must have a nonzero constant term")
-    order, var = g2_raw.order, g2_raw.var
+    order = g2_raw.order
     if order < 1:
         return g2_raw
-    x = reversion(mul(Series.identity(order, var), mul(g2_raw, g2_raw)))
+    x = reversion(mul(Series.identity(order), mul(g2_raw, g2_raw)))
     return compose(g2_raw, x)
 
 
@@ -215,9 +215,9 @@ def substitute_renormalized(raw: Series, t: Series, legs: int) -> Series:
     """
     if legs % 2 != 0 or legs < 0:
         raise SeriesError("legs must be a nonnegative even integer")
-    order, var = min(raw.order, t.order), raw.var
-    inv_t2 = div(Series.one(order, var), mul(t.truncate(order), t.truncate(order)))
-    g = Series.identity(order, var) if order >= 1 else Series.zero(0, var)
+    order = min(raw.order, t.order)
+    inv_t2 = div(Series.one(order), mul(t.truncate(order), t.truncate(order)))
+    g = Series.identity(order) if order >= 1 else Series.zero(0)
     result = compose(raw, mul(g, inv_t2))
     for _ in range(legs // 2):
         result = div(result, t.truncate(result.order))

@@ -808,9 +808,12 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
                       connected_only=connected_only, cells=cells)
 
 
-def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
-                    twopi: bool = False, gamma_only: bool = False) -> TwoPointTable:
-    """Count gluings with one marked boundary carrying ``legs`` half-edges.
+def two_point_table(num_vertices: int, legs: int, *, twopi: bool = False,
+                    gamma_only: bool = False) -> TwoPointTable:
+    """Count planar gluings with one marked boundary carrying ``legs`` half-edges.
+
+    Every marked series is planar, so the table holds genus zero only; the
+    search prunes the rest.
 
     ``gamma_only`` keeps only connected four-point diagrams (pruning the
     search) and needs the four-leg boundary; it is the one source of the
@@ -829,7 +832,7 @@ def two_point_table(num_vertices: int, legs: int, *, planar_only: bool = True,
         raise ValueError("twopi restricts connected four-point diagrams; pass gamma_only=True")
     _check_ceiling(num_vertices)
     species = ((_strand_offsets(CROSSING), num_vertices),)
-    cells = _cached_cells(legs, species, planar_only, twopi, gamma_only)
+    cells = _cached_cells(legs, species, True, twopi, gamma_only)
     return TwoPointTable(num_vertices=num_vertices, cells=cells)
 
 

@@ -13,9 +13,9 @@ multiplication and division, `mul`, `div`, `sqrt_series`, `reversion`,
 truncation, shifts, `derivative`, `integrate` and
 `BivariatePoly.eval_series`) reads ``num``/``den``, runs fraction-free on
 integers, and returns through one normalizing constructor that divides out
-that gcd once per result.  Equal series therefore have equal ``num``, ``den``
-and ``var``.  The `Fraction` coefficients (``coeffs``) are built only when
-read, and then cached.
+that gcd once per result.  Equal series therefore have equal ``num`` and
+``den``.  The `Fraction` coefficients (``coeffs``) are built only when read,
+and then cached.  Every series is in the one coupling g.
 
 `reversion` is Lagrange inversion with baby-step/giant-step powers: it
 builds about ``2*sqrt(n)`` truncated products at order n, not one per power,
@@ -25,7 +25,8 @@ The module also provides `AlgebraicSystem`, a bivariate polynomial relation
 ``P(g, y) = 0`` together with the value of the branch at ``g = 0``, and
 `newton_solve`, which expands the selected branch as a series by Newton
 iteration with order doubling.  The residual of the returned series is
-checked internally before it is handed back.
+checked internally before it is handed back; a residual that does not
+cancel raises `ArithmeticError`, a failed self-check rather than bad input.
 """
 
 from __future__ import annotations
@@ -91,23 +92,21 @@ class Series:
     Coefficient k is ``num[k] / den``, in the canonical form of the module
     docstring.  The constructor takes the coefficients themselves (ints,
     Fractions or strings such as ``"1/2"``); ``coeffs`` returns them as a
-    tuple of Fractions.  Instances are immutable and hash by
-    ``(num, den, var)``.
+    tuple of Fractions.  Instances are immutable and hash by ``(num, den)``.
     """
 
-    __slots__ = ("num", "den", "var", "_coeffs")
+    __slots__ = ("num", "den", "_coeffs")
     num: tuple
     den: int
-    var: str
 
-    def __init__(self, coeffs: Iterable[Rational], var: str = "g") -> None:
+    def __init__(self, coeffs: Iterable[Rational]) -> None:
         values = [_exact(c) for c in coeffs]
         if not values:
             raise SeriesError("a series must carry at least its constant term")
         # over the least common denominator of reduced fractions, no prime
         # divides den and every numerator, so the form is already canonical
         den = math.lcm(*(c.denominator for c in values))
-        _init(self, tuple(c.numerator * (den // c.denominator) for c in values), den, var)
+        _init(self, tuple(c.numerator * (den // c.denominator) for c in values), den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -115,19 +114,16 @@ class Series:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        return _series, (self.num, self.den, self.var)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Series:
             return NotImplemented
-        return self.num == other.num and self.den == other.den and self.var == other.var
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den, self.var))
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"Series(coeffs={self.coeffs!r}, var={self.var!r})"
+        return f"Series(coeffs={self.coeffs!r})"
 
     @property
     def coeffs(self) -> tuple:
@@ -143,7 +139,7 @@ class Series:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Rational], order: int | None = None, var: str = "g") -> "Series":
+    def from_coeffs(cls, coeffs: Iterable[Rational], order: int | None = None) -> "Series":
         """Build a series from leading coefficients, zero-padded to ``order``."""
         cs = [_exact(c) for c in coeffs]
         if order is not None:
@@ -153,26 +149,26 @@ class Series:
                 cs = cs[: order + 1]
             else:
                 cs += [0] * (order + 1 - len(cs))
-        return cls(cs, var)
+        return cls(cs)
 
     @classmethod
-    def zero(cls, order: int, var: str = "g") -> "Series":
-        return cls.from_coeffs([], order, var)
+    def zero(cls, order: int) -> "Series":
+        return cls.from_coeffs([], order)
 
     @classmethod
-    def one(cls, order: int, var: str = "g") -> "Series":
-        return cls.from_coeffs([1], order, var)
+    def one(cls, order: int) -> "Series":
+        return cls.from_coeffs([1], order)
 
     @classmethod
-    def constant(cls, value: Rational, order: int, var: str = "g") -> "Series":
-        return cls.from_coeffs([value], order, var)
+    def constant(cls, value: Rational, order: int) -> "Series":
+        return cls.from_coeffs([value], order)
 
     @classmethod
-    def identity(cls, order: int, var: str = "g") -> "Series":
-        """The series for the variable itself."""
+    def identity(cls, order: int) -> "Series":
+        """The series for the coupling g itself."""
         if order < 1:
             raise SeriesError("the identity series needs order >= 1")
-        return cls.from_coeffs([0, 1], order, var)
+        return cls.from_coeffs([0, 1], order)
 
     # -- basic structure ---------------------------------------------------
 
@@ -198,7 +194,7 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise SeriesError(f"cannot extend a series of order {self.order} to {order}")
-        return _series(self.num[: order + 1], self.den, self.var)
+        return _series(self.num[: order + 1], self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -209,7 +205,7 @@ class Series:
         if isinstance(other, Series):
             return other
         if isinstance(other, (int, Fraction)):
-            return Series.constant(other, self.order, self.var)
+            return Series.constant(other, self.order)
         return None
 
     def __add__(self, other: object) -> "Series":
@@ -233,12 +229,12 @@ class Series:
         return add(rhs, -self)
 
     def __neg__(self) -> "Series":
-        return _series([-n for n in self.num], self.den, self.var)
+        return _series([-n for n in self.num], self.den)
 
     def __mul__(self, other: object) -> "Series":
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
-            return _series([p * n for n in self.num], q * self.den, self.var)
+            return _series([p * n for n in self.num], q * self.den)
         if isinstance(other, Series):
             return mul(self, other)
         return NotImplemented
@@ -250,7 +246,7 @@ class Series:
             if other == 0:
                 raise SeriesError("division by zero")
             p, q = other.numerator, other.denominator
-            return _series([q * n for n in self.num], p * self.den, self.var)
+            return _series([q * n for n in self.num], p * self.den)
         if isinstance(other, Series):
             return div(self, other)
         return NotImplemented
@@ -264,7 +260,7 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if not isinstance(n, int) or n < 0:
             raise SeriesError("series powers must be nonnegative integers")
-        out = Series.one(self.order, self.var)
+        out = Series.one(self.order)
         base = self
         while n:
             if n & 1:
@@ -277,12 +273,12 @@ class Series:
     # -- reshaping ---------------------------------------------------------
 
     def shift_down(self, k: int) -> "Series":
-        """Divide by the k-th power of the variable; the low coefficients must vanish."""
+        """Divide by g^k; the low coefficients must vanish."""
         if any(self.num[:k]):
-            raise SeriesError(f"series is not divisible by {self.var}^{k}")
+            raise SeriesError(f"series is not divisible by g^{k}")
         if k > self.order:
             raise SeriesError("shift exhausts every known coefficient")
-        return _series(self.num[k:], self.den, self.var)
+        return _series(self.num[k:], self.den)
 
     # -- presentation ------------------------------------------------------
 
@@ -294,27 +290,26 @@ class Series:
             if k == 0:
                 parts.append(rational_to_str(c))
             elif k == 1:
-                parts.append(f"{rational_to_str(c)}*{self.var}")
+                parts.append(f"{rational_to_str(c)}*g")
             else:
-                parts.append(f"{rational_to_str(c)}*{self.var}^{k}")
+                parts.append(f"{rational_to_str(c)}*g^{k}")
         body = " + ".join(parts) if parts else "0"
-        return f"{body} + O({self.var}^{self.order + 1})"
+        return f"{body} + O(g^{self.order + 1})"
 
     def to_json_dict(self) -> dict:
         return {
-            "var": self.var,
+            "var": "g",
             "order": self.order,
             "coeffs": [rational_to_str(c) for c in self.coeffs],
         }
 
 
-def _init(s: Series, num: tuple, den: int, var: str) -> None:
+def _init(s: Series, num: tuple, den: int) -> None:
     object.__setattr__(s, "num", num)
     object.__setattr__(s, "den", den)
-    object.__setattr__(s, "var", var)
 
 
-def _series(num, den: int, var: str) -> Series:
+def _series(num, den: int) -> Series:
     """The normalizing constructor: the series ``num[k] / den`` in canonical form."""
     if den < 0:
         num, den = [-n for n in num], -den
@@ -322,39 +317,32 @@ def _series(num, den: int, var: str) -> Series:
     if g != 1:
         num, den = [n // g for n in num], den // g
     s = object.__new__(Series)
-    _init(s, tuple(num), den, var)
+    _init(s, tuple(num), den)
     return s
 
 
-def _constant(s: Series, k: int, order: int, var: str) -> Series:
+def _constant(s: Series, k: int, order: int) -> Series:
     """Coefficient k of ``s`` as a constant series of the given order."""
-    return _series([s.num[k]] + [0] * order, s.den, var)
+    return _series([s.num[k]] + [0] * order, s.den)
 
 
 # -- ring operations -------------------------------------------------------
 
 
-def _common(a: Series, b: Series) -> tuple[int, str]:
-    if a.var != b.var:
-        raise SeriesError(f"series in {a.var!r} and {b.var!r} do not combine")
-    return min(a.order, b.order), a.var
-
-
 def add(a: Series, b: Series) -> Series:
     """Sum over the least common denominator; ``zip`` truncates to the smaller order."""
-    _, var = _common(a, b)
     g = math.gcd(a.den, b.den)
     fa, fb = b.den // g, a.den // g
-    return _series([x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa, var)
+    return _series([x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa)
 
 
 def mul(a: Series, b: Series) -> Series:
     """Truncated product, an integer convolution over the denominator Da*Db."""
-    order, var = _common(a, b)
+    order = min(a.order, b.order)
     A = a.num
     B = b.num[order::-1]
     out = [sum(map(operator.mul, A[: k + 1], B[order - k :])) for k in range(order + 1)]
-    return _series(out, a.den * b.den, var)
+    return _series(out, a.den * b.den)
 
 
 def div(a: Series, b: Series) -> Series:
@@ -370,7 +358,7 @@ def div(a: Series, b: Series) -> Series:
             "division by a series with zero constant term; shift the valuation "
             "out explicitly before dividing"
         )
-    order, var = _common(a, b)
+    order = min(a.order, b.order)
     A, B = a.num, b.num
     b0 = B[0]
     # Bp[j - 1] = B_j * b0^(j-1), so that Q_k subtracts sum(Bp[:k] . Q[::-1])
@@ -386,7 +374,7 @@ def div(a: Series, b: Series) -> Series:
     for k in range(order, -1, -1):
         out[k] = Q[k] * scale
         scale *= b0
-    return _series(out, a.den * pw, var)
+    return _series(out, a.den * pw)
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -401,12 +389,12 @@ def compose(outer: Series, inner: Series) -> Series:
         raise SeriesError("composition requires the inner series to have zero constant term")
     v = inner.valuation()
     if v is None:
-        return _constant(outer, 0, inner.order, inner.var)
+        return _constant(outer, 0, inner.order)
     order = min(inner.order, v * (outer.order + 1) - 1)
     inner_t = inner.truncate(order) if inner.order > order else inner
-    out = _constant(outer, min(outer.order, order // v), order, inner.var)
+    out = _constant(outer, min(outer.order, order // v), order)
     for k in range(min(outer.order, order // v) - 1, -1, -1):
-        out = mul(out, inner_t) + _constant(outer, k, order, inner.var)
+        out = mul(out, inner_t) + _constant(outer, k, order)
     return out
 
 
@@ -428,11 +416,11 @@ def reversion(s: Series) -> Series:
         raise SeriesError("reversion requires a nonzero linear coefficient")
     n = s.order
     if n == 1:
-        return _series([0, s.den], s.num[1], s.var)
+        return _series([0, s.den], s.num[1])
     # h = w / s(w), a unit series of order n - 1
-    h = div(Series.one(n - 1, s.var), _series(s.num[1:], s.den, s.var))
+    h = div(Series.one(n - 1), _series(s.num[1:], s.den))
     m = math.isqrt(n)
-    baby = [Series.one(n - 1, s.var), h]  # h^0 .. h^m
+    baby = [Series.one(n - 1), h]  # h^0 .. h^m
     for _ in range(m - 1):
         baby.append(mul(baby[-1], h))
     giant = [baby[0], baby[m]]  # H^0 .. H^(n // m)
@@ -445,7 +433,7 @@ def reversion(s: Series) -> Series:
         nums.append(sum(map(operator.mul, a.num[:k], b.num[k - 1 :: -1])))
         dens.append(a.den * b.den * k)
     den = math.lcm(*dens)
-    return _series([p * (den // d) for p, d in zip(nums, dens)], den, s.var)
+    return _series([p * (den // d) for p, d in zip(nums, dens)], den)
 
 
 def sqrt_series(s: Series) -> Series:
@@ -467,7 +455,7 @@ def sqrt_series(s: Series) -> Series:
         raise SeriesError(f"constant term {Fraction(pn, qd)} is not the square of a rational")
     n = s.order
     if n == 0:
-        return _series([rn], rd, s.var)
+        return _series([rn], rd)
     r2 = 2 * rn * (den // rd)  # 2r, with r = r0*D an integer since rd^2 divides D
     Y = [0]
     scale = 1  # (2r)^(2k-2)
@@ -485,7 +473,7 @@ def sqrt_series(s: Series) -> Series:
         out[k] = Y[k] * f
         f *= r2 * r2
     out[0] = f // 2
-    return _series(out, den * (f // r2), s.var)
+    return _series(out, den * (f // r2))
 
 
 def log_series(s: Series) -> Series:
@@ -497,21 +485,21 @@ def log_series(s: Series) -> Series:
     if s.num[0] != s.den:
         raise SeriesError("log requires constant term 1")
     if s.order == 0:
-        return Series.zero(0, s.var)
+        return Series.zero(0)
     return integrate(div(derivative(s), s.truncate(s.order - 1)))
 
 
 def derivative(s: Series) -> Series:
     if s.order == 0:
-        return _series([0], 1, s.var)
-    return _series([k * s.num[k] for k in range(1, s.order + 1)], s.den, s.var)
+        return _series([0], 1)
+    return _series([k * s.num[k] for k in range(1, s.order + 1)], s.den)
 
 
 def integrate(s: Series) -> Series:
     """Antiderivative with zero constant term (order grows by one)."""
     scale = math.lcm(*range(1, s.order + 2))
     out = [0] + [n * (scale // (k + 1)) for k, n in enumerate(s.num)]
-    return _series(out, s.den * scale, s.var)
+    return _series(out, s.den * scale)
 
 
 # -- algebraic branches ----------------------------------------------------
@@ -548,8 +536,8 @@ class BivariatePoly:
         return acc
 
     def eval_series(self, y: Series) -> Series:
-        """Evaluate P(x, y(x)) as a series in the variable of ``y``, by Horner in y."""
-        order, var = y.order, y.var
+        """Evaluate P(g, y(g)) as a series, by Horner in y."""
+        order = y.order
         by_j: dict[int, list] = {}
         for (i, j), c in self.terms:
             row = by_j.setdefault(j, [])
@@ -563,7 +551,7 @@ class BivariatePoly:
             num = [0] * (order + 1)
             for i, c in row:
                 num[i] = c.numerator * (den // c.denominator)
-            return _series(num, den, var)
+            return _series(num, den)
 
         max_j = max(by_j, default=0)
         out = row_series(max_j)
@@ -578,7 +566,6 @@ class AlgebraicSystem:
 
     relation: BivariatePoly
     branch_point: Fraction
-    var: str = "g"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branch_point", _frac(self.branch_point))
@@ -596,19 +583,21 @@ def newton_solve(system: AlgebraicSystem, order: int) -> Series:
     """Expand the branch of ``system`` as a series through ``order``.
 
     Newton iteration with order doubling; the residual P(g, y(g)) is checked
-    to vanish through ``order`` before returning.
+    to vanish through ``order`` before returning.  A residual that does not
+    vanish is a failed self-check of the kernels, so it raises
+    `ArithmeticError`, not `SeriesError`.
     """
     if order < 0:
         raise SeriesError("order must be nonnegative")
     rel = system.relation
     rel_y = rel.partial_y()
-    y = Series.constant(system.branch_point, 0, system.var)
+    y = Series.constant(system.branch_point, 0)
     prec = 0
     while prec < order:
         prec = min(2 * prec + 1, order)
-        y = _series(y.num + (0,) * (prec - y.order), y.den, system.var)
+        y = _series(y.num + (0,) * (prec - y.order), y.den)
         y = y - div(rel.eval_series(y), rel_y.eval_series(y))
     residual = rel.eval_series(y)
     if not residual.is_zero():
-        raise SeriesError("Newton iteration failed to cancel the residual")
+        raise ArithmeticError("Newton iteration failed to cancel the residual")
     return y

@@ -258,14 +258,8 @@ def _four_leg_connected(matching, legs, V) -> bool:
 # -- series kernels ------------------------------------------------------------
 
 
-def _common(a: Series, b: Series) -> tuple[int, str]:
-    if a.var != b.var:
-        raise SeriesError(f"series in {a.var!r} and {b.var!r} do not combine")
-    return min(a.order, b.order), a.var
-
-
 def plain_mul(a: Series, b: Series) -> Series:
-    order, var = _common(a, b)
+    order = min(a.order, b.order)
     out = [Fraction(0)] * (order + 1)
     for i in range(order + 1):
         ai = a.coeffs[i]
@@ -275,13 +269,13 @@ def plain_mul(a: Series, b: Series) -> Series:
             bj = b.coeffs[j]
             if bj:
                 out[i + j] += ai * bj
-    return Series(tuple(out), var)
+    return Series(tuple(out))
 
 
 def plain_div(a: Series, b: Series) -> Series:
     if b.coeffs[0] == 0:
         raise SeriesError("division by a series with zero constant term")
-    order, var = _common(a, b)
+    order = min(a.order, b.order)
     inv0 = Fraction(1) / b.coeffs[0]
     out = [Fraction(0)] * (order + 1)
     for k in range(order + 1):
@@ -291,7 +285,7 @@ def plain_div(a: Series, b: Series) -> Series:
             if bj:
                 s -= bj * out[k - j]
         out[k] = s * inv0
-    return Series(tuple(out), var)
+    return Series(tuple(out))
 
 
 def plain_sqrt_series(s: Series) -> Series:
@@ -309,37 +303,37 @@ def plain_sqrt_series(s: Series) -> Series:
         for j in range(1, k):
             acc -= out[j] * out[k - j]
         out.append(acc / (2 * r0))
-    return Series(tuple(out), s.var)
+    return Series(tuple(out))
 
 
 def plain_add(a: Series, b: Series) -> Series:
-    order, var = _common(a, b)
-    return Series(tuple(a.coeffs[k] + b.coeffs[k] for k in range(order + 1)), var)
+    order = min(a.order, b.order)
+    return Series(tuple(a.coeffs[k] + b.coeffs[k] for k in range(order + 1)))
 
 
 def plain_scale(s: Series, factor: Fraction) -> Series:
     """Every coefficient times ``factor``; negation is the factor -1."""
-    return Series(tuple(factor * c for c in s.coeffs), s.var)
+    return Series(tuple(factor * c for c in s.coeffs))
 
 
 def plain_truncate(s: Series, order: int) -> Series:
-    return Series(s.coeffs[: order + 1], s.var)
+    return Series(s.coeffs[: order + 1])
 
 
 def plain_shift_down(s: Series, k: int) -> Series:
     if any(s.coeffs[:k]):
-        raise SeriesError(f"series is not divisible by {s.var}^{k}")
-    return Series(s.coeffs[k:], s.var)
+        raise SeriesError(f"series is not divisible by g^{k}")
+    return Series(s.coeffs[k:])
 
 
 def plain_derivative(s: Series) -> Series:
     if s.order == 0:
-        return Series((Fraction(0),), s.var)
-    return Series(tuple(k * s.coeffs[k] for k in range(1, s.order + 1)), s.var)
+        return Series((Fraction(0),))
+    return Series(tuple(k * s.coeffs[k] for k in range(1, s.order + 1)))
 
 
 def plain_integrate(s: Series) -> Series:
-    return Series((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(s.coeffs)), s.var)
+    return Series((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(s.coeffs)))
 
 
 def plain_reversion(s: Series) -> Series:
@@ -348,12 +342,12 @@ def plain_reversion(s: Series) -> Series:
     n = s.order
     out = [Fraction(0), 1 / s.coeffs[1]]
     if n > 1:
-        base = plain_div(Series.one(n - 1, s.var), Series(s.coeffs[1:], s.var))
+        base = plain_div(Series.one(n - 1), Series(s.coeffs[1:]))
         power = base
         for k in range(2, n + 1):
             power = plain_mul(power, base)
             out.append(power.coeffs[k - 1] / k)
-    return Series(tuple(out), s.var)
+    return Series(tuple(out))
 
 
 # -- the two-point series at a general quadratic weight ---------------------------

@@ -13,8 +13,7 @@ F = Fraction
 
 
 def geometric(base, terms):
-    return CountingSequence("geometric", tuple(F(base) ** p for p in range(terms)),
-                            "closed-form")
+    return CountingSequence("geometric", tuple(F(base) ** p for p in range(terms)))
 
 
 # -- ratio asymptotics --------------------------------------------------------
@@ -28,7 +27,7 @@ def test_geometric_growth_is_exact():
 
 def test_synthetic_power_law():
     coeffs = tuple(F(4) ** p * F.from_float(p**-1.5) for p in range(1, 21))
-    seq = CountingSequence("synthetic", (F(0),) + coeffs, "closed-form")
+    seq = CountingSequence("synthetic", (F(0),) + coeffs)
     est = census.ratio_asymptotics(seq)
     assert est.growth == pytest.approx(4.0, abs=1e-3)
     assert est.exponent == pytest.approx(-1.5, abs=0.1)
@@ -47,13 +46,13 @@ def test_diagnostics_are_reported_in_full():
 
 
 def test_zero_coefficient_is_named():
-    seq = CountingSequence("gappy", (0, 1, 2, 0, 4, 5, 6, 7), "oracle")
+    seq = CountingSequence("gappy", (0, 1, 2, 0, 4, 5, 6, 7))
     with pytest.raises(ValueError, match="index 3"):
         census.ratio_asymptotics(seq)
 
 
 def test_alternating_sign_is_named():
-    seq = CountingSequence("alternating", (0, 1, -2, 4, -8, 16, -32, 64), "oracle")
+    seq = CountingSequence("alternating", (0, 1, -2, 4, -8, 16, -32, 64))
     with pytest.raises(ValueError, match="index 2"):
         census.ratio_asymptotics(seq)
 
@@ -79,16 +78,10 @@ def test_flype_classes_never_exceed_diagram_counts():
     assert all(c.denominator == 1 for c in flype_seq.coefficients)
 
 
-def test_unknown_provenance_rejected():
-    with pytest.raises(ValueError):
-        CountingSequence("x", (1, 2), "guesswork")
-
-
 def test_external_sequence_loader(tmp_path):
     path = tmp_path / "external.csv"
     path.write_text("p,count\n1,1\n2,3\n4,17\n")
     seq = census.load_external_sequence(str(path), "imported")
-    assert seq.provenance == "external"
     assert seq.coefficients == (0, 1, 3, 0, 17)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from linkcensus import cli, flype, oracle
+from linkcensus import cli, flype, oracle, series
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +104,19 @@ def test_library_self_check_failure_exits_three(capsys, monkeypatch, failure):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert str(failure) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_newton_residual_failure_exits_three(capsys, monkeypatch):
+    # a halved Newton step cannot cancel the residual: the library's own
+    # check fails, which is not a usage error
+    exact_div = series.div
+    monkeypatch.setattr(series, "div", lambda a, b: exact_div(a, b) / 2)
+    code = cli.main(["series", "--model", "reduced", "--what", "tangles"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ArithmeticError: Newton iteration failed")
     assert len(captured.err.strip().splitlines()) == 1
 
 

@@ -71,6 +71,75 @@ def test_every_export_is_used():
     assert unused == []
 
 
+def _calls(path) -> list:
+    """``(callee, positional count, keyword names)`` for every call in a file.
+
+    The callee is the called name or attribute.  A starred argument counts
+    as every position and a ``**`` argument as every keyword (``None``).
+    """
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        positional = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                      else len(node.args))
+        keywords = {kw.arg for kw in node.keywords}
+        out.append((callee, positional, None if None in keywords else keywords))
+    return out
+
+
+def _exported_callables() -> dict:
+    """Every exported function, class and classmethod, by the name a call uses."""
+    found = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for export in module.__all__:
+            obj = getattr(module, export)
+            if inspect.isfunction(obj):
+                found[f"{obj.__module__}.{obj.__name__}"] = (obj.__name__, obj)
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                found[f"{obj.__module__}.{obj.__name__}"] = (obj.__name__, obj)
+                for attr, value in vars(obj).items():
+                    if isinstance(value, classmethod):
+                        found[f"{obj.__module__}.{obj.__name__}.{attr}"] = (
+                            attr, getattr(obj, attr))
+    return found
+
+
+def test_every_default_is_passed_somewhere():
+    # a parameter whose default no call in the program overrides has one
+    # value in use, so it should be a constant.  Tests do not count as
+    # callers.  Exported names that nothing in src/ or perfbench/ calls are
+    # left to test_every_export_is_used.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    calls = []
+    for top in ("src", "perfbench"):
+        for folder, _dirs, filenames in os.walk(os.path.join(root, top)):
+            for filename in filenames:
+                if filename.endswith(".py"):
+                    calls += _calls(os.path.join(folder, filename))
+    unpassed = []
+    for qualified, (callee, fn) in sorted(_exported_callables().items()):
+        made = [(positional, keywords) for name, positional, keywords in calls
+                if name == callee]
+        if not made:
+            continue
+        params = list(inspect.signature(fn).parameters.values())
+        for index, param in enumerate(params):
+            if param.default is inspect.Parameter.empty:
+                continue
+            by_position = param.kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if not any(keywords is None or param.name in keywords
+                       or (by_position and positional > index)
+                       for positional, keywords in made):
+                unpassed.append(f"{qualified}({param.name})")
+    assert unpassed == []
+
+
 def test_tracer_targets_resolve():
     # perfbench/tracer.py wraps these names, reads these attributes of the
     # kernel arguments and reads each oracle call's mode off its bound

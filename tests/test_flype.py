@@ -129,7 +129,7 @@ def test_gamma_tilde_never_exceeds_tangle_counts():
 def test_gamma_tilde_refuses_an_inverse_that_misses_the_flype_equation(monkeypatch):
     def moved_reversion(s):
         r = reversion(s)
-        return r + Series.from_coeffs([0] * 7 + [1], r.order, r.var)
+        return r + Series.from_coeffs([0] * 7 + [1], r.order)
 
     monkeypatch.setattr(flype, "reversion", moved_reversion)
     with pytest.raises(flype.BranchMismatchError, match="does not solve the flype equation"):

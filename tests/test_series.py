@@ -87,17 +87,6 @@ def test_division_by_nonunit_rejected():
         div(Series.one(3), Series.identity(3))
 
 
-def test_mismatched_variables_rejected():
-    g = Series.from_coeffs([1, 2], 3)
-    w = Series.from_coeffs([1, 1], 3, var="W")
-    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b):
-        with pytest.raises(SeriesError, match="'g' and 'W'"):
-            op(g, w)
-        with pytest.raises(SeriesError, match="'W' and 'g'"):
-            op(w, g)
-    assert (w + 1).var == w.var == (w * w).var == (1 / w).var
-
-
 def test_ring_axioms_on_random_series():
     rng = random.Random(20260808)
     for _ in range(40):
@@ -121,7 +110,7 @@ def test_div_mul_round_trip():
 # -- fraction-free kernels against the plain Fraction kernels -----------------
 
 
-def wild_series(rng, order, var="g", constant=None):
+def wild_series(rng, order, constant=None):
     """Signed coefficients over denominators up to 10^6, with runs of zeros."""
     coeffs = []
     while len(coeffs) < order + 1:
@@ -131,10 +120,10 @@ def wild_series(rng, order, var="g", constant=None):
             coeffs.append(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
     if constant is not None:
         coeffs[0] = constant
-    return Series.from_coeffs(coeffs[: order + 1], var=var)
+    return Series.from_coeffs(coeffs[: order + 1])
 
 
-def small_digit_reversible(rng, order, var="g"):
+def small_digit_reversible(rng, order):
     """A zero constant term, a nonzero linear term and single-digit rationals.
 
     Single digits because reversion grows the numbers fast, and the Fraction
@@ -142,11 +131,11 @@ def small_digit_reversible(rng, order, var="g"):
     """
     linear = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
     tail = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order - 1)]
-    return Series.from_coeffs([0, linear] + tail, var=var)
+    return Series.from_coeffs([0, linear] + tail)
 
 
 def assert_same(got, want):
-    assert (got.var, got.order) == (want.var, want.order)
+    assert got.order == want.order
     assert got == want
     assert got.coeffs == want.coeffs
     assert (got.num, got.den, hash(got)) == (want.num, want.den, hash(want))
@@ -156,13 +145,12 @@ def test_kernels_match_reference_through_order_40():
     rng = random.Random(20261018)
     more = random.Random(20261019)  # inputs of the checks below the first four
     for order in range(41):
-        var = "W" if order % 3 == 0 else "g"
         other = max(0, order + rng.randint(-3, 3))  # unequal operand orders
-        a = wild_series(rng, order, var)
-        b = wild_series(rng, other, var)
-        unit = wild_series(rng, other, var, constant=F(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+        a = wild_series(rng, order)
+        b = wild_series(rng, other)
+        unit = wild_series(rng, other, constant=F(rng.randint(1, 10**6), rng.randint(1, 10**6)))
         square = F(rng.randint(1, 1000) ** 2, rng.randint(1, 1000) ** 2)
-        s = wild_series(rng, order, var, constant=square)
+        s = wild_series(rng, order, constant=square)
         assert_same(mul(a, b), plain_mul(a, b))
         assert_same(mul(b, a), plain_mul(b, a))
         assert_same(div(a, unit), plain_div(a, unit))
@@ -179,12 +167,12 @@ def test_kernels_match_reference_through_order_40():
             assert_same(a / f, plain_scale(a, 1 / F(f)))
         cut = more.randint(0, order)
         assert_same(a.truncate(cut), plain_truncate(a, cut))
-        low = Series.from_coeffs([0] * cut + list(a.coeffs[cut:]), var=var)
+        low = Series.from_coeffs([0] * cut + list(a.coeffs[cut:]))
         assert_same(low.shift_down(cut), plain_shift_down(low, cut))
         assert_same(derivative(a), plain_derivative(a))
         assert_same(integrate(a), plain_integrate(a))
         if order >= 1:
-            rev = small_digit_reversible(more, order, var)
+            rev = small_digit_reversible(more, order)
             assert_same(reversion(rev), plain_reversion(rev))
 
 
@@ -218,7 +206,7 @@ def assert_canonical(s):
 
 def assert_identical(x, y):
     assert x == y
-    assert (x.num, x.den, x.var) == (y.num, y.den, y.var)
+    assert (x.num, x.den) == (y.num, y.den)
     assert hash(x) == hash(y)
 
 
@@ -265,8 +253,9 @@ def test_series_is_immutable_and_keeps_its_repr():
             setattr(s, name, value)
     with pytest.raises(AttributeError):
         del s.num
-    assert repr(s) == "Series(coeffs=(Fraction(1, 1), Fraction(1, 2)), var='g')"
-    assert_identical(pickle.loads(pickle.dumps(s)), s)
+    assert repr(s) == "Series(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+    with pytest.raises(AttributeError):  # unpickling would assign the fields
+        pickle.loads(pickle.dumps(s))
     assert len({s, S(F(2, 2), F(2, 4)), S(1, F(1, 3))}) == 2
 
 
@@ -420,9 +409,8 @@ def test_log_and_derivative():
 
 
 def test_log_at_order_zero_claims_no_linear_term():
-    for var in ("g", "W"):
-        lg = log_series(Series.from_coeffs([1], 0, var=var))
-        assert lg == Series.zero(0, var) and lg.order == 0
+    lg = log_series(Series.from_coeffs([1], 0))
+    assert lg == Series.zero(0) and lg.order == 0
     assert log_series(Series.from_coeffs([1, 3], 1)) == S(0, 3)
 
 
@@ -470,7 +458,7 @@ def test_branch_point_must_lie_on_curve():
 
 
 def test_json_schema_and_round_trip():
-    s = Series.from_coeffs([F(1), F(1, 2), F(-3, 7)], var="g")
+    s = Series.from_coeffs([F(1), F(1, 2), F(-3, 7)])
     data = s.to_json_dict()
     assert data == {"var": "g", "order": 2, "coeffs": ["1", "1/2", "-3/7"]}
 
