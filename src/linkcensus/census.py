@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 from . import abab, flype, onematrix
-from .series import BivariatePoly, Series
+from .series import BivariatePoly
 
 __all__ = [
     "CountingSequence",
@@ -34,7 +34,6 @@ __all__ = [
     "constants_report",
     "reduced_cubic_growth",
     "raw_growth",
-    "sequence_from_series",
     "raw_link_diagrams",
     "reduced_link_diagrams",
     "reduced_tangles",
@@ -66,26 +65,21 @@ class CountingSequence:
         return len(self.coefficients)
 
 
-def sequence_from_series(name: str, series: Series) -> CountingSequence:
-    return CountingSequence(name, tuple(series.coeffs))
-
-
 def raw_link_diagrams(order: int) -> CountingSequence:
-    return sequence_from_series("raw-link-diagrams", onematrix.free_energy_raw_series(order))
+    return CountingSequence("raw-link-diagrams", onematrix.free_energy_raw_series(order).coeffs)
 
 
 def reduced_link_diagrams(order: int) -> CountingSequence:
-    return sequence_from_series(
-        "reduced-link-diagrams", onematrix.free_energy_reduced_series(order)
-    )
+    return CountingSequence("reduced-link-diagrams",
+                            onematrix.free_energy_reduced_series(order).coeffs)
 
 
 def reduced_tangles(order: int) -> CountingSequence:
-    return sequence_from_series("reduced-tangles", onematrix.gamma_reduced_series(order))
+    return CountingSequence("reduced-tangles", onematrix.gamma_reduced_series(order).coeffs)
 
 
 def flype_tangle_classes(order: int) -> CountingSequence:
-    return sequence_from_series("flype-tangle-classes", flype.gamma_tilde(order))
+    return CountingSequence("flype-tangle-classes", flype.gamma_tilde(order).coeffs)
 
 
 def load_external_sequence(path: str, name: str | None = None) -> CountingSequence:

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import abab, census, flype, onematrix, oracle
 from .series import Series, rational_to_str
@@ -175,7 +176,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused for the
+    life of the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="linkcensus",
         description="Exact counting of alternating link/tangle diagrams and flype classes.",

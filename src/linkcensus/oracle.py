@@ -47,8 +47,16 @@ completions.  The tests check the engine cell for cell against a plain
 engine that classifies every matching from scratch.
 
 Enumeration runs in one process, in one depth-first search per connected
-table.  The cells of each search, and each closed table built from them,
-are cached for the life of the process, keyed by the search's own arguments
+table.  Within a search, a transposition table expands each distinct open
+boundary once: the key holds the boundary rings of the active free
+half-edges, their pairing into open strand segments with each segment's
+external flag, and the untouched vertices of each species, and the table
+stores each subtree's cells relative to its node.  It is off in gamma mode
+and for 2PI, whose leaf test reads the whole matching.  Leaves record faces,
+and the genus, with its Euler parity check, is read once per distinct cell
+at the end of the search.  The table is freed when its search returns.
+The cells of each search, and each closed table built from them, are
+cached for the life of the process, keyed by the search's own arguments
 (so by the vertex wiring, not the type name), and every table built from
 them shares one read-only ``cells`` mapping.
 
@@ -93,6 +101,13 @@ __all__ = [
 # the most vertices any table is enumerated at; read at call time, so a run
 # that means to go further raises it for its own duration
 CEILING = 6
+
+# the fewest active free half-edges at which a search node looks itself up in
+# its search's transposition table.  Set by measurement: 4 takes in the
+# nodes just above the leaves, the most repeated, and ran faster than 6 or 8
+# on every table from V = 4 up; 2 (nodes that can only touch a fresh
+# vertex) gained nothing more
+_TABLE_MIN_FREE = 4
 
 
 class CeilingError(ValueError):
@@ -249,9 +264,11 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     * a sorted free list of every unmatched half-edge (``fnx``/``fpv``),
       whose first ``nfree`` members are the active ones: those of the legs
       and of the vertices touched so far, which have the lowest ids;
-    * rollback union-find structures for internal components (``ipar``,
-      gamma mode only) and strand segments (``spar``; closing a segment
-      closes one loop).
+    * the open strand segments, each unmatched half-edge holding the other
+      end of its own (``oth``) and its external flag (``sext``): gluing the
+      two ends of one segment closes a loop, gluing two segments joins them;
+    * a rollback union-find structure for internal components (``ipar``,
+      gamma mode only).
 
     Every vertex's four legs start as a boundary ring of their own, in
     rotation order, in a component of their own.  Every active half-edge
@@ -259,7 +276,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     cycle splits it, and gluing across two cycles merges them: a handle,
     which is what ``planar_only`` prunes, unless the other cycle is the ring
     of a fresh vertex, whose gluing joins two components and so adds no
-    handle (the genus is read from the faces at the leaf either way).  The
+    handle (the genus is read from the faces either way).  The
     lowest free half-edge is glued first; its partners are the rest of the
     active free list, or in planar mode only the members of its own boundary
     ring at odd steps from it (``nxt``, ``nxt^3``, ...), and then one leg per
@@ -276,13 +293,14 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     read off the sizes of their rings: s0 and t on one ring of 4 close three
     if adjacent and one if opposite (a handle), and so on.  Its new loops are
     two if s0 and t end one strand segment, else one, each internal or
-    external by the flags of the segments in it.  The Euler numerator of
-    the genus is even on every gluing, so an odd one (a face miscounted)
-    raises `ArithmeticError` rather than floor to a genus.  With two free
-    half-edges and vertices left, gluing them would close the component
-    early, so only fresh vertices are tried; two marked legs and no vertex,
-    the one table that starts with two free half-edges, is answered before
-    the search.
+    external by the flags of the segments in it.  A leaf records its total
+    faces, and the genus comes from them once per distinct cell at the end
+    of the search: the Euler numerator is even on every gluing, so an odd
+    one (a face miscounted) raises `ArithmeticError` rather than floor to a
+    genus.  With two free half-edges and vertices left, gluing them would
+    close the component early, so only fresh vertices are tried; two marked
+    legs and no vertex, the one table that starts with two free half-edges,
+    is answered before the search.
 
     ``gamma_only`` (four marked legs) keeps only gluings whose internal graph
     stays a single component carrying all four legs: leg-leg matches are
@@ -293,6 +311,22 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     some pair of its internal edges cuts it into two components with two
     legs each.  Closed cells are keyed ``(genus, strands, True)``, marked
     ones ``(genus, internal strands, boundary strands)``.
+
+    Many partial gluings leave the same open boundary: the same rings, the
+    same strand ends and the same untouched vertices.  From a node with at
+    least ``_TABLE_MIN_FREE`` active free half-edges the rest of the search
+    depends on that state alone, so a transposition table that lives for
+    the one call expands each state once.  Its key holds, for each active
+    half-edge in free-list order, its ring successor and the other end of
+    its strand segment (both as ranks in that order) and the segment's
+    external flag, and then ``left``, the untouched vertices of each
+    species.  It stores a subtree's cells relative to its node: unweighted,
+    keyed by the faces and loops closed below it.  A repeated state adds
+    them, times its weight and shifted by its own faces and loops, and
+    expands nothing; a new one is expanded in the same frame into a fresh
+    accumulator.  The table is off in gamma mode, where it measured slower
+    on the small tables, and so for ``twopi``, whose leaf test reads the
+    whole matching.
     """
     V = sum(count for _, count in species)
     S = legs + 4 * V
@@ -323,15 +357,15 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # half-edges, for the gamma_only seal prune
     ipar = list(range(V + 1))
     ifree = [0] * (V + 1)
-    # strand structure over half-edges
-    spar = list(range(S))
+    # strand segments: each unmatched half-edge ends an open one, whose
+    # other end is ``oth`` and whose external flag both ends carry in ``sext``
+    oth = [0] * S
     sext = [False] * S
 
     cells: dict = {}
-    # per species, flat for the hot loop: its index, for each of legs 1..3
-    # the lower leg of the strand through it (the root of its strand
-    # segment on a fresh vertex), and its rotation orbits; ``left`` counts
-    # its untouched vertices.  The rotations j -> j+k of a vertex that keep
+    # per species: its index, its wiring (the other end of each leg's
+    # strand), and its rotation orbits; ``left`` counts its
+    # untouched vertices.  The rotations j -> j+k of a vertex that keep
     # its strand wiring form a subgroup of Z4 of order nrot; its orbits on the
     # legs are the residues mod 4 // nrot, each of nrot legs, so legs
     # 0 .. 4 // nrot - 1 stand for all
@@ -339,7 +373,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     for sp, (off, _count) in enumerate(species):
         nrot = sum(all(off[(j + k) & 3] == (off[j] + k) & 3 for j in range(4))
                    for k in range(4))
-        kinds.append((sp, *(min(k, off[k]) for k in (1, 2, 3)), nrot, range(4 // nrot)))
+        kinds.append((sp, off, nrot, range(4 // nrot)))
     left = [count for _, count in species]
 
     # the first active ring: the marked legs, or else the four legs of the
@@ -350,22 +384,30 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             # the one gluing, of the two legs to each other: two faces and
             # the boundary loop
             return {(0, 0, 1): 1}
-        spar[1] = 0
-        sext[0] = True
+        oth[:2] = 1, 0
+        sext[:2] = True, True
     elif legs == 4:
-        spar[2] = 0
-        spar[3] = 1
-        sext[0] = True
-        sext[1] = True
+        oth[:4] = 2, 3, 0, 1
+        sext[:4] = True, True, True, True
     elif V:
         sp = next(sp for sp, count in enumerate(left) if count)
         left[sp] -= 1
-        spar[1:4] = kinds[sp][1:4]  # its strands, wired as on a fresh vertex
+        oth[:4] = species[sp][0]  # its strands
         ninst = 1
     else:
         return cells
 
     ncid_box = [V + 1]
+    # the transposition table, from a state key to the cells of its subtree
+    # counted from that node; ``acc`` stacks the accumulators of the misses
+    # being expanded above the search's own, and ``rk`` ranks the active
+    # half-edges.  Gamma mode, where the table measured slower on the
+    # tables of V <= 4, turns it off, and so does 2PI, whose leaf test reads
+    # the whole matching
+    table: dict = {}
+    acc = [cells]
+    rk = [0] * S
+    tt_min = S + 1 if gamma_only or twopi else _TABLE_MIN_FREE
 
     # Legs have the lowest ids and s0 is the lowest free half-edge, so every
     # leg is glued before any internal half-edge: while s0 is a leg, no two
@@ -373,10 +415,10 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # once s0 is internal, so is every partner.
     def rec(a, b, weight, ninst, faces, kint, kext, nfree,
             match=match, nxt=nxt, prv=prv, cyc=cyc, csz=csz, fnx=fnx, fpv=fpv,
-            ipar=ipar, ifree=ifree, spar=spar, sext=sext,
-            vx=vx, cells=cells, V=V, legs=legs, HEAD=HEAD, E=E,
+            ipar=ipar, ifree=ifree, oth=oth, sext=sext,
+            vx=vx, V=V, legs=legs, HEAD=HEAD,
             planar_only=planar_only, gamma_only=gamma_only, twopi=twopi,
-            kinds=kinds, left=left):
+            kinds=kinds, left=left, table=table, acc=acc, rk=rk, tt_min=tt_min):
         if a >= 0:
             # ---- glue a-b (the root call, a = -1, glues nothing); what
             # this block binds is read back by the undo at the end, so the
@@ -387,25 +429,20 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             fpv[fnx[b]] = fpv[b]
             match[a] = b
             match[b] = a
-            rs = a
-            while spar[rs] != rs:
-                rs = spar[rs]
-            rt = b
-            while spar[rt] != rt:
-                rt = spar[rt]
-            s_child = -1
-            s_oldflag = False
-            if rs == rt:
-                if sext[rs]:
+            # a-b closes the strand segment they both end (a loop) or
+            # joins their two segments into one
+            oa = oth[a]
+            ob = oth[b]
+            if oa == b:
+                if sext[a]:
                     kext += 1
                 else:
                     kint += 1
             else:
-                s_child = rt
-                s_oldflag = sext[rs]
-                spar[rt] = rs
-                if sext[rt]:
-                    sext[rs] = True
+                oth[oa] = ob
+                oth[ob] = oa
+                if sext[a] != sext[b]:
+                    sext[oa] = sext[ob] = True
             i_child = -1
             ifree_root = -1
             if gamma_only and b >= legs:
@@ -518,129 +555,157 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     relabel_to = drop
                     csz[keep] = na + nb - 2
 
-        s0 = fnx[HEAD]
-        if gamma_only and s0 >= legs:
-            ir0 = vx[s0]
-            while ipar[ir0] != ir0:
-                ir0 = ipar[ir0]
-            ifree0 = ifree[ir0]
-        else:
-            ir0 = -1
-            ifree0 = 0
-        # every vertex placed and four half-edges free: each completion
-        # {s0-t, u-v} is a leaf, classified in place instead of glued
-        leaf = nfree == 4 and ninst == V
-        if leaf:
-            f1 = fnx[s0]
-            f2 = fnx[f1]
-            f3 = fnx[f2]
-            c0 = cyc[s0]
-            seg0 = s0
-            while spar[seg0] != seg0:
-                seg0 = spar[seg0]
+        # ---- the transposition table: with tt_min or more active free
+        # half-edges, the rest of the search depends on this node's state
+        # alone, so each distinct state is expanded once ----
+        key = sub = None
+        if nfree >= tt_min:
+            # the key: for each active half-edge in free-list order, its
+            # ring successor and the other end of its strand segment, both
+            # as ranks in that order, and its segment's external flag; then
+            # ``left``
+            f = fnx[HEAD]
+            for i in range(nfree):
+                rk[f] = i
+                f = fnx[f]
+            key = []
+            f = fnx[HEAD]
+            for _ in range(nfree):
+                key.append((rk[nxt[f]] * nfree + rk[oth[f]]) * 2 + sext[f])
+                f = fnx[f]
+            key = (*key, *left)
+            sub = table.get(key)
+            if sub is None:
+                # a miss: expand it in this same frame, into a fresh
+                # accumulator, counting from this node (weight 1, no faces
+                # or loops yet).  The table adds no call and keeps rec's
+                # frame size, because a search's cost depends on where
+                # CPython's frame-stack chunks end within its recursion
+                acc.append({})
+                base = weight, faces, kint, kext
+                weight = 1
+                faces = kint = kext = 0
+        if sub is None:
+            s0 = fnx[HEAD]
+            if gamma_only and s0 >= legs:
+                ir0 = vx[s0]
+                while ipar[ir0] != ir0:
+                    ir0 = ipar[ir0]
+                ifree0 = ifree[ir0]
+            else:
+                ir0 = -1
+                ifree0 = 0
+            # every vertex placed and four half-edges free: each completion
+            # {s0-t, u-v} is a leaf, classified in place instead of glued
+            leaf = nfree == 4 and ninst == V
+            if leaf:
+                f1 = fnx[s0]
+                f2 = fnx[f1]
+                f3 = fnx[f2]
+                c0 = cyc[s0]
+                out = acc[-1]
 
-        # -- partners among the active half-edges: the rest of the active
-        # free list, or in planar mode the partners at odd steps along s0's
-        # own boundary ring (a partner on another cycle would add a handle,
-        # and one at an even step would leave two odd arcs, which never
-        # close).  With vertices left, gluing the last two half-edges is a
-        # dead end --
-        if planar_only:
-            t = prv[s0]
-            ncand = csz[cyc[s0]] >> 1
-        else:
-            t = s0
-            ncand = nfree - 1
-        for _ in range(ncand if nfree > 2 else 0):
-            t = nxt[nxt[t]] if planar_only else fnx[t]
-            if gamma_only:
-                # keep the internal graph one open component over all 4 legs
-                if ir0 < 0:
-                    if t < legs:
-                        continue  # leg paired with leg: never connected
-                    newf = ifree[vx[t]] - 1
-                else:
-                    r2 = vx[t]
-                    while ipar[r2] != r2:
-                        r2 = ipar[r2]
-                    newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
-                if newf == 0:
-                    continue  # an internal component sealed before the end
-            if not leaf:
-                rec(s0, t, weight, ninst, faces, kint, kext, nfree - 2)
-                continue
-            # ---- the leaf: the last two gluings s0-t and u-v ----
-            if t == f1:
-                u, v = f2, f3
-            elif t == f2:
-                u, v = f1, f3
+            # -- partners among the active half-edges: the rest of the active
+            # free list, or in planar mode the partners at odd steps along s0's
+            # own boundary ring (a partner on another cycle would add a handle,
+            # and one at an even step would leave two odd arcs, which never
+            # close).  With vertices left, gluing the last two half-edges is a
+            # dead end --
+            if planar_only:
+                t = prv[s0]
+                ncand = csz[cyc[s0]] >> 1
             else:
-                u, v = f1, f2
-            # the faces they close are the cycles of nxt∘μ on s0, t, u, v,
-            # set by the ring sizes: one ring of 2 holding s0 and t closes
-            # two faces, two rings of 1 one, and u-v then does the same with
-            # what is left; s0, t on a ring of 3 (beside a ring of 1) close
-            # two, on rings of 2 and 1 one; on one ring of 4, adjacent pairs
-            # close three and opposite pairs one (a handle); on two rings
-            # (2 + 2 or 3 + 1) they close two
-            ct = cyc[t]
-            size = csz[c0] if ct == c0 else csz[c0] + csz[ct]
-            if size == 2:
-                closed = (2 if ct == c0 else 1) + (2 if cyc[u] == cyc[v] else 1)
-            elif size == 3:
-                closed = 2 if ct == c0 else 1
-            elif ct == c0:
-                closed = 3 if t == nxt[s0] or t == prv[s0] else 1
-            else:
-                closed = 2
-            # the Euler numerator 2 - chi is even on every gluing, so an odd
-            # one means a face was miscounted
-            euler = 2 + V - faces - closed if legs == 0 else 1 - V + E - faces - closed
-            if euler & 1:
-                raise ArithmeticError(f"odd Euler numerator {euler} at a leaf: "
-                                      "a face count is off by one")
-            genus = euler // 2
-            # the loops: s0-t closes the strand segment they both end and u-v
-            # the other one, or else s0-t joins two segments and u-v closes
-            # the result; a loop is external if a segment in it is
-            segt = t
-            while spar[segt] != segt:
-                segt = spar[segt]
-            if segt == seg0:
-                segu = u
-                while spar[segu] != segu:
-                    segu = spar[segu]
-                ext = sext[seg0] + sext[segu]
-                kint_t = kint + 2 - ext
-                kext_t = kext + ext
-            elif sext[seg0] or sext[segt]:
-                kint_t = kint
-                kext_t = kext + 1
-            else:
-                kint_t = kint + 1
-                kext_t = kext
-            if twopi and _leaf_two_particle_reducible(s0, t, u, v):
-                continue
-            key = (genus, kint_t, True) if legs == 0 else (genus, kint_t, kext_t)
-            cells[key] = cells.get(key, 0) + weight
-
-        # -- partners on a fresh vertex: touch the next label, wire its
-        # strands by its species, and glue s0 to one leg per orbit --
-        if ninst < V:
-            b0 = legs + 4 * ninst
-            ifree[ninst] = 4
-            for sp, w1, w2, w3, nrot, orbit_legs in kinds:
-                m = left[sp]
-                if not m:
+                t = s0
+                ncand = nfree - 1
+            for _ in range(ncand if nfree > 2 else 0):
+                t = nxt[nxt[t]] if planar_only else fnx[t]
+                if gamma_only:
+                    # keep the internal graph one open component over all 4 legs
+                    if ir0 < 0:
+                        if t < legs:
+                            continue  # leg paired with leg: never connected
+                        newf = ifree[vx[t]] - 1
+                    else:
+                        r2 = vx[t]
+                        while ipar[r2] != r2:
+                            r2 = ipar[r2]
+                        newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
+                    if newf == 0:
+                        continue  # an internal component sealed before the end
+                if not leaf:
+                    rec(s0, t, weight, ninst, faces, kint, kext, nfree - 2)
                     continue
-                left[sp] = m - 1
-                spar[b0 + 1] = b0 + w1
-                spar[b0 + 2] = b0 + w2
-                spar[b0 + 3] = b0 + w3
-                wfresh = weight * m * nrot
-                for j in orbit_legs:
-                    rec(s0, b0 + j, wfresh, ninst + 1, faces, kint, kext, nfree + 2)
-                left[sp] = m
+                # ---- the leaf: the last two gluings s0-t and u-v ----
+                if t == f1:
+                    u, v = f2, f3
+                elif t == f2:
+                    u, v = f1, f3
+                else:
+                    u, v = f1, f2
+                # the faces they close are the cycles of nxt∘μ on s0, t, u, v,
+                # set by the ring sizes: one ring of 2 holding s0 and t closes
+                # two faces, two rings of 1 one, and u-v then does the same with
+                # what is left; s0, t on a ring of 3 (beside a ring of 1) close
+                # two, on rings of 2 and 1 one; on one ring of 4, adjacent pairs
+                # close three and opposite pairs one (a handle); on two rings
+                # (2 + 2 or 3 + 1) they close two
+                ct = cyc[t]
+                size = csz[c0] if ct == c0 else csz[c0] + csz[ct]
+                if size == 2:
+                    closed = (2 if ct == c0 else 1) + (2 if cyc[u] == cyc[v] else 1)
+                elif size == 3:
+                    closed = 2 if ct == c0 else 1
+                elif ct == c0:
+                    closed = 3 if t == nxt[s0] or t == prv[s0] else 1
+                else:
+                    closed = 2
+                # the loops: s0-t closes the strand segment they both end and u-v
+                # the other one, or else s0-t joins two segments and u-v closes
+                # the result; a loop is external if a segment in it is
+                if oth[s0] == t:
+                    ext = sext[s0] + sext[u]
+                    kint_t = kint + 2 - ext
+                    kext_t = kext + ext
+                elif sext[s0] or sext[t]:
+                    kint_t = kint
+                    kext_t = kext + 1
+                else:
+                    kint_t = kint + 1
+                    kext_t = kext
+                if twopi and _leaf_two_particle_reducible(s0, t, u, v):
+                    continue
+                cell = (faces + closed, kint_t, kext_t)
+                out[cell] = out.get(cell, 0) + weight
+
+            # -- partners on a fresh vertex: touch the next label, wire its
+            # strands by its species, and glue s0 to one leg per orbit --
+            if ninst < V:
+                b0 = legs + 4 * ninst
+                ifree[ninst] = 4
+                for sp, off, nrot, orbit_legs in kinds:
+                    m = left[sp]
+                    if not m:
+                        continue
+                    left[sp] = m - 1
+                    oth[b0] = b0 + off[0]
+                    oth[b0 + 1] = b0 + off[1]
+                    oth[b0 + 2] = b0 + off[2]
+                    oth[b0 + 3] = b0 + off[3]
+                    wfresh = weight * m * nrot
+                    for j in orbit_legs:
+                        rec(s0, b0 + j, wfresh, ninst + 1, faces, kint, kext, nfree + 2)
+                    left[sp] = m
+
+        if key is not None:
+            if sub is None:
+                sub = table[key] = acc.pop()
+                weight, faces, kint, kext = base
+            # the subtree's cells, each shifted by this node's own faces and
+            # loops and weighted by its multiplicity
+            out = acc[-1]
+            for cell, c in sub.items():
+                cell = (faces + cell[0], kint + cell[1], kext + cell[2])
+                out[cell] = out.get(cell, 0) + weight * c
 
         if a >= 0:
             # ---- undo the gluing ----
@@ -659,9 +724,11 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 ifree[ifree_root] = ifree_old
             if i_child >= 0:
                 ipar[i_child] = i_child
-            if s_child >= 0:
-                spar[s_child] = s_child
-                sext[rs] = s_oldflag
+            if oa != b:
+                oth[oa] = a
+                oth[ob] = b
+                sext[oa] = sext[a]
+                sext[ob] = sext[b]
             match[a] = -1
             match[b] = -1
             fpv[fnx[b]] = b
@@ -699,6 +766,21 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
         return False
 
     rec(-1, -1, 1, ninst, 0, 0, 0, legs + 4 * ninst)
+    return _genus_cells(cells, legs, V)
+
+
+def _genus_cells(by_faces, legs, V):
+    """A search's cells, keyed by the total faces its leaves recorded, keyed
+    by genus instead.  The Euler numerator 2 - chi is even on every gluing,
+    so an odd one means a face was miscounted."""
+    E = (legs + 4 * V) // 2
+    cells = {}
+    for (faces, kint, kext), count in by_faces.items():
+        euler = 2 + V - faces if legs == 0 else 1 - V + E - faces
+        if euler & 1:
+            raise ArithmeticError(f"odd Euler numerator {euler} at a leaf: "
+                                  "a face count is off by one")
+        cells[(euler // 2, kint, True) if legs == 0 else (euler // 2, kint, kext)] = count
     return cells
 
 

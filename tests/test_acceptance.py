@@ -2,12 +2,13 @@
 
 Each test prints one PASS/FAIL line (run pytest with -s to watch them).  The
 oracle checks of criterion 1 reach V = 6 under `oracle.CEILING`, and V = 7
-where a test raises that constant for its own duration (planar searches,
-about 7 s together); the totals of criterion 2 and the genus strata of
-criterion 2b reach V = 5.  Tables are computed once per session and shared through the
-module-level caches.  Only V = 6 of criteria 2 and 2b (about 20 s of
-all-genus enumeration, one table for both, in one process on a 2-core VM)
-stays behind the LINKCENSUS_SLOW_TESTS switch.
+where a test raises that constant for its own duration (planar searches).
+The totals of criterion 2 and the genus strata of criterion 2b reach V = 5
+in one test each, and V = 6 and V = 7 in one test each per V; each V shares
+one all-genus table between its two tests (about 0.2 s at V = 6 and 2 s at
+V = 7, in one process on a 2-core VM).  Tables are computed once per session
+and shared through the module-level caches.  No acceptance test stays
+behind the LINKCENSUS_SLOW_TESTS switch.
 """
 
 import math
@@ -109,11 +110,17 @@ def test_criterion_2_double_factorial_totals():
            str(mismatches) if mismatches else "exact")
 
 
-@pytest.mark.slow
 def test_criterion_2_double_factorial_total_v6():
     total = oc.enumerate_pairings(VDEEP).total()
     expected = oc.double_factorial(4 * VDEEP - 1)
     report("2 all-pairings total equals (23)!! at V = 6", total == expected,
+           f"{total} vs {expected}")
+
+
+def test_criterion_2_double_factorial_total_v7(gate_ceiling):
+    total = oc.enumerate_pairings(VGATE).total()
+    expected = oc.double_factorial(4 * VGATE - 1)
+    report("2 all-pairings total equals (27)!! at V = 7", total == expected,
            f"{total} vs {expected}")
 
 
@@ -143,13 +150,20 @@ def test_criterion_2b_genus_strata():
            "; ".join(f"genus {h}: " + ", ".join(map(str, counted[h][1:])) for h in closed))
 
 
-@pytest.mark.slow
 def test_criterion_2b_genus_strata_v6():
     closed = _genus_series(VDEEP)
     counted = _connected_genus_sums(VDEEP)
     ok = all(closed[h].coeffs[VDEEP] == counted[h] for h in closed)
     report("2b connected genus-1 and genus-2 counts == E1, E2 at V = 6", ok,
            "; ".join(f"genus {h}: {counted[h]} vs {closed[h].coeffs[VDEEP]}" for h in closed))
+
+
+def test_criterion_2b_genus_strata_v7(gate_ceiling):
+    closed = _genus_series(VGATE)
+    counted = _connected_genus_sums(VGATE)
+    ok = all(closed[h].coeffs[VGATE] == counted[h] for h in closed)
+    report("2b connected genus-1 and genus-2 counts == E1, E2 at V = 7", ok,
+           "; ".join(f"genus {h}: {counted[h]} vs {closed[h].coeffs[VGATE]}" for h in closed))
 
 
 # -- 3. unit two-point constraint ----------------------------------------------------

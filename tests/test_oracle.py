@@ -346,6 +346,43 @@ def test_mixed_disconnected_cells_from_connected_convolution():
         assert merged == convolve(a, b)
 
 
+# -- the transposition table ---------------------------------------------------------
+
+# every mode at a V the table has states to repeat in, for each wiring alone
+# and mixed at V = 4; gamma and 2PI searches keep the table off, and stay
+# listed to pin that.  The other wirings at each mode's top V take 1-6 s
+# apiece (on a 2-core host), so they run only on request
+TABLE_CASES = [
+    pytest.param(legs, tuple(V if k == i else 0 for k in range(3)), planar, twopi, gamma,
+                 id=f"{vt.name}-{mode}-v{V}",
+                 marks=pytest.mark.slow if vt is not CROSSING and V == vmax else ())
+    for i, vt in enumerate((CROSSING, TANGENCY, THIRD))
+    for mode, legs, planar, twopi, gamma, vmax in [
+        ("closed-planar", 0, True, False, False, 6),
+        ("closed-all", 0, False, False, False, 5),
+        ("leg2-planar", 2, True, False, False, 5),
+        ("leg4-planar", 4, True, False, False, 5),
+        ("gamma-planar", 4, True, False, True, 5),
+        ("twopi-planar", 4, True, True, True, 4),
+    ]
+    for V in range(1, vmax + 1)
+] + [
+    pytest.param(0, counts, planar, False, False,
+                 id=f"mixed-{'-'.join(map(str, counts))}-{'planar' if planar else 'all'}")
+    for counts in [(c, t, 4 - c - t) for c in range(5) for t in range(5 - c)]
+    if sum(1 for count in counts if count) >= 2
+    for planar in (True, False)
+]
+
+
+@pytest.mark.parametrize("legs,counts,planar,twopi,gamma", TABLE_CASES)
+def test_transposition_table_keeps_every_cell(monkeypatch, legs, counts, planar, twopi, gamma):
+    args = (legs, _species(counts), planar, twopi, gamma)
+    with_table = oc._fast_search(*args)
+    monkeypatch.setattr(oc, "_TABLE_MIN_FREE", 4 * sum(counts) + legs + 1)
+    assert oc._fast_search(*args) == with_table
+
+
 @pytest.mark.parametrize("n", [F(1), F(2), F(1, 2)])
 def test_planar_cells_exponentiate_the_free_energy(n):
     """The exponential formula, by a series logarithm rather than the
