@@ -74,15 +74,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.tangencies:
-        counts = {"crossing": args.vertices - args.tangencies,
-                  "tangency": args.tangencies}
-        table = oracle.enumerate_pairings(
-            args.vertices, oracle.VertexModel.generalized(), type_counts=counts,
-            planar_only=args.planar, connected_only=args.connected)
-    else:
-        table = oracle.enumerate_pairings(
-            args.vertices, planar_only=args.planar, connected_only=args.connected)
+    counts = {"crossing": args.vertices - args.tangencies, "tangency": args.tangencies}
+    table = oracle.enumerate_pairings(args.vertices, type_counts=counts, planar_only=args.planar,
+                                      connected_only=args.connected)
     if args.output == "csv":
         sys.stdout.write(oracle.count_table_csv([table]))
     else:

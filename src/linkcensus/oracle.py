@@ -30,7 +30,7 @@ starts even, a fresh vertex grows it by two, and an even step would split
 it into two odd arcs, which no planar gluing can ever close.  The last
 two gluings are not made: once every vertex is placed and four half-edges
 are free, each way to pair them is classified in place, its faces read off
-the boundary rings and its loops off the strand segments.  A closed table
+ring adjacency and its loops off the strand segments.  A closed table
 with vacuum components is not searched: it follows from the connected
 tables of its vertex content and of every smaller one by the labeled
 first-block recursion (the exponential formula), in which the component
@@ -80,7 +80,6 @@ from .series import Series
 __all__ = [
     "CeilingError",
     "VertexType",
-    "VertexModel",
     "CountTable",
     "TwoPointTable",
     "CROSSING",
@@ -99,7 +98,11 @@ __all__ = [
 ]
 
 # the most vertices any table is enumerated at; read at call time, so a run
-# that means to go further raises it for its own duration
+# that means to go further raises it for its own duration.  Raising it also
+# grows each search's transposition table, about 7x per V: an all-genus
+# connected search stores 5,386 states holding 44,926 cells at V = 6, and
+# 32,164 states holding 345,529 cells at V = 7, where the process peaks at
+# 57 MB (Python 3.11)
 CEILING = 6
 
 # the fewest active free half-edges at which a search node looks itself up in
@@ -135,35 +138,6 @@ class VertexType:
 
 CROSSING = VertexType("crossing", ((0, 2), (1, 3)))
 TANGENCY = VertexType("tangency", ((0, 1), (2, 3)))
-
-
-@dataclass(frozen=True)
-class VertexModel:
-    """The vertex species available to the enumeration."""
-
-    vertex_types: tuple
-
-    def __post_init__(self) -> None:
-        for vt in self.vertex_types:
-            legs = sorted(leg for pair in vt.strand_pairs for leg in pair)
-            if legs != [0, 1, 2, 3]:
-                raise ValueError(f"vertex type {vt.name!r} does not wire 4 legs into 2 strands")
-
-    @classmethod
-    def one_matrix(cls) -> "VertexModel":
-        """Single crossing-type vertex (quartic coupling)."""
-        return cls((CROSSING,))
-
-    @classmethod
-    def generalized(cls) -> "VertexModel":
-        """Crossing plus tangency vertices (two independent quartic couplings)."""
-        return cls((CROSSING, TANGENCY))
-
-    def by_name(self, name: str) -> VertexType:
-        for vt in self.vertex_types:
-            if vt.name == name:
-                return vt
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -256,11 +230,11 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     only gluings without vacuum components.  Returns the cells dict.
 
     Each call of the recursion makes one gluing on entry and undoes it on
-    exit, with O(1) amortized rollback, keeping:
+    exit, keeping:
 
     * the boundary cycles of the partial surface as doubly linked rings over
-      the unmatched half-edges (``nxt``/``prv``/``cyc``/``csz``), with faces
-      counted as cycles empty out;
+      the unmatched half-edges (``nxt``/``prv``), with faces counted from
+      the adjacency of the two glued half-edges;
     * a sorted free list of every unmatched half-edge (``fnx``/``fpv``),
       whose first ``nfree`` members are the active ones: those of the legs
       and of the vertices touched so far, which have the lowest ids;
@@ -276,11 +250,18 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     cycle splits it, and gluing across two cycles merges them: a handle,
     which is what ``planar_only`` prunes, unless the other cycle is the ring
     of a fresh vertex, whose gluing joins two components and so adds no
-    handle (the genus is read from the faces either way).  The
-    lowest free half-edge is glued first; its partners are the rest of the
-    active free list, or in planar mode only the members of its own boundary
-    ring at odd steps from it (``nxt``, ``nxt^3``, ...), and then one leg per
-    rotation orbit of a fresh vertex.  A ring of n splits into arcs of k and
+    handle (the genus is read from the faces either way).  A gluing a-b
+    reads its faces off ``nxt``: a and b neighbors on one ring close the
+    face between them (two if they are the whole ring), and one alone on
+    its ring closes a face if the other is alone too, and otherwise the
+    other just leaves its ring; any other gluing splices the rings with four
+    pointer writes, which split one ring into two arcs or merge two into one
+    and close nothing.  No case writes a's or b's own pointers, so the undo
+    reads the splice back from them.  The lowest free half-edge is glued
+    first; its partners are the rest of the active free list, or in planar
+    mode only the members of its own boundary ring at odd steps from it
+    (``nxt``, ``nxt^3``, ... up to ``prv``), and then one leg per rotation
+    orbit of a fresh vertex.  A ring of n splits into arcs of k and
     n - 2 - k, and a fresh vertex adds 2, so an odd ring stays odd and never
     closes; every ring starts even, and the odd steps are exactly the
     gluings that keep both arcs even (a non-crossing matching on a cycle
@@ -290,8 +271,10 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     placed and four half-edges s0, t, u, v free, the search does not glue
     s0 to each partner t but classifies each completion {s0-t, u-v} in
     place.  Its new faces are the cycles of ``nxt``∘matching on the four,
-    read off the sizes of their rings: s0 and t on one ring of 4 close three
-    if adjacent and one if opposite (a handle), and so on.  Its new loops are
+    read off ring adjacency: s0-t closes one face if t follows s0, one if
+    s0 follows t, and one if each is alone on its ring; u-v then closes two
+    faces if u's successor, once s0 and t have left the rings, is v (a ring
+    of 2) and one if not (two rings of 1).  Its new loops are
     two if s0 and t end one strand segment, else one, each internal or
     external by the flags of the segments in it.  A leaf records its total
     faces, and the genus comes from them once per distinct cell at the end
@@ -330,25 +313,22 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     """
     V = sum(count for _, count in species)
     S = legs + 4 * V
-    E = S // 2
     HEAD = S
+    # the partner of each glued half-edge on the current path; only the 2PI
+    # leaf test reads it, at a leaf, where every entry is current
     match = [-1] * S
     # ``vx`` maps a half-edge to its vertex (V for a marked leg), and the
-    # rings are built once: each vertex's legs in rotation order with its
-    # label as cycle id, the marked legs with id V.  Every gluing is undone
-    # exactly, so a vertex's ring is as built here whenever the search
-    # touches it; ids above V go to the rings that splitting gluings make.
+    # rings are built once: each vertex's legs in rotation order, and the
+    # marked legs in order.  Every gluing is undone exactly, so a vertex's
+    # ring is as built here whenever the search touches it.
     nxt = [0] * S
     prv = [0] * S
-    cyc = [0] * S
-    csz = [0] * (V + 1 + E)
     vx = [0] * S
-    for cid, lo, n in ((V, 0, legs), *((i, legs + 4 * i, 4) for i in range(V))):
+    for vid, lo, n in ((V, 0, legs), *((i, legs + 4 * i, 4) for i in range(V))):
         for k in range(n):
             nxt[lo + k] = lo + (k + 1) % n
             prv[lo + k] = lo + (k - 1) % n
-            cyc[lo + k] = vx[lo + k] = cid
-        csz[cid] = n
+            vx[lo + k] = vid
     # the free list holds every unmatched half-edge in id order, so the legs
     # of the untouched vertices follow the nfree active ones
     fnx = list(range(1, S + 1)) + [0]
@@ -397,7 +377,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     else:
         return cells
 
-    ncid_box = [V + 1]
     # the transposition table, from a state key to the cells of its subtree
     # counted from that node; ``acc`` stacks the accumulators of the misses
     # being expanded above the search's own, and ``rk`` ranks the active
@@ -414,7 +393,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # vertices have been joined (each is its own internal component), and
     # once s0 is internal, so is every partner.
     def rec(a, b, weight, ninst, faces, kint, kext, nfree,
-            match=match, nxt=nxt, prv=prv, cyc=cyc, csz=csz, fnx=fnx, fpv=fpv,
+            match=match, nxt=nxt, prv=prv, fnx=fnx, fpv=fpv,
             ipar=ipar, ifree=ifree, oth=oth, sext=sext,
             vx=vx, V=V, legs=legs, HEAD=HEAD,
             planar_only=planar_only, gamma_only=gamma_only, twopi=twopi,
@@ -469,91 +448,41 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     ifree_root = vb
                     ifree_old = ifree[vb]
                     ifree[vb] = ifree_old - 1
-            # boundary cycles
-            ca = cyc[a]
-            cb = cyc[b]
+            # boundary rings: a and b leave theirs, and the faces come
+            # from their adjacency alone.  Neighbors close the face between
+            # them (two if they are the whole ring); one alone on its ring
+            # closes a face with the other alone, and otherwise the other
+            # just leaves its ring; any other gluing splits one ring or
+            # merges two with the same four writes, closing nothing
             pa = prv[a]
             sa = nxt[a]
             pb = prv[b]
             sb = nxt[b]
-            relabeled = None
-            relabel_to = -1
-            old_ca = csz[ca]
-            old_cb = csz[cb]
-            new_cid = False
-            if ca == cb:
-                n = old_ca
-                if n == 2:
+            if sa == b:
+                if sb == a:
                     faces += 2
-                elif sa == b:
-                    faces += 1
-                    nxt[pa] = sb
-                    prv[sb] = pa
-                    csz[ca] = n - 2
-                elif sb == a:
-                    faces += 1
-                    nxt[pb] = sa
-                    prv[sa] = pb
-                    csz[ca] = n - 2
                 else:
-                    # walk at most half the ring to find the shorter arc
-                    half = (n - 2) >> 1
-                    walked = []
-                    x = sa
-                    while len(walked) <= half:
-                        if x == b:
-                            break
-                        walked.append(x)
-                        x = nxt[x]
-                    else:
-                        walked = []
-                        x = sb
-                        while x != a:
-                            walked.append(x)
-                            x = nxt[x]
-                    nxt[pb] = sa
-                    prv[sa] = pb
+                    faces += 1
                     nxt[pa] = sb
                     prv[sb] = pa
-                    cid = ncid_box[0]
-                    ncid_box[0] += 1
-                    new_cid = True
-                    for x in walked:
-                        cyc[x] = cid
-                    relabeled = walked
-                    relabel_to = ca
-                    csz[cid] = len(walked)
-                    csz[ca] = n - 2 - len(walked)
-            else:
-                na = old_ca
-                nb = old_cb
-                if na == 1 and nb == 1:
+            elif sb == a:
+                faces += 1
+                nxt[pb] = sa
+                prv[sa] = pb
+            elif sa == a:
+                if sb == b:
                     faces += 1
-                elif na == 1:
+                else:
                     nxt[pb] = sb
                     prv[sb] = pb
-                    csz[cb] = nb - 1
-                elif nb == 1:
-                    nxt[pa] = sa
-                    prv[sa] = pa
-                    csz[ca] = na - 1
-                else:
-                    nxt[pa] = sb
-                    prv[sb] = pa
-                    nxt[pb] = sa
-                    prv[sa] = pb
-                    if na <= nb:
-                        keep, drop, start = cb, ca, sa
-                    else:
-                        keep, drop, start = ca, cb, sb
-                    relabeled = []
-                    x = start
-                    while cyc[x] != keep:
-                        relabeled.append(x)
-                        cyc[x] = keep
-                        x = nxt[x]
-                    relabel_to = drop
-                    csz[keep] = na + nb - 2
+            elif sb == b:
+                nxt[pa] = sa
+                prv[sa] = pa
+            else:
+                nxt[pa] = sb
+                prv[sb] = pa
+                nxt[pb] = sa
+                prv[sa] = pb
 
         # ---- the transposition table: with tt_min or more active free
         # half-edges, the rest of the search depends on this node's state
@@ -602,23 +531,22 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 f1 = fnx[s0]
                 f2 = fnx[f1]
                 f3 = fnx[f2]
-                c0 = cyc[s0]
                 out = acc[-1]
 
             # -- partners among the active half-edges: the rest of the active
             # free list, or in planar mode the partners at odd steps along s0's
-            # own boundary ring (a partner on another cycle would add a handle,
-            # and one at an even step would leave two odd arcs, which never
-            # close).  With vertices left, gluing the last two half-edges is a
-            # dead end --
-            if planar_only:
-                t = prv[s0]
-                ncand = csz[cyc[s0]] >> 1
-            else:
-                t = s0
-                ncand = nfree - 1
-            for _ in range(ncand if nfree > 2 else 0):
-                t = nxt[nxt[t]] if planar_only else fnx[t]
+            # own boundary ring up to prv[s0] (a partner on another cycle would
+            # add a handle, and one at an even step would leave two odd arcs,
+            # which never close).  With vertices left, gluing the last two
+            # half-edges is a dead end --
+            t = prv[s0] if planar_only else s0
+            for i in range(nfree - 1 if nfree > 2 else 0):
+                if not planar_only:
+                    t = fnx[t]
+                elif i and t == prv[s0]:
+                    break
+                else:
+                    t = nxt[nxt[t]]
                 if gamma_only:
                     # keep the internal graph one open component over all 4 legs
                     if ir0 < 0:
@@ -642,23 +570,24 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     u, v = f1, f3
                 else:
                     u, v = f1, f2
-                # the faces they close are the cycles of nxt∘μ on s0, t, u, v,
-                # set by the ring sizes: one ring of 2 holding s0 and t closes
-                # two faces, two rings of 1 one, and u-v then does the same with
-                # what is left; s0, t on a ring of 3 (beside a ring of 1) close
-                # two, on rings of 2 and 1 one; on one ring of 4, adjacent pairs
-                # close three and opposite pairs one (a handle); on two rings
-                # (2 + 2 or 3 + 1) they close two
-                ct = cyc[t]
-                size = csz[c0] if ct == c0 else csz[c0] + csz[ct]
-                if size == 2:
-                    closed = (2 if ct == c0 else 1) + (2 if cyc[u] == cyc[v] else 1)
-                elif size == 3:
-                    closed = 2 if ct == c0 else 1
-                elif ct == c0:
-                    closed = 3 if t == nxt[s0] or t == prv[s0] else 1
-                else:
-                    closed = 2
+                # the faces they close are the cycles of nxt∘μ on s0, t, u, v.
+                # s0-t closes those within {s0, t}: one if t follows s0, one if
+                # s0 follows t, and one if each is alone on its ring.  u's
+                # successor once s0 and t leave the rings skips over them as a
+                # face does (reaching s0 goes on after t, and reaching t after
+                # s0), and u-v closes two faces if it is v (a ring of 2) and
+                # one if not (two rings of 1)
+                ns = nxt[s0]
+                nt = nxt[t]
+                closed = (ns == t) + (nt == s0) + (ns == s0 and nt == t)
+                nu = nxt[u]
+                if nu == s0:
+                    nu = nt
+                if nu == t:
+                    nu = ns
+                if nu == s0:
+                    nu = nt
+                closed += 2 if nu == v else 1
                 # the loops: s0-t closes the strand segment they both end and u-v
                 # the other one, or else s0-t joins two segments and u-v closes
                 # the result; a loop is external if a segment in it is
@@ -709,13 +638,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
 
         if a >= 0:
             # ---- undo the gluing ----
-            if new_cid:
-                ncid_box[0] -= 1
-            if relabeled is not None:
-                for x in relabeled:
-                    cyc[x] = relabel_to
-            csz[ca] = old_ca
-            csz[cb] = old_cb
             nxt[prv[a]] = a
             prv[nxt[a]] = a
             nxt[prv[b]] = b
@@ -729,8 +651,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 oth[ob] = b
                 sext[oa] = sext[a]
                 sext[ob] = sext[b]
-            match[a] = -1
-            match[b] = -1
             fpv[fnx[b]] = b
             fnx[fpv[b]] = b
             fpv[fnx[a]] = a
@@ -743,7 +663,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
         match[s0], match[t], match[x], match[y] = t, s0, y, x
         edges = [(vx[s], vx[match[s]]) for s in range(legs, S) if s < match[s]]
         leg_at = [vx[match[e]] for e in range(legs)]
-        match[s0] = match[t] = match[x] = match[y] = -1
         for i, j in combinations(range(len(edges)), 2):
             parent = list(range(V))
             comps = V
@@ -855,20 +774,23 @@ def _check_ceiling(V: int) -> None:
         raise CeilingError(V, CEILING)
 
 
-def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
-                       type_counts: dict | None = None, planar_only: bool = False,
-                       connected_only: bool = False) -> CountTable:
+def enumerate_pairings(num_vertices: int, *, type_counts: dict | None = None,
+                       planar_only: bool = False, connected_only: bool = False) -> CountTable:
     """Count every gluing of closed diagrams at the given vertex content.
 
-    For a single vertex species ``num_vertices`` suffices; for mixed species
-    pass ``type_counts`` (name -> count).  Either way one search runs, with
-    the species labeled in order of their type names.  ``planar_only``
-    restricts to genus zero (with pruning during the search),
-    ``connected_only`` to single-component gluings.
+    For crossings alone ``num_vertices`` suffices; otherwise pass
+    ``type_counts``, mapping ``"crossing"`` and ``"tangency"`` to their
+    counts.  Either way one search runs, with the species labeled in order
+    of their type names.  ``planar_only`` restricts to genus zero (with
+    pruning during the search), ``connected_only`` to single-component
+    gluings.
     """
-    model = model or VertexModel.one_matrix()
     if type_counts is None:
-        type_counts = {model.vertex_types[0].name: num_vertices}
+        type_counts = {CROSSING.name: num_vertices}
+    types = {vt.name: vt for vt in (CROSSING, TANGENCY)}
+    for name in type_counts:
+        if name not in types:
+            raise ValueError(f"unknown vertex type {name!r}: expected 'crossing' or 'tangency'")
     if any(count < 0 for count in type_counts.values()):
         raise ValueError("vertex type counts must be nonnegative")
     V = sum(type_counts.values())
@@ -877,9 +799,7 @@ def enumerate_pairings(num_vertices: int, model: VertexModel | None = None, *,
     if V < 1:
         raise ValueError("enumeration needs V >= 1")
     _check_ceiling(V)
-    active = [(model.by_name(name), count) for name, count in sorted(type_counts.items())
-              if count > 0]
-    # the counts depend on the wiring, not on what the caller named it
+    active = [(types[name], count) for name, count in sorted(type_counts.items()) if count > 0]
     species = tuple((_strand_offsets(vt), c) for vt, c in active)
     if connected_only:
         cells = _cached_cells(0, species, planar_only, False, False)

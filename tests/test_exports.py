@@ -173,8 +173,7 @@ def test_tracer_targets_resolve():
         "twopi": bound(marked, 3, 4, gamma_only=True, twopi=True),
         "closed_all": bound(closed, 3),
         "closed_planar": bound(closed, 3, planar_only=True),
-        "mixed": bound(closed, 3, oracle.VertexModel.generalized(),
-                       type_counts={"crossing": 2, "tangency": 1}),
+        "mixed": bound(closed, 3, type_counts={"crossing": 2, "tangency": 1}),
     }
     assert {mode: tracer.oracle_mode(call) for mode, call in calls.items()} == {
         mode: mode for mode in calls}
