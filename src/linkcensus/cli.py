@@ -11,8 +11,9 @@ asymptotics ratio-method growth/exponent estimate with full diagnostics
 Exit codes: 0 success, 1 crosscheck mismatch, 2 usage error, 3 a library
 self-check failed (a lost or ambiguous series branch in the flype
 singularity analysis, a Newton residual that does not cancel, an inexact
-polynomial division in the flype elimination, or an odd Euler numerator at
-an oracle leaf, which means a miscounted face); codes 2 and 3 print a
+polynomial division in the flype elimination, an odd Euler numerator at an
+oracle leaf, which means a miscounted face, or a negative tangle count,
+which means a two-leg or four-leg count is off); codes 2 and 3 print a
 one-line ``error:`` message on stderr.  Enumerations run in a single
 process, so identical configurations produce byte-identical output.
 """

@@ -34,7 +34,11 @@ ring adjacency and its loops off the strand segments.  A closed table
 with vacuum components is not searched: it follows from the connected
 tables of its vertex content and of every smaller one by the labeled
 first-block recursion (the exponential formula), in which the component
-holding the lowest label is one connected block.  The Wick
+holding the lowest label is one connected block.  Nor is the connected
+four-point part (the tangles): a planar four-leg diagram that is not
+connected is two two-leg diagrams on a non-crossing split of the legs, so
+its cells are the four-leg cells less products of two-leg cells, and a
+cell that goes negative raises `ArithmeticError`.  The Wick
 factor ``4^V V!`` per species is a symmetry the search divides out as it
 goes: the not-yet-touched labeled vertices of one species are
 interchangeable (the ``V!``), so touching one branches once per species with
@@ -51,8 +55,8 @@ table.  Within a search, a transposition table expands each distinct open
 boundary once: the key holds the boundary rings of the active free
 half-edges, their pairing into open strand segments with each segment's
 external flag, and the untouched vertices of each species, and the table
-stores each subtree's cells relative to its node.  It is off in gamma mode
-and for 2PI, whose leaf test reads the whole matching.  Leaves record faces,
+stores each subtree's cells relative to its node.  It is off for 2PI,
+whose leaf test reads the whole matching.  Leaves record faces,
 and the genus, with its Euler parity check, is read once per distinct cell
 at the end of the search.  The table is freed when its search returns.
 The cells of each search, and each closed table built from them, are
@@ -172,10 +176,11 @@ class TwoPointTable:
     ``cells`` maps ``(genus, internal_strands, boundary_strands)`` to counts.
     A plain table holds every diagram whose internal components all touch
     the boundary; one built with ``gamma_only`` holds the connected
-    four-point part (all four legs on one internal component) and nothing
-    else, and one also built with ``twopi`` only its 2PI diagrams, those
-    that no pair of internal edges cuts into exactly two components with two
-    legs on each.  Like `CountTable.cells`, ``cells`` is read-only.
+    four-point part (all four legs on one internal component), the plain
+    cells less the two-leg pairs, and one also built with ``twopi`` only its
+    2PI diagrams, those that no pair of internal edges cuts into exactly two
+    components with two legs on each.  Like `CountTable.cells`, ``cells`` is
+    read-only.
     """
 
     num_vertices: int
@@ -211,7 +216,7 @@ def double_factorial(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
+def _fast_search(legs, species, planar_only, twopi):
     """Incremental enumeration of connected gluings over labeled vertices of
     one or more species.
 
@@ -240,9 +245,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
       and of the vertices touched so far, which have the lowest ids;
     * the open strand segments, each unmatched half-edge holding the other
       end of its own (``oth``) and its external flag (``sext``): gluing the
-      two ends of one segment closes a loop, gluing two segments joins them;
-    * a rollback union-find structure for internal components (``ipar``,
-      gamma mode only).
+      two ends of one segment closes a loop, gluing two segments joins them.
 
     Every vertex's four legs start as a boundary ring of their own, in
     rotation order, in a component of their own.  Every active half-edge
@@ -285,14 +288,12 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     legs and no vertex, the one table that starts with two free half-edges,
     is answered before the search.
 
-    ``gamma_only`` (four marked legs) keeps only gluings whose internal graph
-    stays a single component carrying all four legs: leg-leg matches are
-    skipped and a branch dies the moment an internal component runs out of
-    free half-edges while anything else is still open.  Every surviving leaf
-    is then a connected four-point diagram.  ``twopi`` (with ``gamma_only``)
-    keeps only the 2PI ones: the leaf completes the matching and skips it if
-    some pair of its internal edges cuts it into two components with two
-    legs each.  Closed cells are keyed ``(genus, strands, True)``, marked
+    ``twopi`` (four marked legs) keeps only the 2PI diagrams: the leaf
+    completes the matching and keeps it if every leg is glued to a vertex
+    and no pair of its internal edges cuts it into two components with two
+    legs each.  A disconnected diagram always has such a pair (one cycle
+    edge from each of its two components), so every one kept is a
+    connected four-point diagram.  Closed cells are keyed ``(genus, strands, True)``, marked
     ones ``(genus, internal strands, boundary strands)``.
 
     Many partial gluings leave the same open boundary: the same rings, the
@@ -307,8 +308,7 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     keyed by the faces and loops closed below it.  A repeated state adds
     them, times its weight and shifted by its own faces and loops, and
     expands nothing; a new one is expanded in the same frame into a fresh
-    accumulator.  The table is off in gamma mode, where it measured slower
-    on the small tables, and so for ``twopi``, whose leaf test reads the
+    accumulator.  The table is off for ``twopi``, whose leaf test reads the
     whole matching.
     """
     V = sum(count for _, count in species)
@@ -317,26 +317,19 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # the partner of each glued half-edge on the current path; only the 2PI
     # leaf test reads it, at a leaf, where every entry is current
     match = [-1] * S
-    # ``vx`` maps a half-edge to its vertex (V for a marked leg), and the
-    # rings are built once: each vertex's legs in rotation order, and the
+    # the rings are built once: each vertex's legs in rotation order, and the
     # marked legs in order.  Every gluing is undone exactly, so a vertex's
     # ring is as built here whenever the search touches it.
     nxt = [0] * S
     prv = [0] * S
-    vx = [0] * S
-    for vid, lo, n in ((V, 0, legs), *((i, legs + 4 * i, 4) for i in range(V))):
+    for lo, n in ((0, legs), *((legs + 4 * i, 4) for i in range(V))):
         for k in range(n):
             nxt[lo + k] = lo + (k + 1) % n
             prv[lo + k] = lo + (k - 1) % n
-            vx[lo + k] = vid
     # the free list holds every unmatched half-edge in id order, so the legs
     # of the untouched vertices follow the nfree active ones
     fnx = list(range(1, S + 1)) + [0]
     fpv = [HEAD] + list(range(S))
-    # internal components and their counts of still-unmatched internal
-    # half-edges, for the gamma_only seal prune
-    ipar = list(range(V + 1))
-    ifree = [0] * (V + 1)
     # strand segments: each unmatched half-edge ends an open one, whose
     # other end is ``oth`` and whose external flag both ends carry in ``sext``
     oth = [0] * S
@@ -380,23 +373,16 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
     # the transposition table, from a state key to the cells of its subtree
     # counted from that node; ``acc`` stacks the accumulators of the misses
     # being expanded above the search's own, and ``rk`` ranks the active
-    # half-edges.  Gamma mode, where the table measured slower on the
-    # tables of V <= 4, turns it off, and so does 2PI, whose leaf test reads
-    # the whole matching
+    # half-edges.  2PI, whose leaf test reads the whole matching, turns it
+    # off
     table: dict = {}
     acc = [cells]
     rk = [0] * S
-    tt_min = S + 1 if gamma_only or twopi else _TABLE_MIN_FREE
+    tt_min = S + 1 if twopi else _TABLE_MIN_FREE
 
-    # Legs have the lowest ids and s0 is the lowest free half-edge, so every
-    # leg is glued before any internal half-edge: while s0 is a leg, no two
-    # vertices have been joined (each is its own internal component), and
-    # once s0 is internal, so is every partner.
     def rec(a, b, weight, ninst, faces, kint, kext, nfree,
-            match=match, nxt=nxt, prv=prv, fnx=fnx, fpv=fpv,
-            ipar=ipar, ifree=ifree, oth=oth, sext=sext,
-            vx=vx, V=V, legs=legs, HEAD=HEAD,
-            planar_only=planar_only, gamma_only=gamma_only, twopi=twopi,
+            match=match, nxt=nxt, prv=prv, fnx=fnx, fpv=fpv, oth=oth, sext=sext,
+            V=V, legs=legs, HEAD=HEAD, planar_only=planar_only, twopi=twopi,
             kinds=kinds, left=left, table=table, acc=acc, rk=rk, tt_min=tt_min):
         if a >= 0:
             # ---- glue a-b (the root call, a = -1, glues nothing); what
@@ -422,32 +408,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 oth[ob] = oa
                 if sext[a] != sext[b]:
                     sext[oa] = sext[ob] = True
-            i_child = -1
-            ifree_root = -1
-            if gamma_only and b >= legs:
-                vb = vx[b]
-                if a >= legs:
-                    ria = vx[a]
-                    while ipar[ria] != ria:
-                        ria = ipar[ria]
-                    rib = vb
-                    while ipar[rib] != rib:
-                        rib = ipar[rib]
-                    if ria != rib:
-                        ipar[rib] = ria
-                        i_child = rib
-                        ifree_root = ria
-                        ifree_old = ifree[ria]
-                        ifree[ria] = ifree_old + ifree[rib] - 2
-                    else:
-                        ifree_root = ria
-                        ifree_old = ifree[ria]
-                        ifree[ria] = ifree_old - 2
-                else:
-                    # a is a leg, so b's vertex is still its own component
-                    ifree_root = vb
-                    ifree_old = ifree[vb]
-                    ifree[vb] = ifree_old - 1
             # boundary rings: a and b leave theirs, and the faces come
             # from their adjacency alone.  Neighbors close the face between
             # them (two if they are the whole ring); one alone on its ring
@@ -516,14 +476,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                 faces = kint = kext = 0
         if sub is None:
             s0 = fnx[HEAD]
-            if gamma_only and s0 >= legs:
-                ir0 = vx[s0]
-                while ipar[ir0] != ir0:
-                    ir0 = ipar[ir0]
-                ifree0 = ifree[ir0]
-            else:
-                ir0 = -1
-                ifree0 = 0
             # every vertex placed and four half-edges free: each completion
             # {s0-t, u-v} is a leaf, classified in place instead of glued
             leaf = nfree == 4 and ninst == V
@@ -547,19 +499,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
                     break
                 else:
                     t = nxt[nxt[t]]
-                if gamma_only:
-                    # keep the internal graph one open component over all 4 legs
-                    if ir0 < 0:
-                        if t < legs:
-                            continue  # leg paired with leg: never connected
-                        newf = ifree[vx[t]] - 1
-                    else:
-                        r2 = vx[t]
-                        while ipar[r2] != r2:
-                            r2 = ipar[r2]
-                        newf = ifree0 - 2 if ir0 == r2 else ifree0 + ifree[r2] - 2
-                    if newf == 0:
-                        continue  # an internal component sealed before the end
                 if not leaf:
                     rec(s0, t, weight, ninst, faces, kint, kext, nfree - 2)
                     continue
@@ -610,7 +549,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             # strands by its species, and glue s0 to one leg per orbit --
             if ninst < V:
                 b0 = legs + 4 * ninst
-                ifree[ninst] = 4
                 for sp, off, nrot, orbit_legs in kinds:
                     m = left[sp]
                     if not m:
@@ -642,10 +580,6 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             prv[nxt[a]] = a
             nxt[prv[b]] = b
             prv[nxt[b]] = b
-            if ifree_root >= 0:
-                ifree[ifree_root] = ifree_old
-            if i_child >= 0:
-                ipar[i_child] = i_child
             if oa != b:
                 oth[oa] = a
                 oth[ob] = b
@@ -657,12 +591,19 @@ def _fast_search(legs, species, planar_only, twopi, gamma_only=False):
             fnx[fpv[a]] = a
 
     def _leaf_two_particle_reducible(s0, t, x, y) -> bool:
-        # with the leaf's last two gluings s0-t and x-y made: is there a pair
-        # of internal edges whose removal leaves exactly two components with
-        # two legs on each?
+        # with the leaf's last two gluings s0-t and x-y made: is a leg glued
+        # to a leg, or is there a pair of internal edges whose removal leaves
+        # exactly two components with two legs on each?  That also drops
+        # every other disconnected diagram: its two internal components
+        # carry two legs each, so each has 2v - 1 edges on v vertices and a
+        # cycle, and removing one cycle edge from each leaves both whole.
+        # Half-edge s is on vertex (s - legs) // 4, which is -1 for a leg
         match[s0], match[t], match[x], match[y] = t, s0, y, x
-        edges = [(vx[s], vx[match[s]]) for s in range(legs, S) if s < match[s]]
-        leg_at = [vx[match[e]] for e in range(legs)]
+        edges = [((s - legs) // 4, (match[s] - legs) // 4)
+                 for s in range(legs, S) if s < match[s]]
+        leg_at = [(match[e] - legs) // 4 for e in range(legs)]
+        if -1 in leg_at:
+            return True
         for i, j in combinations(range(len(edges)), 2):
             parent = list(range(V))
             comps = V
@@ -709,10 +650,37 @@ def _genus_cells(by_faces, legs, V):
 
 
 @lru_cache(maxsize=None)
-def _cached_cells(legs, species, planar_only, twopi, gamma_only) -> Mapping:
+def _cached_cells(legs, species, planar_only, twopi) -> Mapping:
     """`_fast_search` memoized by its own arguments, as sorted read-only cells."""
-    cells = _fast_search(legs, species, planar_only, twopi, gamma_only)
+    cells = _fast_search(legs, species, planar_only, twopi)
     return MappingProxyType(dict(sorted(cells.items())))
+
+
+@lru_cache(maxsize=None)
+def _gamma_cells(off, V) -> Mapping:
+    """The connected four-point cells of ``V`` vertices of wiring ``off``
+    (planar), as sorted read-only cells: the four-leg cells less the
+    disconnected ones.
+
+    A planar four-leg diagram that is not connected is two two-leg diagrams,
+    one on each side of a non-crossing split of the legs ({0, 1} | {2, 3} or
+    {1, 2} | {3, 0}), with j of the V labels on one side; the external
+    strands join them into one boundary loop.  So each pair of two-leg cells
+    at j and V - j, times 2 C(V, j), comes off the cell (0, internal loops
+    of both, 1).  A cell that goes negative means a two-leg or four-leg
+    count is wrong, and raises `ArithmeticError`.
+    """
+    cells = dict(_cached_cells(4, ((off, V),), True, False))
+    for j in range(V + 1):
+        ways = 2 * comb(V, j)
+        for (_h, k1, _e), c1 in _cached_cells(2, ((off, j),), True, False).items():
+            for (_h, k2, _e), c2 in _cached_cells(2, ((off, V - j),), True, False).items():
+                key = (0, k1 + k2, 1)
+                cells[key] = cells.get(key, 0) - ways * c1 * c2
+    if any(c < 0 for c in cells.values()):
+        raise ArithmeticError(f"negative connected four-point count at V = {V}: "
+                              "a two-leg or four-leg count is off")
+    return MappingProxyType({key: c for key, c in sorted(cells.items()) if c})
 
 
 @lru_cache(maxsize=None)
@@ -733,7 +701,7 @@ def _closed_cells(species, planar_only) -> Mapping:
 
     def connected(counts):
         content = tuple((off, c) for off, c in zip(wirings, counts) if c)
-        return _cached_cells(0, content, planar_only, False, False)
+        return _cached_cells(0, content, planar_only, False)
 
     @lru_cache(maxsize=None)
     def total(counts):
@@ -802,7 +770,7 @@ def enumerate_pairings(num_vertices: int, *, type_counts: dict | None = None,
     active = [(types[name], count) for name, count in sorted(type_counts.items()) if count > 0]
     species = tuple((_strand_offsets(vt), c) for vt, c in active)
     if connected_only:
-        cells = _cached_cells(0, species, planar_only, False, False)
+        cells = _cached_cells(0, species, planar_only, False)
     else:
         cells = _closed_cells(species, planar_only)
     counts = tuple((vt.name, count) for vt, count in active)
@@ -817,12 +785,13 @@ def two_point_table(num_vertices: int, legs: int, *, twopi: bool = False,
     Every marked series is planar, so the table holds genus zero only; the
     search prunes the rest.
 
-    ``gamma_only`` keeps only connected four-point diagrams (pruning the
-    search) and needs the four-leg boundary; it is the one source of the
-    connected four-point part, since a plain four-leg table does not say
-    which of its diagrams are connected.  ``twopi`` needs ``gamma_only``
-    too: it keeps only the 2PI diagrams, trying every pair of internal edges
-    as a cut at the leaf.
+    ``gamma_only`` keeps only connected four-point diagrams and needs the
+    four-leg boundary: the plain four-leg cells less the disconnected ones,
+    which are products of two two-leg tables (`_gamma_cells`).  ``twopi``
+    needs ``gamma_only`` too: it keeps only the 2PI diagrams, from a
+    four-leg search whose leaf drops a leg glued to a leg and tries every
+    pair of internal edges as a cut, which drops the disconnected diagrams
+    too.
     """
     if legs not in (2, 4):
         raise ValueError("the marked boundary carries 2 or 4 legs")
@@ -833,8 +802,11 @@ def two_point_table(num_vertices: int, legs: int, *, twopi: bool = False,
     if twopi and not gamma_only:
         raise ValueError("twopi restricts connected four-point diagrams; pass gamma_only=True")
     _check_ceiling(num_vertices)
-    species = ((_strand_offsets(CROSSING), num_vertices),)
-    cells = _cached_cells(legs, species, True, twopi, gamma_only)
+    off = _strand_offsets(CROSSING)
+    if gamma_only and not twopi:
+        cells = _gamma_cells(off, num_vertices)
+    else:
+        cells = _cached_cells(legs, ((off, num_vertices),), True, twopi)
     return TwoPointTable(num_vertices=num_vertices, cells=cells)
 
 

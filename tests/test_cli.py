@@ -120,6 +120,38 @@ def test_newton_residual_failure_exits_three(capsys, monkeypatch):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.fixture
+def corrupt_two_leg_table(monkeypatch):
+    """Every count of the one-vertex two-leg table doubled for the test's
+    duration, with the tangle cells cached before it or built under it
+    dropped."""
+    cached = oracle._cached_cells
+
+    def corrupt(legs, species, planar_only, twopi):
+        cells = cached(legs, species, planar_only, twopi)
+        if legs == 2 and sum(count for _, count in species) == 1:
+            return {key: 2 * count for key, count in cells.items()}
+        return cells
+
+    monkeypatch.setattr(oracle, "_cached_cells", corrupt)
+    oracle._gamma_cells.cache_clear()
+    yield
+    oracle._gamma_cells.cache_clear()
+
+
+def test_negative_tangle_cell_exits_three(capsys, corrupt_two_leg_table):
+    # too many disconnected four-leg diagrams are taken off: the tangle
+    # cells' own check fails
+    with pytest.raises(ArithmeticError, match="negative connected four-point count at V = 1"):
+        oracle._gamma_cells(oracle._strand_offsets(oracle.CROSSING), 1)
+    code = cli.main(["crosscheck", "--vmax", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ArithmeticError: negative connected four-point")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_two_color_reduced_order_zero(capsys):
     code, out = run_cli(capsys, "series", "--model", "two-color", "--reduced",
                         "--order", "0")

@@ -76,7 +76,7 @@ def _unflagged(cells, connected=None):
 @pytest.mark.parametrize("V,legs", [(0, 2), (1, 2), (2, 2), (0, 4), (1, 4), (2, 4)])
 def test_fast_matches_reference_marked(V, legs):
     species = ((oc._strand_offsets(CROSSING), V),)
-    fast = oc._cached_cells(legs, species, False, False, False)
+    fast = oc._cached_cells(legs, species, False, False)
     plain = _enumerate_plain((CROSSING.strand_pairs,) * V, legs)
     assert fast == _unflagged(plain)
 
@@ -93,22 +93,6 @@ def test_connected_mode_equals_connected_slice(V):
     conn = oc.enumerate_pairings(V, connected_only=True)
     full = oc.enumerate_pairings(V)
     assert conn.cells == {k: v for k, v in full.cells.items() if k[2]}
-
-
-@pytest.mark.parametrize("n", [F(1), F(1, 2), F(2), F(3)])
-def test_four_point_minus_gamma_is_two_point_pairs(n):
-    """Planar, with a fixed external color, G4 - Γ = 2·G2²: a disconnected
-    four-leg diagram is two two-point diagrams on the two non-crossing
-    splits of the legs.  G4 comes from the plain four-leg search and Γ from
-    gamma mode, so this checks the gamma seal prune past the reference
-    engine's V <= 3."""
-    vmax = 6
-    g2 = oc.g2_series(vmax, n)
-    pairs = g2 * g2
-    for V in range(vmax + 1):
-        g4 = oc.two_point_table(V, 4).coefficient(n)
-        gamma = oc.two_point_table(V, 4, gamma_only=True).coefficient(n)
-        assert g4 - gamma == 2 * pairs[V]
 
 
 def test_disconnected_cells_from_connected_convolution():
@@ -142,6 +126,7 @@ def test_disconnected_cells_from_connected_convolution():
 # -- rotation-orbit branching against the reference engine, both wirings -----------
 
 WIRINGS = [CROSSING, TANGENCY]
+THIRD = oc.VertexType("third", ((0, 3), (1, 2)))
 
 
 @cache
@@ -180,31 +165,49 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
     if legs == 2:
         return
     gamma = _unflagged(want, connected=True)
-    assert oc._fast_search(4, species, planar, False, gamma_only=True) == gamma
+    if planar:
+        assert oc._gamma_cells(species[0][0], V) == gamma
     # the 2PI diagrams are some of the connected ones
-    twopi = oc._fast_search(4, species, planar, True, gamma_only=True)
+    twopi = oc._fast_search(4, species, planar, True)
     assert all(0 < count <= gamma.get(key, 0) for key, count in twopi.items())
     if V <= 2:
         assert twopi == _twopi_reference((vertex_type.strand_pairs,) * V, planar)
 
 
+# the third wiring's reference at V = 3 takes about 21 s (2,027,025
+# matchings, on a 2-core host), so it runs only on request; the other two
+# share their references with the test above
+@pytest.mark.parametrize("vertex_type,V", [
+    pytest.param(vt, V, id=f"{V}-{vt.name}",
+                 marks=pytest.mark.slow if vt is THIRD and V == 3 else ())
+    for vt in WIRINGS + [THIRD] for V in range(4)
+])
+def test_gamma_cells_match_reference(vertex_type, V):
+    """The tangle cells, the planar four-leg cells less 2 C(V, j) times each
+    pair of two-leg cells at j and V - j, are the reference's planar
+    connected four-leg cells, for each of the three wirings."""
+    want = _slice(_reference(vertex_type, V, 4), lambda key: key[0] == 0)
+    cells = oc._gamma_cells(oc._strand_offsets(vertex_type), V)
+    assert cells == _unflagged(want, connected=True)
+    assert list(cells) == sorted(cells)
+
+
 # The all-genus search walks the whole free list: it never takes the planar
 # ring walk (odd steps along the glued half-edge's ring) nor its refusals, so
 # the genus-0 slice of its tables checks that pruning independently, at a V
-# the reference engine cannot reach.  The tangency four-leg tables take about
-# 4 s all genus (2.2 s plain, 1.8 s gamma, best of two runs in one process
-# on a 2-core host), so they run only on request.
-@pytest.mark.parametrize("vertex_type,legs,gamma", [
-    pytest.param(vt, legs, gamma, id=f"{vt.name}-{mode}",
+# the reference engine cannot reach.  The tangency four-leg table takes about
+# 2.2 s all genus (in one process on a 2-core host), so it runs only on
+# request.
+@pytest.mark.parametrize("vertex_type,legs", [
+    pytest.param(vt, legs, id=f"{vt.name}-{mode}",
                  marks=pytest.mark.slow if vt is TANGENCY and legs == 4 else ())
     for vt in WIRINGS
-    for mode, legs, gamma in [("closed", 0, False), ("leg2", 2, False),
-                              ("leg4", 4, False), ("gamma", 4, True)]
+    for mode, legs in [("closed", 0), ("leg2", 2), ("leg4", 4)]
 ])
-def test_planar_search_equals_genus_zero_slice_at_v4(vertex_type, legs, gamma):
+def test_planar_search_equals_genus_zero_slice_at_v4(vertex_type, legs):
     species = ((oc._strand_offsets(vertex_type), 4),)
-    full = oc._fast_search(legs, species, False, False, gamma)
-    planar = oc._fast_search(legs, species, True, False, gamma)
+    full = oc._fast_search(legs, species, False, False)
+    planar = oc._fast_search(legs, species, True, False)
     assert planar
     assert planar == _slice(full, lambda key: key[0] == 0)
 
@@ -261,7 +264,6 @@ def test_mixed_model_total_and_planar_cells():
 
 # -- several vertex species in one search --------------------------------------------
 
-THIRD = oc.VertexType("third", ((0, 3), (1, 2)))
 SPLITS = [counts for V in (2, 3)
           for counts in [(c, t, V - c - t) for c in range(V + 1) for t in range(V + 1 - c)]
           if sum(1 for count in counts if count) >= 2]
@@ -346,9 +348,11 @@ def test_mixed_disconnected_cells_from_connected_convolution():
 # -- the transposition table ---------------------------------------------------------
 
 # every mode at a V the table has states to repeat in, for each wiring alone
-# and mixed at V = 4; gamma and 2PI searches keep the table off, and stay
-# listed to pin that.  The other wirings at each mode's top V take 1-6 s
-# apiece (on a 2-core host), so they run only on request
+# and mixed at V = 4; 2PI searches keep the table off, and stay listed to pin
+# that, and the tangle rows rebuild the tangle cells from fresh two-leg and
+# four-leg searches, which run with the table.  The other wirings at each
+# mode's top V take 1-6 s apiece (on a 2-core host), so they run only on
+# request
 TABLE_CASES = [
     pytest.param(legs, tuple(V if k == i else 0 for k in range(3)), planar, twopi, gamma,
                  id=f"{vt.name}-{mode}-v{V}",
@@ -360,7 +364,7 @@ TABLE_CASES = [
         ("leg2-planar", 2, True, False, False, 5),
         ("leg4-planar", 4, True, False, False, 5),
         ("gamma-planar", 4, True, False, True, 5),
-        ("twopi-planar", 4, True, True, True, 4),
+        ("twopi-planar", 4, True, True, False, 4),
     ]
     for V in range(1, vmax + 1)
 ] + [
@@ -374,10 +378,17 @@ TABLE_CASES = [
 
 @pytest.mark.parametrize("legs,counts,planar,twopi,gamma", TABLE_CASES)
 def test_transposition_table_keeps_every_cell(monkeypatch, legs, counts, planar, twopi, gamma):
-    args = (legs, _species(counts), planar, twopi, gamma)
-    with_table = oc._fast_search(*args)
+    species = _species(counts)
+    if gamma:
+        # uncached, so that each build searches afresh
+        monkeypatch.setattr(oc, "_cached_cells", oc._cached_cells.__wrapped__)
+        (off, V), = [(off, count) for off, count in species if count]
+        build = lambda: oc._gamma_cells.__wrapped__(off, V)
+    else:
+        build = lambda: oc._fast_search(legs, species, planar, twopi)
+    with_table = build()
     monkeypatch.setattr(oc, "_TABLE_MIN_FREE", 4 * sum(counts) + legs + 1)
-    assert oc._fast_search(*args) == with_table
+    assert build() == with_table
 
 
 def test_search_recursion_has_no_cell_variables():
