@@ -28,14 +28,14 @@ mode prunes.  So planar mode looks for active partners only on the glued
 half-edge's own boundary cycle, and only at odd steps along it: every cycle
 starts even, a fresh vertex grows it by two, and an even step would split
 it into two odd arcs, which no planar gluing can ever close.  The last
-two gluings are not made: once every vertex is placed and four half-edges
-are free, each way to pair them is classified in place, its faces read off
-ring adjacency and its loops off the strand segments.  A closed table
-with vacuum components is not searched: it follows from the connected
-tables of its vertex content and of every smaller one by the labeled
-first-block recursion (the exponential formula), in which the component
-holding the lowest label is one connected block.  Nor is the connected
-four-point part (the tangles): a planar four-leg diagram that is not
+gluing is not made: once every vertex is placed, the two half-edges left
+free end one strand segment, and their gluing is classified in place: it
+closes one loop, and two faces if they share a ring or one if not.  A
+closed table with vacuum components is not searched: it follows from the
+connected tables of its vertex content and of every smaller one by the
+labeled first-block recursion (the exponential formula), in which the
+component holding the lowest label is one connected block.  Nor is the
+connected four-point part (the tangles): a planar four-leg diagram that is not
 connected is two two-leg diagrams on a non-crossing split of the legs, so
 its cells are the four-leg cells less products of two-leg cells, and a
 cell that goes negative raises `ArithmeticError`.  The Wick
@@ -270,23 +270,18 @@ def _fast_search(legs, species, planar_only, twopi):
     gluings that keep both arcs even (a non-crossing matching on a cycle
     pairs points at odd distance).
 
-    There is one leaf path: the last two gluings.  With every vertex
-    placed and four half-edges s0, t, u, v free, the search does not glue
-    s0 to each partner t but classifies each completion {s0-t, u-v} in
-    place.  Its new faces are the cycles of ``nxt``∘matching on the four,
-    read off ring adjacency: s0-t closes one face if t follows s0, one if
-    s0 follows t, and one if each is alone on its ring; u-v then closes two
-    faces if u's successor, once s0 and t have left the rings, is v (a ring
-    of 2) and one if not (two rings of 1).  Its new loops are
-    two if s0 and t end one strand segment, else one, each internal or
-    external by the flags of the segments in it.  A leaf records its total
-    faces, and the genus comes from them once per distinct cell at the end
-    of the search: the Euler numerator is even on every gluing, so an odd
-    one (a face miscounted) raises `ArithmeticError` rather than floor to a
-    genus.  With two free half-edges and vertices left, gluing them would
-    close the component early, so only fresh vertices are tried; two marked
-    legs and no vertex, the one table that starts with two free half-edges,
-    is answered before the search.
+    There is one leaf path: the last gluing.  With every vertex placed and
+    two half-edges s0, t free, the search does not glue them but classifies
+    the completion s0-t in place.  The two end the one open strand segment
+    left, so it closes one loop, external by that segment's flag; and they
+    are either a ring of 2, whose gluing closes two faces, or each alone on
+    its ring, which closes one.  A leaf records its total faces, and the
+    genus comes from them once per distinct cell at the end of the search:
+    the Euler numerator is even on every gluing, so an odd one (a face
+    miscounted) raises `ArithmeticError` rather than floor to a genus.
+    With two free half-edges and vertices left, gluing them would close the
+    component early, so only fresh vertices are tried.  Two marked legs and
+    no vertex is a leaf at the root.
 
     ``twopi`` (four marked legs) keeps only the 2PI diagrams: the leaf
     completes the matching and keeps it if every leg is glued to a vertex
@@ -315,7 +310,7 @@ def _fast_search(legs, species, planar_only, twopi):
     S = legs + 4 * V
     HEAD = S
     # the partner of each glued half-edge on the current path; only the 2PI
-    # leaf test reads it, at a leaf, where every entry is current
+    # leaf test reads it, at a leaf, once it has stored the last gluing
     match = [-1] * S
     # the rings are built once: each vertex's legs in rotation order, and the
     # marked legs in order.  Every gluing is undone exactly, so a vertex's
@@ -353,10 +348,6 @@ def _fast_search(legs, species, planar_only, twopi):
     # lowest label (of the first species with a nonzero count, weight 1)
     ninst = 0
     if legs == 2:
-        if not V:
-            # the one gluing, of the two legs to each other: two faces and
-            # the boundary loop
-            return {(0, 0, 1): 1}
         oth[:2] = 1, 0
         sext[:2] = True, True
     elif legs == 4:
@@ -476,92 +467,52 @@ def _fast_search(legs, species, planar_only, twopi):
                 faces = kint = kext = 0
         if sub is None:
             s0 = fnx[HEAD]
-            # every vertex placed and four half-edges free: each completion
-            # {s0-t, u-v} is a leaf, classified in place instead of glued
-            leaf = nfree == 4 and ninst == V
-            if leaf:
-                f1 = fnx[s0]
-                f2 = fnx[f1]
-                f3 = fnx[f2]
-                out = acc[-1]
-
-            # -- partners among the active half-edges: the rest of the active
-            # free list, or in planar mode the partners at odd steps along s0's
-            # own boundary ring up to prv[s0] (a partner on another cycle would
-            # add a handle, and one at an even step would leave two odd arcs,
-            # which never close).  With vertices left, gluing the last two
-            # half-edges is a dead end --
-            t = prv[s0] if planar_only else s0
-            for i in range(nfree - 1 if nfree > 2 else 0):
-                if not planar_only:
-                    t = fnx[t]
-                elif i and t == prv[s0]:
-                    break
-                else:
-                    t = nxt[nxt[t]]
-                if not leaf:
+            if nfree == 2 and ninst == V:
+                # ---- the leaf: every vertex placed, and the last gluing
+                # s0-t classified in place.  s0 and t end the one open strand
+                # segment, so it closes one loop, external by its flag, and
+                # two faces if they are a ring of 2, one if each is alone ----
+                t = fnx[s0]
+                if not (twopi and _leaf_two_particle_reducible(s0, t)):
+                    ext = sext[s0]
+                    cell = (faces + 1 + (nxt[s0] == t), kint + 1 - ext, kext + ext)
+                    out = acc[-1]
+                    out[cell] = out.get(cell, 0) + weight
+            else:
+                # -- partners among the active half-edges: the rest of the
+                # active free list, or in planar mode the partners at odd
+                # steps along s0's own boundary ring up to prv[s0] (a partner
+                # on another cycle would add a handle, and one at an even
+                # step would leave two odd arcs, which never close).  With
+                # vertices left, gluing the last two half-edges is a dead
+                # end --
+                t = prv[s0] if planar_only else s0
+                for i in range(nfree - 1 if nfree > 2 else 0):
+                    if not planar_only:
+                        t = fnx[t]
+                    elif i and t == prv[s0]:
+                        break
+                    else:
+                        t = nxt[nxt[t]]
                     rec(s0, t, weight, ninst, faces, kint, kext, nfree - 2)
-                    continue
-                # ---- the leaf: the last two gluings s0-t and u-v ----
-                if t == f1:
-                    u, v = f2, f3
-                elif t == f2:
-                    u, v = f1, f3
-                else:
-                    u, v = f1, f2
-                # the faces they close are the cycles of nxt∘μ on s0, t, u, v.
-                # s0-t closes those within {s0, t}: one if t follows s0, one if
-                # s0 follows t, and one if each is alone on its ring.  u's
-                # successor once s0 and t leave the rings skips over them as a
-                # face does (reaching s0 goes on after t, and reaching t after
-                # s0), and u-v closes two faces if it is v (a ring of 2) and
-                # one if not (two rings of 1)
-                ns = nxt[s0]
-                nt = nxt[t]
-                closed = (ns == t) + (nt == s0) + (ns == s0 and nt == t)
-                nu = nxt[u]
-                if nu == s0:
-                    nu = nt
-                if nu == t:
-                    nu = ns
-                if nu == s0:
-                    nu = nt
-                closed += 2 if nu == v else 1
-                # the loops: s0-t closes the strand segment they both end and u-v
-                # the other one, or else s0-t joins two segments and u-v closes
-                # the result; a loop is external if a segment in it is
-                if oth[s0] == t:
-                    ext = sext[s0] + sext[u]
-                    kint_t = kint + 2 - ext
-                    kext_t = kext + ext
-                elif sext[s0] or sext[t]:
-                    kint_t = kint
-                    kext_t = kext + 1
-                else:
-                    kint_t = kint + 1
-                    kext_t = kext
-                if twopi and _leaf_two_particle_reducible(s0, t, u, v):
-                    continue
-                cell = (faces + closed, kint_t, kext_t)
-                out[cell] = out.get(cell, 0) + weight
 
-            # -- partners on a fresh vertex: touch the next label, wire its
-            # strands by its species, and glue s0 to one leg per orbit --
-            if ninst < V:
-                b0 = legs + 4 * ninst
-                for sp, off, nrot, orbit_legs in kinds:
-                    m = left[sp]
-                    if not m:
-                        continue
-                    left[sp] = m - 1
-                    oth[b0] = b0 + off[0]
-                    oth[b0 + 1] = b0 + off[1]
-                    oth[b0 + 2] = b0 + off[2]
-                    oth[b0 + 3] = b0 + off[3]
-                    wfresh = weight * m * nrot
-                    for j in orbit_legs:
-                        rec(s0, b0 + j, wfresh, ninst + 1, faces, kint, kext, nfree + 2)
-                    left[sp] = m
+                # -- partners on a fresh vertex: touch the next label, wire its
+                # strands by its species, and glue s0 to one leg per orbit --
+                if ninst < V:
+                    b0 = legs + 4 * ninst
+                    for sp, off, nrot, orbit_legs in kinds:
+                        m = left[sp]
+                        if not m:
+                            continue
+                        left[sp] = m - 1
+                        oth[b0] = b0 + off[0]
+                        oth[b0 + 1] = b0 + off[1]
+                        oth[b0 + 2] = b0 + off[2]
+                        oth[b0 + 3] = b0 + off[3]
+                        wfresh = weight * m * nrot
+                        for j in orbit_legs:
+                            rec(s0, b0 + j, wfresh, ninst + 1, faces, kint, kext, nfree + 2)
+                        left[sp] = m
 
         if key is not None:
             if sub is None:
@@ -590,15 +541,15 @@ def _fast_search(legs, species, planar_only, twopi):
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
 
-    def _leaf_two_particle_reducible(s0, t, x, y) -> bool:
-        # with the leaf's last two gluings s0-t and x-y made: is a leg glued
-        # to a leg, or is there a pair of internal edges whose removal leaves
-        # exactly two components with two legs on each?  That also drops
+    def _leaf_two_particle_reducible(x, y) -> bool:
+        # with the leaf's last gluing x-y made: is a leg glued to a leg, or
+        # is there a pair of internal edges whose removal leaves exactly two
+        # components with two legs on each?  That also drops
         # every other disconnected diagram: its two internal components
         # carry two legs each, so each has 2v - 1 edges on v vertices and a
         # cycle, and removing one cycle edge from each leaves both whole.
         # Half-edge s is on vertex (s - legs) // 4, which is -1 for a leg
-        match[s0], match[t], match[x], match[y] = t, s0, y, x
+        match[x], match[y] = y, x
         edges = [((s - legs) // 4, (match[s] - legs) // 4)
                  for s in range(legs, S) if s < match[s]]
         leg_at = [(match[e] - legs) // 4 for e in range(legs)]

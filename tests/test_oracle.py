@@ -174,13 +174,13 @@ def test_orbit_engine_matches_reference_marked(vertex_type, V, legs, planar):
         assert twopi == _twopi_reference((vertex_type.strand_pairs,) * V, planar)
 
 
-# the third wiring's reference at V = 3 takes about 21 s (2,027,025
-# matchings, on a 2-core host), so it runs only on request; the other two
+# the third wiring stops at V = 2: its reference at V = 3 takes about 21 s
+# (2,027,025 matchings, on a 2-core host), and the test below pins its
+# tables to the tangency's, which are checked here at V = 3.  The other two
 # share their references with the test above
 @pytest.mark.parametrize("vertex_type,V", [
-    pytest.param(vt, V, id=f"{V}-{vt.name}",
-                 marks=pytest.mark.slow if vt is THIRD and V == 3 else ())
-    for vt in WIRINGS + [THIRD] for V in range(4)
+    pytest.param(vt, V, id=f"{V}-{vt.name}")
+    for vt in WIRINGS + [THIRD] for V in range(3 if vt is THIRD else 4)
 ])
 def test_gamma_cells_match_reference(vertex_type, V):
     """The tangle cells, the planar four-leg cells less 2 C(V, j) times each
@@ -190,6 +190,22 @@ def test_gamma_cells_match_reference(vertex_type, V):
     cells = oc._gamma_cells(oc._strand_offsets(vertex_type), V)
     assert cells == _unflagged(want, connected=True)
     assert list(cells) == sorted(cells)
+
+
+def test_third_wiring_tables_are_the_tangency_tables():
+    """The third wiring pairs the legs (0, 3), (1, 2): the tangency's (0, 1),
+    (2, 3) turned by one leg.  Turning every vertex's legs relabels its
+    half-edges and changes no gluing's faces or loops, so the two wirings
+    give the same tables, cell for cell."""
+    third, tangency = oc._strand_offsets(THIRD), oc._strand_offsets(TANGENCY)
+    for legs in (0, 2, 4):
+        for planar, vmax in ((True, 4), (False, 3)):
+            for V in range(0 if legs else 1, vmax + 1):
+                cells = oc._fast_search(legs, ((third, V),), planar, False)
+                assert cells
+                assert cells == oc._fast_search(legs, ((tangency, V),), planar, False)
+    for V in range(4):
+        assert oc._gamma_cells(third, V) == oc._gamma_cells(tangency, V)
 
 
 # The all-genus search walks the whole free list: it never takes the planar
@@ -394,8 +410,8 @@ def test_transposition_table_keeps_every_cell(monkeypatch, legs, counts, planar,
 def test_search_recursion_has_no_cell_variables():
     """A comprehension or inner function in `rec` that read its locals would
     turn them into cell variables, read through one more indirection, and
-    grow its frame; one such version took 9.6 s on a gamma V = 7 search
-    against 3.2 s without."""
+    grow its frame; one such version ran a V = 7 search three times slower
+    (9.6 s against 3.2 s)."""
     rec = next(code for code in oc._fast_search.__code__.co_consts
                if getattr(code, "co_name", None) == "rec")
     assert rec.co_cellvars == ()
