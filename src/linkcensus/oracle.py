@@ -51,14 +51,17 @@ completions.  The tests check the engine cell for cell against a plain
 engine that classifies every matching from scratch.
 
 Enumeration runs in one process, in one depth-first search per connected
-table.  Within a search, a transposition table expands each distinct open
-boundary once: the key holds the boundary rings of the active free
-half-edges, their pairing into open strand segments with each segment's
-external flag, and the untouched vertices of each species, and the table
-stores each subtree's cells relative to its node.  It is off for 2PI,
-whose leaf test reads the whole matching.  Leaves record faces,
-and the genus, with its Euler parity check, is read once per distinct cell
-at the end of the search.  The table is freed when its search returns.
+table.  A transposition table expands each distinct open boundary once:
+the key holds the boundary rings of the active free half-edges, their
+pairing into open strand segments with each segment's external flag, and
+the untouched vertices of each species, and the table stores each
+subtree's cells relative to its node.  It is off for 2PI, whose leaf test
+reads the whole matching.  Leaves record faces, and the genus, with its
+Euler parity check, is read once per distinct cell at the end of the
+search.  Since a subtree's cells depend on nothing above its node, one
+table per vertex wiring set and mode serves every search of them for the
+life of the process, so each search reuses the boundaries that earlier
+ones expanded; ``_search_table.cache_clear()`` frees the tables.
 The cells of each search, and each closed table built from them, are
 cached for the life of the process, keyed by the search's own arguments
 (so by the vertex wiring, not the type name), and every table built from
@@ -103,17 +106,21 @@ __all__ = [
 
 # the most vertices any table is enumerated at; read at call time, so a run
 # that means to go further raises it for its own duration.  Raising it also
-# grows each search's transposition table, about 7x per V: an all-genus
-# connected search stores 5,386 states holding 44,926 cells at V = 6, and
-# 32,164 states holding 345,529 cells at V = 7, where the process peaks at
-# 57 MB (Python 3.11)
+# grows the transposition tables, about 7x per V, and they outlive their
+# searches until ``_search_table.cache_clear()`` frees them: the all-genus
+# crossing table holds 5,386 states with 44,926 cells after V = 6, and
+# 32,164 states with 345,529 cells after V = 7, where the process peaks at
+# 57 MB (Python 3.11); one that also builds the planar closed, two-leg and
+# four-leg tables up to V = 8 keeps 72,729 more states and peaks at 98 MB
 CEILING = 6
 
 # the fewest active free half-edges at which a search node looks itself up in
-# its search's transposition table.  Set by measurement: 4 takes in the
-# nodes just above the leaves, the most repeated, and ran faster than 6 or 8
-# on every table from V = 4 up; 2 (nodes that can only touch a fresh
-# vertex) gained nothing more
+# its transposition table.  Set by measurement: 4 takes in the nodes just
+# above the leaves, the most repeated, and ran faster than 6 or 8 on every
+# table from V = 4 up; 2 (nodes that can only touch a fresh vertex) gained
+# nothing more, with a search's table to itself or with the tables shared
+# (then the benchmark's crosscheck and loop-weight searches took 8.6 and
+# 1.7 ms at 2 or 4, and 12.4 and 2.6 ms at 6)
 _TABLE_MIN_FREE = 4
 
 
@@ -216,6 +223,15 @@ def double_factorial(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _search_table(wirings, planar_only) -> dict:
+    """The transposition table shared by every `_fast_search` of ``wirings``
+    (the species' strand offsets in label order) in this mode, for the life
+    of the process (see `_fast_search` for why one serves every V and legs);
+    ``_search_table.cache_clear()`` frees them all."""
+    return {}
+
+
 def _fast_search(legs, species, planar_only, twopi):
     """Incremental enumeration of connected gluings over labeled vertices of
     one or more species.
@@ -294,16 +310,23 @@ def _fast_search(legs, species, planar_only, twopi):
     Many partial gluings leave the same open boundary: the same rings, the
     same strand ends and the same untouched vertices.  From a node with at
     least ``_TABLE_MIN_FREE`` active free half-edges the rest of the search
-    depends on that state alone, so a transposition table that lives for
-    the one call expands each state once.  Its key holds, for each active
-    half-edge in free-list order, its ring successor and the other end of
-    its strand segment (both as ranks in that order) and the segment's
-    external flag, and then ``left``, the untouched vertices of each
-    species.  It stores a subtree's cells relative to its node: unweighted,
-    keyed by the faces and loops closed below it.  A repeated state adds
-    them, times its weight and shifted by its own faces and loops, and
-    expands nothing; a new one is expanded in the same frame into a fresh
-    accumulator.  The table is off for ``twopi``, whose leaf test reads the
+    depends on that state alone, so a transposition table expands each
+    state once.  Its key holds, for each active half-edge in free-list
+    order, its ring successor and the other end of its strand segment (both
+    as ranks in that order) and the segment's external flag, and then
+    ``left``, the untouched vertices of each species.  It stores a
+    subtree's cells relative to its node: unweighted, keyed by the faces
+    and loops closed below it.  A repeated state adds them, times its
+    weight and shifted by its own faces and loops, and expands nothing; a
+    new one is expanded in the same frame into a fresh accumulator, and
+    stored only once it is whole, so a search that raises leaves no partial
+    entry.  Nothing below a node reads ``legs`` or ``V`` but through its
+    state: a fresh vertex's ids exceed every active one, the leaf test
+    ``ninst == V`` is ``not any(left)``, and the genus is read at the end
+    from the search's own V and legs.  So the table outlives the call: every
+    search of the same wirings in the same mode, at any V and legs, shares
+    one (`_search_table`), and reuses the subtrees that earlier searches
+    expanded.  The table is off for ``twopi``, whose leaf test reads the
     whole matching.
     """
     V = sum(count for _, count in species)
@@ -362,11 +385,12 @@ def _fast_search(legs, species, planar_only, twopi):
         return cells
 
     # the transposition table, from a state key to the cells of its subtree
-    # counted from that node; ``acc`` stacks the accumulators of the misses
-    # being expanded above the search's own, and ``rk`` ranks the active
+    # counted from that node, shared with every search of these wirings in
+    # this mode; ``acc`` stacks the accumulators of the misses being
+    # expanded above the search's own, and ``rk`` ranks the active
     # half-edges.  2PI, whose leaf test reads the whole matching, turns it
     # off
-    table: dict = {}
+    table = _search_table(tuple(off for off, _ in species), planar_only)
     acc = [cells]
     rk = [0] * S
     tt_min = S + 1 if twopi else _TABLE_MIN_FREE

@@ -9,8 +9,10 @@ The totals of criterion 2 and the genus strata of criterion 2b reach V = 5
 in one test each, and V = 6 and V = 7 in one test each per V; each V shares
 one all-genus table between its two tests (about 0.2 s at V = 6 and 2 s at
 V = 7, in one process on a 2-core VM).  Tables are computed once per session
-and shared through the module-level caches.  No acceptance test stays
-behind the LINKCENSUS_SLOW_TESTS switch.
+and shared through the module-level caches; the oracle's transposition
+tables outlive their searches too, so a test that raises the ceiling frees
+them when it ends.  No acceptance test stays behind the
+LINKCENSUS_SLOW_TESTS switch.
 """
 
 import math
@@ -76,6 +78,10 @@ def test_criterion_1_optional_v6_free_energy():
 @pytest.fixture
 def gate_ceiling(monkeypatch):
     monkeypatch.setattr(oc, "CEILING", VGATE)
+    yield
+    # the transposition tables outlive their searches: free them all, the
+    # V = 7 ones with them
+    oc._search_table.cache_clear()
 
 
 def test_criterion_1_free_energy_oracle_equivalence_v7(gate_ceiling):
@@ -106,6 +112,8 @@ def test_criterion_1_tangle_oracle_equivalence_v7(gate_ceiling):
 @pytest.fixture
 def tangle_ceiling(monkeypatch):
     monkeypatch.setattr(oc, "CEILING", VTANGLE)
+    yield
+    oc._search_table.cache_clear()
 
 
 def test_criterion_1_tangle_oracle_equivalence_v8(tangle_ceiling):

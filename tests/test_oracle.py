@@ -1,8 +1,10 @@
 """The exhaustive pairing enumerator: engines, stratification, series assembly."""
 
 import math
+import random
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 
 import pytest
 
@@ -415,6 +417,59 @@ def test_search_recursion_has_no_cell_variables():
     rec = next(code for code in oc._fast_search.__code__.co_consts
                if getattr(code, "co_name", None) == "rec")
     assert rec.co_cellvars == ()
+
+
+def _table_grid(vplanar, vall, vmixed, vtwopi):
+    """`_fast_search` argument sets: each wiring alone at legs 0, 2 and 4,
+    planar to ``vplanar`` and all-genus to ``vall``; every pair of wirings
+    mixed, in both label orders, to ``vmixed``; and 2PI to ``vtwopi``."""
+    offs = [oc._strand_offsets(vt) for vt in (CROSSING, TANGENCY, THIRD)]
+    grid = [(legs, ((off, V),), planar, False)
+            for off in offs for legs in (0, 2, 4)
+            for planar, vmax in ((True, vplanar), (False, vall))
+            for V in range(vmax + 1)]
+    grid += [(legs, ((p, a), (q, V - a)), planar, False)
+             for p, q in permutations(offs, 2)
+             for V in range(2, vmixed + 1) for a in range(1, V)
+             for legs in (0, 2, 4) for planar in (True, False)]
+    grid += [(4, ((offs[0], V),), planar, True)
+             for V in range(vtwopi + 1) for planar in (True, False)]
+    return grid
+
+
+@pytest.mark.parametrize("sizes", [
+    pytest.param((5, 3, 2, 3), id="small"),
+    pytest.param((6, 4, 3, 4), id="large", marks=pytest.mark.slow),
+])
+def test_shared_tables_keep_every_cell(sizes):
+    """Searches that share their transposition tables, in two shuffled
+    orders, find the cells that each finds alone on fresh tables."""
+    grid = _table_grid(*sizes)
+    alone = []
+    for args in grid:
+        oc._search_table.cache_clear()
+        alone.append(oc._fast_search(*args))
+    for seed in (1, 2):
+        order = list(range(len(grid)))
+        random.Random(seed).shuffle(order)
+        oc._search_table.cache_clear()
+        for i in order:
+            assert oc._fast_search(*grid[i]) == alone[i], grid[i]
+    oc._search_table.cache_clear()
+
+
+def test_repeated_search_finds_its_work_in_the_table():
+    """A search run again expands no new state, and a planar search stores
+    nothing in the all-genus table of its wirings."""
+    off = oc._strand_offsets(CROSSING)
+    oc._search_table.cache_clear()
+    first = oc._fast_search(0, ((off, 4),), True, False)
+    table = oc._search_table((off,), True)
+    size = len(table)
+    assert size
+    assert oc._fast_search(0, ((off, 4),), True, False) == first
+    assert len(table) == size
+    assert not oc._search_table((off,), False)
 
 
 @pytest.mark.parametrize("n", [F(1), F(2), F(1, 2)])
