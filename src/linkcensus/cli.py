@@ -8,7 +8,9 @@ constants   print the constants table
 crosscheck  closed forms vs. the enumeration oracle; nonzero exit on mismatch
 asymptotics ratio-method growth/exponent estimate with full diagnostics
 
-Exit codes: 0 success, 1 crosscheck mismatch, 2 usage error, 3 a library
+Exit codes: 0 success, 1 crosscheck mismatch, 2 usage error (among them
+an ``asymptotics`` fit whose last two growth extrapolants differ by more
+than 1e-3 relative: a larger ``--terms`` is needed), 3 a library
 self-check failed (a lost or ambiguous series branch in the flype
 singularity analysis, a Newton residual that does not cancel, an inexact
 polynomial division in the flype elimination, an odd Euler numerator at an
@@ -142,6 +144,14 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     }
     seq = builders[args.sequence](args.terms)
     est = census.ratio_asymptotics(seq)
+    # refused rather than printed: until the last two growth extrapolants
+    # agree, the fit can be far off with nothing to show it (flype-classes
+    # at 12 terms gives growth 6.862 and exponent -10.99 against 6.148 and
+    # -2.5; 30 terms agree to 1e-5 on every sequence)
+    fits = est.diagnostics
+    if len(fits) < 2 or abs(fits[-1] - fits[-2]) > 1e-3 * abs(fits[-1]):
+        raise ValueError(f"{seq.name}: the last two growth extrapolants differ by more "
+                         f"than 1e-3 relative at {args.terms} terms; pass a larger --terms")
     payload = {
         "sequence": seq.name,
         "terms": args.terms,
@@ -213,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--sequence", choices=["raw-links", "reduced-links",
                                                "reduced-tangles", "flype-classes"],
                         default="reduced-links")
-    p_asym.add_argument("--terms", type=int, default=12)
+    p_asym.add_argument("--terms", type=int, default=30)
 
     return parser
 

@@ -51,14 +51,16 @@ completions.  The tests check the engine cell for cell against a plain
 engine that classifies every matching from scratch.
 
 Enumeration runs in one process, in one depth-first search per connected
-table.  A transposition table expands each distinct open boundary once:
-the key holds the boundary rings of the active free half-edges, their
-pairing into open strand segments with each segment's external flag, and
-the untouched vertices of each species, and the table stores each
-subtree's cells relative to its node.  It is off for 2PI, whose leaf test
-reads the whole matching.  Leaves record faces, and the genus, with its
-Euler parity check, is read once per distinct cell at the end of the
-search.  Since a subtree's cells depend on nothing above its node, one
+table, whose recursion returns the cells of each node's subtree, counted
+from that node, for its parent to shift and weight.  A transposition table
+memoizes it, so each distinct open boundary is expanded once: the key holds
+the boundary rings of the active free half-edges, their pairing into open
+strand segments with each segment's external flag, and the untouched
+vertices of each species, and a table entry is what the recursion returns
+for that state; it is stored only once its subtree is whole.  2PI, whose
+leaf test reads the whole matching, has no table.  Cells record faces, and
+the genus, with its Euler parity check, is read once per distinct cell of
+the root at the end of the search.  Since a subtree's cells depend on nothing above its node, one
 table per vertex wiring set and mode serves every search of them for the
 life of the process, so each search reuses the boundaries that earlier
 ones expanded; ``_search_table.cache_clear()`` frees the tables.
@@ -108,20 +110,11 @@ __all__ = [
 # that means to go further raises it for its own duration.  Raising it also
 # grows the transposition tables, about 7x per V, and they outlive their
 # searches until ``_search_table.cache_clear()`` frees them: the all-genus
-# crossing table holds 5,386 states with 44,926 cells after V = 6, and
-# 32,164 states with 345,529 cells after V = 7, where the process peaks at
+# crossing table holds 5,398 states with 45,028 cells after V = 6, and
+# 32,178 states with 345,684 cells after V = 7, where the process peaks at
 # 57 MB (Python 3.11); one that also builds the planar closed, two-leg and
-# four-leg tables up to V = 8 keeps 72,729 more states and peaks at 98 MB
+# four-leg tables up to V = 8 keeps 72,746 more states and peaks at 98 MB
 CEILING = 6
-
-# the fewest active free half-edges at which a search node looks itself up in
-# its transposition table.  Set by measurement: 4 takes in the nodes just
-# above the leaves, the most repeated, and ran faster than 6 or 8 on every
-# table from V = 4 up; 2 (nodes that can only touch a fresh vertex) gained
-# nothing more, with a search's table to itself or with the tables shared
-# (then the benchmark's crosscheck and loop-weight searches took 8.6 and
-# 1.7 ms at 2 or 4, and 12.4 and 2.6 ms at 6)
-_TABLE_MIN_FREE = 4
 
 
 class CeilingError(ValueError):
@@ -291,10 +284,10 @@ def _fast_search(legs, species, planar_only, twopi):
     the completion s0-t in place.  The two end the one open strand segment
     left, so it closes one loop, external by that segment's flag; and they
     are either a ring of 2, whose gluing closes two faces, or each alone on
-    its ring, which closes one.  A leaf records its total faces, and the
-    genus comes from them once per distinct cell at the end of the search:
-    the Euler numerator is even on every gluing, so an odd one (a face
-    miscounted) raises `ArithmeticError` rather than floor to a genus.
+    its ring, which closes one.  The root's cells are keyed by total faces,
+    and the genus comes from them once per distinct cell at the end of the
+    search: the Euler numerator is even on every gluing, so an odd one (a
+    face miscounted) raises `ArithmeticError` rather than floor to a genus.
     With two free half-edges and vertices left, gluing them would close the
     component early, so only fresh vertices are tried.  Two marked legs and
     no vertex is a leaf at the root.
@@ -304,30 +297,32 @@ def _fast_search(legs, species, planar_only, twopi):
     and no pair of its internal edges cuts it into two components with two
     legs each.  A disconnected diagram always has such a pair (one cycle
     edge from each of its two components), so every one kept is a
-    connected four-point diagram.  Closed cells are keyed ``(genus, strands, True)``, marked
-    ones ``(genus, internal strands, boundary strands)``.
+    connected four-point diagram.  Closed cells are keyed
+    ``(genus, strands, True)``, marked ones
+    ``(genus, internal strands, boundary strands)``.
 
-    Many partial gluings leave the same open boundary: the same rings, the
-    same strand ends and the same untouched vertices.  From a node with at
-    least ``_TABLE_MIN_FREE`` active free half-edges the rest of the search
-    depends on that state alone, so a transposition table expands each
-    state once.  Its key holds, for each active half-edge in free-list
-    order, its ring successor and the other end of its strand segment (both
-    as ranks in that order) and the segment's external flag, and then
-    ``left``, the untouched vertices of each species.  It stores a
-    subtree's cells relative to its node: unweighted, keyed by the faces
-    and loops closed below it.  A repeated state adds them, times its
-    weight and shifted by its own faces and loops, and expands nothing; a
-    new one is expanded in the same frame into a fresh accumulator, and
-    stored only once it is whole, so a search that raises leaves no partial
-    entry.  Nothing below a node reads ``legs`` or ``V`` but through its
-    state: a fresh vertex's ids exceed every active one, the leaf test
-    ``ninst == V`` is ``not any(left)``, and the genus is read at the end
-    from the search's own V and legs.  So the table outlives the call: every
-    search of the same wirings in the same mode, at any V and legs, shares
-    one (`_search_table`), and reuses the subtrees that earlier searches
-    expanded.  The table is off for ``twopi``, whose leaf test reads the
-    whole matching.
+    Each call returns the faces and loops that its own gluing closed, and
+    the cells of the subtree below it relative to its node: unweighted,
+    keyed by the faces and loops closed below it.  A parent merges each
+    child's cells once, shifted by the child's own faces and loops and
+    times its multiplicity (1 for an active partner, the untouched count
+    times the orbit size for a fresh vertex).  Many partial gluings leave
+    the same open boundary: the same rings, the same strand ends and the
+    same untouched vertices, and the rest of the search depends on that
+    state alone, so a transposition table memoizes the recursion: a table
+    entry is what ``rec`` returns for that state; it is stored only once its
+    subtree is whole, so a search that raises leaves no partial entry.  The
+    key holds, for each active half-edge in free-list order, its ring
+    successor and the other end of its strand segment (both as ranks in
+    that order) and the segment's external flag, and then ``left``, the
+    untouched vertices of each species.  Nothing below a node reads
+    ``legs`` or ``V`` but through its state: a fresh vertex's ids exceed
+    every active one, the leaf test ``ninst == V`` is ``not any(left)``, and
+    the genus is read at the end from the search's own V and legs.  So the
+    table outlives the call: every search of the same wirings in the same
+    mode, at any V and legs, shares one (`_search_table`), and reuses the
+    subtrees that earlier searches expanded.  ``twopi``, whose leaf test
+    reads the whole matching, has no table.
     """
     V = sum(count for _, count in species)
     S = legs + 4 * V
@@ -353,7 +348,6 @@ def _fast_search(legs, species, planar_only, twopi):
     oth = [0] * S
     sext = [False] * S
 
-    cells: dict = {}
     # per species: its index, its wiring (the other end of each leg's
     # strand), and its rotation orbits; ``left`` counts its
     # untouched vertices.  The rotations j -> j+k of a vertex that keep
@@ -382,23 +376,23 @@ def _fast_search(legs, species, planar_only, twopi):
         oth[:4] = species[sp][0]  # its strands
         ninst = 1
     else:
-        return cells
+        return {}
 
-    # the transposition table, from a state key to the cells of its subtree
-    # counted from that node, shared with every search of these wirings in
-    # this mode; ``acc`` stacks the accumulators of the misses being
-    # expanded above the search's own, and ``rk`` ranks the active
-    # half-edges.  2PI, whose leaf test reads the whole matching, turns it
-    # off
-    table = _search_table(tuple(off for off, _ in species), planar_only)
-    acc = [cells]
+    # the transposition table, from a state key to what ``rec`` returns for
+    # that state: the cells of its subtree, counted from its node.  It is
+    # shared with every search of these wirings in this mode; 2PI, whose leaf
+    # test reads the whole matching, has none.  ``rk`` ranks the active
+    # half-edges for the key
+    table = None if twopi else _search_table(tuple(off for off, _ in species), planar_only)
     rk = [0] * S
-    tt_min = S + 1 if twopi else _TABLE_MIN_FREE
 
-    def rec(a, b, weight, ninst, faces, kint, kext, nfree,
+    def rec(a, b, ninst, nfree,
             match=match, nxt=nxt, prv=prv, fnx=fnx, fpv=fpv, oth=oth, sext=sext,
             V=V, legs=legs, HEAD=HEAD, planar_only=planar_only, twopi=twopi,
-            kinds=kinds, left=left, table=table, acc=acc, rk=rk, tt_min=tt_min):
+            kinds=kinds, left=left, table=table, rk=rk):
+        # the faces and loops that the gluing a-b itself closes, returned
+        # beside the cells below it for the caller to shift them by
+        faces = kint = kext = 0
         if a >= 0:
             # ---- glue a-b (the root call, a = -1, glues nothing); what
             # this block binds is read back by the undo at the end, so the
@@ -415,9 +409,9 @@ def _fast_search(legs, species, planar_only, twopi):
             ob = oth[b]
             if oa == b:
                 if sext[a]:
-                    kext += 1
+                    kext = 1
                 else:
-                    kint += 1
+                    kint = 1
             else:
                 oth[oa] = ob
                 oth[ob] = oa
@@ -435,18 +429,18 @@ def _fast_search(legs, species, planar_only, twopi):
             sb = nxt[b]
             if sa == b:
                 if sb == a:
-                    faces += 2
+                    faces = 2
                 else:
-                    faces += 1
+                    faces = 1
                     nxt[pa] = sb
                     prv[sb] = pa
             elif sb == a:
-                faces += 1
+                faces = 1
                 nxt[pb] = sa
                 prv[sa] = pb
             elif sa == a:
                 if sb == b:
-                    faces += 1
+                    faces = 1
                 else:
                     nxt[pb] = sb
                     prv[sb] = pb
@@ -459,15 +453,13 @@ def _fast_search(legs, species, planar_only, twopi):
                 nxt[pb] = sa
                 prv[sa] = pb
 
-        # ---- the transposition table: with tt_min or more active free
-        # half-edges, the rest of the search depends on this node's state
-        # alone, so each distinct state is expanded once ----
-        key = sub = None
-        if nfree >= tt_min:
-            # the key: for each active half-edge in free-list order, its
-            # ring successor and the other end of its strand segment, both
-            # as ranks in that order, and its segment's external flag; then
-            # ``left``
+        # ---- the transposition table: the rest of the search depends on
+        # this node's state alone, so each distinct state is expanded once.
+        # The key: for each active half-edge in free-list order, its ring
+        # successor and the other end of its strand segment, both as ranks
+        # in that order, and its segment's external flag; then ``left`` ----
+        sub = None
+        if table is not None:
             f = fnx[HEAD]
             for i in range(nfree):
                 rk[f] = i
@@ -479,17 +471,8 @@ def _fast_search(legs, species, planar_only, twopi):
                 f = fnx[f]
             key = (*key, *left)
             sub = table.get(key)
-            if sub is None:
-                # a miss: expand it in this same frame, into a fresh
-                # accumulator, counting from this node (weight 1, no faces
-                # or loops yet).  The table adds no call and keeps rec's
-                # frame size, because a search's cost depends on where
-                # CPython's frame-stack chunks end within its recursion
-                acc.append({})
-                base = weight, faces, kint, kext
-                weight = 1
-                faces = kint = kext = 0
         if sub is None:
+            sub = {}
             s0 = fnx[HEAD]
             if nfree == 2 and ninst == V:
                 # ---- the leaf: every vertex placed, and the last gluing
@@ -499,10 +482,10 @@ def _fast_search(legs, species, planar_only, twopi):
                 t = fnx[s0]
                 if not (twopi and _leaf_two_particle_reducible(s0, t)):
                     ext = sext[s0]
-                    cell = (faces + 1 + (nxt[s0] == t), kint + 1 - ext, kext + ext)
-                    out = acc[-1]
-                    out[cell] = out.get(cell, 0) + weight
+                    sub[(1 + (nxt[s0] == t), 1 - ext, ext)] = 1
             else:
+                # each child's result, with its multiplicity
+                kids = []
                 # -- partners among the active half-edges: the rest of the
                 # active free list, or in planar mode the partners at odd
                 # steps along s0's own boundary ring up to prv[s0] (a partner
@@ -518,7 +501,7 @@ def _fast_search(legs, species, planar_only, twopi):
                         break
                     else:
                         t = nxt[nxt[t]]
-                    rec(s0, t, weight, ninst, faces, kint, kext, nfree - 2)
+                    kids.append((1, rec(s0, t, ninst, nfree - 2)))
 
                 # -- partners on a fresh vertex: touch the next label, wire its
                 # strands by its species, and glue s0 to one leg per orbit --
@@ -533,21 +516,20 @@ def _fast_search(legs, species, planar_only, twopi):
                         oth[b0 + 1] = b0 + off[1]
                         oth[b0 + 2] = b0 + off[2]
                         oth[b0 + 3] = b0 + off[3]
-                        wfresh = weight * m * nrot
                         for j in orbit_legs:
-                            rec(s0, b0 + j, wfresh, ninst + 1, faces, kint, kext, nfree + 2)
+                            kids.append((m * nrot, rec(s0, b0 + j, ninst + 1, nfree + 2)))
                         left[sp] = m
 
-        if key is not None:
-            if sub is None:
-                sub = table[key] = acc.pop()
-                weight, faces, kint, kext = base
-            # the subtree's cells, each shifted by this node's own faces and
-            # loops and weighted by its multiplicity
-            out = acc[-1]
-            for cell, c in sub.items():
-                cell = (faces + cell[0], kint + cell[1], kext + cell[2])
-                out[cell] = out.get(cell, 0) + weight * c
+                # -- each child's cells, shifted by the faces and loops its
+                # own gluing closed and weighted by its multiplicity --
+                for w, (f, ki, ke, cells) in kids:
+                    for cell, c in cells.items():
+                        cell = (f + cell[0], ki + cell[1], ke + cell[2])
+                        sub[cell] = sub.get(cell, 0) + w * c
+            # stored only once whole, so a search that raises leaves no
+            # partial entry
+            if table is not None:
+                table[key] = sub
 
         if a >= 0:
             # ---- undo the gluing ----
@@ -564,6 +546,7 @@ def _fast_search(legs, species, planar_only, twopi):
             fnx[fpv[b]] = b
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
+        return faces, kint, kext, sub
 
     def _leaf_two_particle_reducible(x, y) -> bool:
         # with the leaf's last gluing x-y made: is a leg glued to a leg, or
@@ -600,8 +583,7 @@ def _fast_search(legs, species, planar_only, twopi):
                     return True
         return False
 
-    rec(-1, -1, 1, ninst, 0, 0, 0, legs + 4 * ninst)
-    return _genus_cells(cells, legs, V)
+    return _genus_cells(rec(-1, -1, ninst, legs + 4 * ninst)[3], legs, V)
 
 
 def _genus_cells(by_faces, legs, V):

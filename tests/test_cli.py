@@ -194,6 +194,24 @@ def test_asymptotics_json(capsys):
     assert len(payload["ratios"]) == 11
 
 
+def test_asymptotics_refuses_an_unsettled_fit(capsys):
+    # at 12 terms the flype-class fit reads growth 6.862 and exponent -10.99
+    # (6.148 and -2.5 at 30): its last two extrapolants differ by 5 %
+    code = cli.main(["asymptotics", "--sequence", "flype-classes", "--terms", "12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--terms" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    code, out = run_cli(capsys, "asymptotics", "--sequence", "flype-classes")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["terms"] == 30
+    assert abs(payload["growth"] - 6.148) < 1e-3
+    assert abs(payload["exponent"] + 2.5) < 1e-2
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as wrapped:
         cli.main(["series", "--model", "bogus"])

@@ -250,7 +250,7 @@ def test_commands_run_with_sympy_refused():
         "series --model two-color --reduced --order 4",
         "series --model flype --what tangles --order 60",
         "constants",
-        "asymptotics --sequence flype-classes",
+        "asymptotics --sequence flype-classes --terms 30",
     ]
     src = os.path.dirname(os.path.dirname(linkcensus.__file__))
     result = subprocess.run([sys.executable, "-c", script, *commands], capture_output=True,

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -405,7 +406,7 @@ def test_transposition_table_keeps_every_cell(monkeypatch, legs, counts, planar,
     else:
         build = lambda: oc._fast_search(legs, species, planar, twopi)
     with_table = build()
-    monkeypatch.setattr(oc, "_TABLE_MIN_FREE", 4 * sum(counts) + legs + 1)
+    monkeypatch.setattr(oc, "_search_table", lambda wirings, planar_only: None)
     assert build() == with_table
 
 
@@ -470,6 +471,43 @@ def test_repeated_search_finds_its_work_in_the_table():
     assert oc._fast_search(0, ((off, 4),), True, False) == first
     assert len(table) == size
     assert not oc._search_table((off,), False)
+    oc._search_table.cache_clear()
+    oc._fast_search(4, ((off, 3),), True, True)
+    assert oc._search_table.cache_info().currsize == 0
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [1, 7, 50, 200, 400])
+def test_interrupted_search_leaves_the_table_sound(k):
+    """A search stopped at its k-th `rec` call leaves only whole subtrees in
+    the shared table: the same search run again on that table finds the
+    cells of one on a fresh table."""
+    args = (0, ((oc._strand_offsets(CROSSING), 5),), False, False)
+    oc._search_table.cache_clear()
+    fresh = oc._fast_search(*args)
+    oc._search_table.cache_clear()
+    calls = 0
+
+    def stop_at_k(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec":
+            calls += 1
+            if calls == k:
+                raise _Stop
+
+    previous = sys.gettrace()
+    sys.settrace(stop_at_k)
+    try:
+        with pytest.raises(_Stop):
+            oc._fast_search(*args)
+    finally:
+        sys.settrace(previous)
+    assert calls == k
+    assert oc._fast_search(*args) == fresh
+    oc._search_table.cache_clear()
 
 
 @pytest.mark.parametrize("n", [F(1), F(2), F(1, 2)])
