@@ -23,6 +23,7 @@ process, so identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -229,6 +230,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # everything alive now (the import's objects, and an earlier call's
+    # caches) lives for the rest of the run, so the cyclic collector need
+    # not trace it again: freezing it spares the command the collector's
+    # passes over the import's objects.  In-process callers (the tests, the
+    # benchmark's child) freeze too, once per call; what they freeze and
+    # later drop in a reference cycle is never collected
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

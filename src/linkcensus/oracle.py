@@ -52,18 +52,21 @@ engine that classifies every matching from scratch.
 
 Enumeration runs in one process, in one depth-first search per connected
 table, whose recursion returns the cells of each node's subtree, counted
-from that node, for its parent to shift and weight.  A transposition table
-memoizes it, so each distinct open boundary is expanded once: the key holds
-the boundary rings of the active free half-edges, their pairing into open
-strand segments with each segment's external flag, and the untouched
-vertices of each species, and a table entry is what the recursion returns
-for that state; it is stored only once its subtree is whole.  2PI, whose
-leaf test reads the whole matching, has no table.  Cells record faces, and
-the genus, with its Euler parity check, is read once per distinct cell of
-the root at the end of the search.  Since a subtree's cells depend on nothing above its node, one
-table per vertex wiring set and mode serves every search of them for the
-life of the process, so each search reuses the boundaries that earlier
-ones expanded; ``_search_table.cache_clear()`` frees the tables.
+from that node, for its parent to shift and weight.  A cell packs its
+faces, internal loops and boundary loops into one integer, so shifting a
+cell is one addition.  A transposition table memoizes the recursion, so
+each distinct open boundary is expanded once: the key holds the boundary
+rings of the active free half-edges, their pairing into open strand
+segments with each segment's external flag, and the untouched vertices of
+each wiring, and a table entry is what the recursion returns for that
+state; it is stored only once its subtree is whole.  2PI, whose leaf test
+reads the whole matching, has no table.  The genus, with its Euler parity
+check, is read once per distinct cell of the root at the end of the search.
+Since a subtree's cells depend on nothing above its node, and the key names
+the untouched vertices by their wiring, one table per mode serves every
+search for the life of the process, whatever its wirings, V and legs, so
+each search reuses the boundaries that earlier ones expanded;
+``_search_table.cache_clear()`` frees the tables.
 The cells of each search, and each closed table built from them, are
 cached for the life of the process, keyed by the search's own arguments
 (so by the vertex wiring, not the type name), and every table built from
@@ -109,11 +112,13 @@ __all__ = [
 # the most vertices any table is enumerated at; read at call time, so a run
 # that means to go further raises it for its own duration.  Raising it also
 # grows the transposition tables, about 7x per V, and they outlive their
-# searches until ``_search_table.cache_clear()`` frees them: the all-genus
-# crossing table holds 5,398 states with 45,028 cells after V = 6, and
-# 32,178 states with 345,684 cells after V = 7, where the process peaks at
-# 57 MB (Python 3.11); one that also builds the planar closed, two-leg and
-# four-leg tables up to V = 8 keeps 72,746 more states and peaks at 98 MB
+# searches until ``_search_table.cache_clear()`` frees them, one table per
+# mode shared by every wiring: crossing searches leave 5,398 states with
+# 45,028 cells in the all-genus table after V = 6, and 32,178 states with
+# 345,684 cells after V = 7, where the process peaks at 47 MB (Python
+# 3.11); one that also builds the planar closed, two-leg and four-leg
+# tables up to V = 8 keeps 72,746 more states in the planar table and
+# peaks at 83 MB
 CEILING = 6
 
 
@@ -217,11 +222,10 @@ def double_factorial(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _search_table(wirings, planar_only) -> dict:
-    """The transposition table shared by every `_fast_search` of ``wirings``
-    (the species' strand offsets in label order) in this mode, for the life
-    of the process (see `_fast_search` for why one serves every V and legs);
-    ``_search_table.cache_clear()`` frees them all."""
+def _search_table(planar_only) -> dict:
+    """The transposition table shared by every `_fast_search` in this mode,
+    for the life of the process (see `_fast_search` for why one serves every
+    wiring set, V and legs); ``_search_table.cache_clear()`` frees both."""
     return {}
 
 
@@ -301,28 +305,37 @@ def _fast_search(legs, species, planar_only, twopi):
     ``(genus, strands, True)``, marked ones
     ``(genus, internal strands, boundary strands)``.
 
-    Each call returns the faces and loops that its own gluing closed, and
-    the cells of the subtree below it relative to its node: unweighted,
-    keyed by the faces and loops closed below it.  A parent merges each
-    child's cells once, shifted by the child's own faces and loops and
-    times its multiplicity (1 for an active partner, the untouched count
-    times the orbit size for a fresh vertex).  Many partial gluings leave
-    the same open boundary: the same rings, the same strand ends and the
-    same untouched vertices, and the rest of the search depends on that
-    state alone, so a transposition table memoizes the recursion: a table
-    entry is what ``rec`` returns for that state; it is stored only once its
-    subtree is whole, so a search that raises leaves no partial entry.  The
-    key holds, for each active half-edge in free-list order, its ring
-    successor and the other end of its strand segment (both as ranks in
-    that order) and the segment's external flag, and then ``left``, the
-    untouched vertices of each species.  Nothing below a node reads
-    ``legs`` or ``V`` but through its state: a fresh vertex's ids exceed
-    every active one, the leaf test ``ninst == V`` is ``not any(left)``, and
-    the genus is read at the end from the search's own V and legs.  So the
-    table outlives the call: every search of the same wirings in the same
-    mode, at any V and legs, shares one (`_search_table`), and reuses the
-    subtrees that earlier searches expanded.  ``twopi``, whose leaf test
-    reads the whole matching, has no table.
+    Cells are packed integers, ``faces << 20 | internal loops << 10 |
+    boundary loops``.  A gluing of V vertices closes fewer than 2V + 4 faces
+    or loops, far below the 1,024 that would overflow a 10-bit field at any
+    V that can be searched, so adding two packed cells adds their fields.
+    Each call returns ``(shift, cells)``: the packed faces and loops that
+    its own gluing closed, and the cells of the subtree below it relative to
+    its node, unweighted, keyed by the faces and loops closed below it.  A
+    parent merges each child's cells once, each shifted by one addition of
+    the child's ``shift`` and times its multiplicity (1 for an active
+    partner, the untouched count times the orbit size for a fresh vertex),
+    so a table value is a dict of ints, which the cyclic collector does not
+    track.  Many partial gluings leave the same open boundary: the same
+    rings, the same strand ends and the same untouched vertices, and the
+    rest of the search depends on that state alone, so a transposition table
+    memoizes the recursion: a table entry is what ``rec`` returns for that
+    state; it is stored only once its subtree is whole, so a search that
+    raises leaves no partial entry.  The key holds, for each active
+    half-edge in free-list order, its ring successor and the other end of
+    its strand segment (both as ranks in that order) and the segment's
+    external flag, and then the tail: each wiring that still has untouched
+    vertices, as a negative code that no boundary entry can equal, in code
+    order, and its untouched count.  The tail changes only where a fresh
+    vertex is touched, so it is built there and passed down.  Nothing below
+    a node reads ``legs``, ``V`` or the label order of the species but
+    through its state: a fresh vertex's ids exceed every active one, every
+    vertex is placed when the tail is empty, and the genus is read at the
+    end from the search's own V and legs.  So the table outlives the call:
+    every search in the same mode, of any wirings, V and legs, shares one
+    (`_search_table`), and reuses the subtrees that earlier searches
+    expanded, a mixed search those of single-wiring ones and back.
+    ``twopi``, whose leaf test reads the whole matching, has no table.
     """
     V = sum(count for _, count in species)
     S = legs + 4 * V
@@ -349,21 +362,27 @@ def _fast_search(legs, species, planar_only, twopi):
     sext = [False] * S
 
     # per species: its index, its wiring (the other end of each leg's
-    # strand), and its rotation orbits; ``left`` counts its
+    # strand), its rotation orbits and its wiring code; ``left`` counts its
     # untouched vertices.  The rotations j -> j+k of a vertex that keep
     # its strand wiring form a subgroup of Z4 of order nrot; its orbits on the
     # legs are the residues mod 4 // nrot, each of nrot legs, so legs
-    # 0 .. 4 // nrot - 1 stand for all
+    # 0 .. 4 // nrot - 1 stand for all.  The code names the wiring in the
+    # key tail (`_key_tail`), negative so that no boundary entry equals it;
+    # the species go in code order, so the tail does not depend on the
+    # label order
     kinds = []
     for sp, (off, _count) in enumerate(species):
         nrot = sum(all(off[(j + k) & 3] == (off[j] + k) & 3 for j in range(4))
                    for k in range(4))
-        kinds.append((sp, off, nrot, range(4 // nrot)))
+        code = -1 - sum(o << 2 * j for j, o in enumerate(off))
+        kinds.append((sp, off, nrot, range(4 // nrot), code))
+    kinds.sort(key=lambda kind: kind[4])
     left = [count for _, count in species]
 
     # the first active ring: the marked legs, or else the four legs of the
-    # lowest label (of the first species with a nonzero count, weight 1)
-    ninst = 0
+    # lowest label (of the first species with a nonzero count, weight 1);
+    # ``fresh`` is the first id past it, leg 0 of the next vertex to touch
+    fresh = legs
     if legs == 2:
         oth[:2] = 1, 0
         sext[:2] = True, True
@@ -374,25 +393,26 @@ def _fast_search(legs, species, planar_only, twopi):
         sp = next(sp for sp, count in enumerate(left) if count)
         left[sp] -= 1
         oth[:4] = species[sp][0]  # its strands
-        ninst = 1
+        fresh = 4
     else:
         return {}
 
     # the transposition table, from a state key to what ``rec`` returns for
     # that state: the cells of its subtree, counted from its node.  It is
-    # shared with every search of these wirings in this mode; 2PI, whose leaf
-    # test reads the whole matching, has none.  ``rk`` ranks the active
-    # half-edges for the key
-    table = None if twopi else _search_table(tuple(off for off, _ in species), planar_only)
+    # shared with every search in this mode; 2PI, whose leaf test reads the
+    # whole matching, has none.  ``rk`` ranks the active half-edges for the
+    # key
+    table = None if twopi else _search_table(planar_only)
     rk = [0] * S
 
-    def rec(a, b, ninst, nfree,
+    def rec(a, b, fresh, nfree, tail,
             match=match, nxt=nxt, prv=prv, fnx=fnx, fpv=fpv, oth=oth, sext=sext,
-            V=V, legs=legs, HEAD=HEAD, planar_only=planar_only, twopi=twopi,
+            HEAD=HEAD, planar_only=planar_only, twopi=twopi,
             kinds=kinds, left=left, table=table, rk=rk):
-        # the faces and loops that the gluing a-b itself closes, returned
-        # beside the cells below it for the caller to shift them by
-        faces = kint = kext = 0
+        # the packed cell of the faces and loops that the gluing a-b itself
+        # closes, returned beside the cells below it for the caller to shift
+        # them by
+        shift = 0
         if a >= 0:
             # ---- glue a-b (the root call, a = -1, glues nothing); what
             # this block binds is read back by the undo at the end, so the
@@ -408,10 +428,7 @@ def _fast_search(legs, species, planar_only, twopi):
             oa = oth[a]
             ob = oth[b]
             if oa == b:
-                if sext[a]:
-                    kext = 1
-                else:
-                    kint = 1
+                shift = 1 if sext[a] else 1 << 10
             else:
                 oth[oa] = ob
                 oth[ob] = oa
@@ -429,18 +446,18 @@ def _fast_search(legs, species, planar_only, twopi):
             sb = nxt[b]
             if sa == b:
                 if sb == a:
-                    faces = 2
+                    shift += 2 << 20
                 else:
-                    faces = 1
+                    shift += 1 << 20
                     nxt[pa] = sb
                     prv[sb] = pa
             elif sb == a:
-                faces = 1
+                shift += 1 << 20
                 nxt[pb] = sa
                 prv[sa] = pb
             elif sa == a:
                 if sb == b:
-                    faces = 1
+                    shift += 1 << 20
                 else:
                     nxt[pb] = sb
                     prv[sb] = pb
@@ -457,7 +474,7 @@ def _fast_search(legs, species, planar_only, twopi):
         # this node's state alone, so each distinct state is expanded once.
         # The key: for each active half-edge in free-list order, its ring
         # successor and the other end of its strand segment, both as ranks
-        # in that order, and its segment's external flag; then ``left`` ----
+        # in that order, and its segment's external flag; then ``tail`` ----
         sub = None
         if table is not None:
             f = fnx[HEAD]
@@ -469,20 +486,20 @@ def _fast_search(legs, species, planar_only, twopi):
             for _ in range(nfree):
                 key.append((rk[nxt[f]] * nfree + rk[oth[f]]) * 2 + sext[f])
                 f = fnx[f]
-            key = (*key, *left)
+            key = (*key, *tail)
             sub = table.get(key)
         if sub is None:
             sub = {}
             s0 = fnx[HEAD]
-            if nfree == 2 and ninst == V:
+            if nfree == 2 and not tail:
                 # ---- the leaf: every vertex placed, and the last gluing
                 # s0-t classified in place.  s0 and t end the one open strand
                 # segment, so it closes one loop, external by its flag, and
                 # two faces if they are a ring of 2, one if each is alone ----
                 t = fnx[s0]
                 if not (twopi and _leaf_two_particle_reducible(s0, t)):
-                    ext = sext[s0]
-                    sub[(1 + (nxt[s0] == t), 1 - ext, ext)] = 1
+                    sub[(2 << 20 if nxt[s0] == t else 1 << 20)
+                        + (1 if sext[s0] else 1 << 10)] = 1
             else:
                 # each child's result, with its multiplicity
                 kids = []
@@ -501,30 +518,32 @@ def _fast_search(legs, species, planar_only, twopi):
                         break
                     else:
                         t = nxt[nxt[t]]
-                    kids.append((1, rec(s0, t, ninst, nfree - 2)))
+                    kids.append((1, rec(s0, t, fresh, nfree - 2, tail)))
 
                 # -- partners on a fresh vertex: touch the next label, wire its
-                # strands by its species, and glue s0 to one leg per orbit --
-                if ninst < V:
-                    b0 = legs + 4 * ninst
-                    for sp, off, nrot, orbit_legs in kinds:
+                # strands by its species, and glue s0 to one leg per orbit;
+                # only here does ``left`` change, so only here is a new key
+                # tail built --
+                if tail:
+                    for sp, off, nrot, orbit_legs, _ in kinds:
                         m = left[sp]
                         if not m:
                             continue
                         left[sp] = m - 1
-                        oth[b0] = b0 + off[0]
-                        oth[b0 + 1] = b0 + off[1]
-                        oth[b0 + 2] = b0 + off[2]
-                        oth[b0 + 3] = b0 + off[3]
+                        tail = _key_tail(kinds, left)
+                        oth[fresh] = fresh + off[0]
+                        oth[fresh + 1] = fresh + off[1]
+                        oth[fresh + 2] = fresh + off[2]
+                        oth[fresh + 3] = fresh + off[3]
                         for j in orbit_legs:
-                            kids.append((m * nrot, rec(s0, b0 + j, ninst + 1, nfree + 2)))
+                            kids.append((m * nrot, rec(s0, fresh + j, fresh + 4, nfree + 2, tail)))
                         left[sp] = m
 
                 # -- each child's cells, shifted by the faces and loops its
                 # own gluing closed and weighted by its multiplicity --
-                for w, (f, ki, ke, cells) in kids:
+                for w, (f, cells) in kids:
                     for cell, c in cells.items():
-                        cell = (f + cell[0], ki + cell[1], ke + cell[2])
+                        cell += f
                         sub[cell] = sub.get(cell, 0) + w * c
             # stored only once whole, so a search that raises leaves no
             # partial entry
@@ -546,7 +565,7 @@ def _fast_search(legs, species, planar_only, twopi):
             fnx[fpv[b]] = b
             fpv[fnx[a]] = a
             fnx[fpv[a]] = a
-        return faces, kint, kext, sub
+        return shift, sub
 
     def _leaf_two_particle_reducible(x, y) -> bool:
         # with the leaf's last gluing x-y made: is a leg glued to a leg, or
@@ -583,16 +602,27 @@ def _fast_search(legs, species, planar_only, twopi):
                     return True
         return False
 
-    return _genus_cells(rec(-1, -1, ninst, legs + 4 * ninst)[3], legs, V)
+    return _genus_cells(rec(-1, -1, fresh, fresh, _key_tail(kinds, left))[1], legs, V)
+
+
+def _key_tail(kinds, left):
+    """The tail of a search state's key: the code of each species that has
+    untouched vertices, in code order, and their count."""
+    tail = []
+    for sp, _off, _nrot, _orbits, code in kinds:
+        if left[sp]:
+            tail += code, left[sp]
+    return tuple(tail)
 
 
 def _genus_cells(by_faces, legs, V):
-    """A search's cells, keyed by the total faces its leaves recorded, keyed
-    by genus instead.  The Euler numerator 2 - chi is even on every gluing,
-    so an odd one means a face was miscounted."""
+    """A search's cells, keyed by the packed total faces and loops its leaves
+    recorded, keyed by genus instead.  The Euler numerator 2 - chi is even on
+    every gluing, so an odd one means a face was miscounted."""
     E = (legs + 4 * V) // 2
     cells = {}
-    for (faces, kint, kext), count in by_faces.items():
+    for cell, count in by_faces.items():
+        faces, kint, kext = cell >> 20, cell >> 10 & 1023, cell & 1023
         euler = 2 + V - faces if legs == 0 else 1 - V + E - faces
         if euler & 1:
             raise ArithmeticError(f"odd Euler numerator {euler} at a leaf: "

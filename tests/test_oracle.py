@@ -1,5 +1,6 @@
 """The exhaustive pairing enumerator: engines, stratification, series assembly."""
 
+import gc
 import math
 import random
 import sys
@@ -406,7 +407,7 @@ def test_transposition_table_keeps_every_cell(monkeypatch, legs, counts, planar,
     else:
         build = lambda: oc._fast_search(legs, species, planar, twopi)
     with_table = build()
-    monkeypatch.setattr(oc, "_search_table", lambda wirings, planar_only: None)
+    monkeypatch.setattr(oc, "_search_table", lambda planar_only: None)
     assert build() == with_table
 
 
@@ -465,15 +466,48 @@ def test_repeated_search_finds_its_work_in_the_table():
     off = oc._strand_offsets(CROSSING)
     oc._search_table.cache_clear()
     first = oc._fast_search(0, ((off, 4),), True, False)
-    table = oc._search_table((off,), True)
+    table = oc._search_table(True)
     size = len(table)
     assert size
     assert oc._fast_search(0, ((off, 4),), True, False) == first
     assert len(table) == size
-    assert not oc._search_table((off,), False)
+    assert not oc._search_table(False)
     oc._search_table.cache_clear()
     oc._fast_search(4, ((off, 3),), True, True)
     assert oc._search_table.cache_info().currsize == 0
+
+
+def test_table_values_are_untracked_by_the_collector():
+    """Every memo value is a dict of packed integer cells, which the cyclic
+    collector does not track, so its passes never walk the tables."""
+    off = oc._strand_offsets(CROSSING)
+    oc._search_table.cache_clear()
+    oc._fast_search(2, ((off, 4),), True, False)
+    oc._fast_search(0, ((off, 4),), False, False)
+    for planar in (True, False):
+        table = oc._search_table(planar)
+        assert table
+        for sub in table.values():
+            assert type(sub) is dict and not gc.is_tracked(sub)
+            assert all(type(cell) is int and type(c) is int for cell, c in sub.items())
+    oc._search_table.cache_clear()
+
+
+def test_wiring_sets_share_the_table():
+    """The key names untouched vertices by their wiring, not by their label
+    order, so a tangency search finds what a crossing/tangency search of
+    larger content expanded, and still finds its own cells."""
+    cross, tang = oc._strand_offsets(CROSSING), oc._strand_offsets(TANGENCY)
+    args = (0, ((tang, 3),), False, False)
+    oc._search_table.cache_clear()
+    alone = oc._fast_search(*args)
+    fresh = len(oc._search_table(False))
+    oc._search_table.cache_clear()
+    oc._fast_search(0, ((cross, 1), (tang, 3)), False, False)
+    before = len(oc._search_table(False))
+    assert oc._fast_search(*args) == alone
+    assert len(oc._search_table(False)) - before < fresh
+    oc._search_table.cache_clear()
 
 
 class _Stop(Exception):
