@@ -236,13 +236,14 @@ def _fast_search(legs, species, planar_only, twopi):
     ``species`` lists ``(strand_offsets, count)`` in label order: the first
     ``count`` labels carry the first wiring, and so on.  ``strand_offsets``
     encodes a wiring as a map of the legs 0..3 (e.g. crossings map
-    j -> j+2 mod 4).  Untouched vertices of one species are interchangeable
-    as labels, so touching a fresh vertex branches once per species with
-    multiplicity equal to the number of that species still untouched.  They
-    are also interchangeable under the rotations ``j -> j+k mod 4`` that
-    preserve the wiring, so only one leg per rotation orbit is glued, with
-    the orbit size as a further multiplicity (one orbit of 4 for a crossing,
-    two orbits of 2 for a tangency).  A closed diagram (``legs=0``) starts
+    j -> j+2 mod 4).  Untouched vertices of one wiring are interchangeable
+    as labels, whichever species lists them, so touching a fresh vertex
+    branches once per wiring with multiplicity equal to the number of its
+    vertices still untouched.  They are also interchangeable under the
+    rotations ``j -> j+k mod 4`` that preserve the wiring, so only one leg
+    per rotation orbit is glued, with the orbit size as a further
+    multiplicity (one orbit of 4 for a crossing, two orbits of 2 for a
+    tangency).  A closed diagram (``legs=0``) starts
     on the lowest label, so on the first species with a nonzero count, with
     weight 1; every other vertex is reached by gluing, so the search counts
     only gluings without vacuum components.  Returns the cells dict.
@@ -253,12 +254,22 @@ def _fast_search(legs, species, planar_only, twopi):
     * the boundary cycles of the partial surface as doubly linked rings over
       the unmatched half-edges (``nxt``/``prv``), with faces counted from
       the adjacency of the two glued half-edges;
-    * a sorted free list of every unmatched half-edge (``fnx``/``fpv``),
-      whose first ``nfree`` members are the active ones: those of the legs
-      and of the vertices touched so far, which have the lowest ids;
     * the open strand segments, each unmatched half-edge holding the other
       end of its own (``oth``) and its external flag (``sext``): gluing the
       two ends of one segment closes a loop, gluing two segments joins them.
+
+    The rest of a node's state is two immutable arguments, which each child
+    gets anew, so nothing undoes them:
+
+    * ``free``, the tuple of the active free half-edges in id order: those
+      of the legs and of the vertices touched so far.  The child of an
+      active partner t gets it less s0 and t, and the child of a fresh
+      vertex gets it less s0 and then the vertex's other three legs, whose
+      ids exceed every active one, so the order holds;
+    * ``tail``, the untouched vertices: each wiring that has any, as a
+      negative code that no boundary entry of a key can equal, in code
+      order, and its count.  The child of a fresh vertex gets it with that
+      wiring's count one lower, and the pair dropped at zero.
 
     Every vertex's four legs start as a boundary ring of their own, in
     rotation order, in a component of their own.  Every active half-edge
@@ -273,11 +284,11 @@ def _fast_search(legs, species, planar_only, twopi):
     other just leaves its ring; any other gluing splices the rings with four
     pointer writes, which split one ring into two arcs or merge two into one
     and close nothing.  No case writes a's or b's own pointers, so the undo
-    reads the splice back from them.  The lowest free half-edge is glued
-    first; its partners are the rest of the active free list, or in planar
-    mode only the members of its own boundary ring at odd steps from it
-    (``nxt``, ``nxt^3``, ... up to ``prv``), and then one leg per rotation
-    orbit of a fresh vertex.  A ring of n splits into arcs of k and
+    reads the splice back from them.  The lowest free half-edge s0 is glued
+    first; its partners are the rest of ``free``, or in planar mode only the
+    members of its own boundary ring at odd steps from it (``nxt``,
+    ``nxt^3``, ... up to ``prv``), and then one leg per rotation orbit of a
+    fresh vertex.  A ring of n splits into arcs of k and
     n - 2 - k, and a fresh vertex adds 2, so an odd ring stays odd and never
     closes; every ring starts even, and the odd steps are exactly the
     gluings that keep both arcs even (a non-crossing matching on a cycle
@@ -321,25 +332,21 @@ def _fast_search(legs, species, planar_only, twopi):
     rest of the search depends on that state alone, so a transposition table
     memoizes the recursion: a table entry is what ``rec`` returns for that
     state; it is stored only once its subtree is whole, so a search that
-    raises leaves no partial entry.  The key holds, for each active
-    half-edge in free-list order, its ring successor and the other end of
-    its strand segment (both as ranks in that order) and the segment's
-    external flag, and then the tail: each wiring that still has untouched
-    vertices, as a negative code that no boundary entry can equal, in code
-    order, and its untouched count.  The tail changes only where a fresh
-    vertex is touched, so it is built there and passed down.  Nothing below
-    a node reads ``legs``, ``V`` or the label order of the species but
-    through its state: a fresh vertex's ids exceed every active one, every
-    vertex is placed when the tail is empty, and the genus is read at the
-    end from the search's own V and legs.  So the table outlives the call:
-    every search in the same mode, of any wirings, V and legs, shares one
-    (`_search_table`), and reuses the subtrees that earlier searches
-    expanded, a mixed search those of single-wiring ones and back.
+    raises leaves no partial entry.  The key holds, for each member of
+    ``free`` in order, its ring successor and the other end of its strand
+    segment (both as ranks in ``free``) and the segment's external flag,
+    and then ``tail`` as it is.  Nothing below a node reads ``legs``, ``V``
+    or the species but through its state: a fresh vertex's ids exceed every
+    active one, every vertex is placed when the tail is empty, and the
+    genus is read at the end from the search's own V and legs.  So the
+    table outlives the call: every search in the same mode, of any wirings,
+    V and legs, shares one (`_search_table`), and reuses the subtrees that
+    earlier searches expanded, a mixed search those of single-wiring ones
+    and back.
     ``twopi``, whose leaf test reads the whole matching, has no table.
     """
     V = sum(count for _, count in species)
     S = legs + 4 * V
-    HEAD = S
     # the partner of each glued half-edge on the current path; only the 2PI
     # leaf test reads it, at a leaf, once it has stored the last gluing
     match = [-1] * S
@@ -352,36 +359,33 @@ def _fast_search(legs, species, planar_only, twopi):
         for k in range(n):
             nxt[lo + k] = lo + (k + 1) % n
             prv[lo + k] = lo + (k - 1) % n
-    # the free list holds every unmatched half-edge in id order, so the legs
-    # of the untouched vertices follow the nfree active ones
-    fnx = list(range(1, S + 1)) + [0]
-    fpv = [HEAD] + list(range(S))
     # strand segments: each unmatched half-edge ends an open one, whose
     # other end is ``oth`` and whose external flag both ends carry in ``sext``
     oth = [0] * S
     sext = [False] * S
 
-    # per species: its index, its wiring (the other end of each leg's
-    # strand), its rotation orbits and its wiring code; ``left`` counts its
-    # untouched vertices.  The rotations j -> j+k of a vertex that keep
-    # its strand wiring form a subgroup of Z4 of order nrot; its orbits on the
-    # legs are the residues mod 4 // nrot, each of nrot legs, so legs
-    # 0 .. 4 // nrot - 1 stand for all.  The code names the wiring in the
-    # key tail (`_key_tail`), negative so that no boundary entry equals it;
-    # the species go in code order, so the tail does not depend on the
-    # label order
-    kinds = []
-    for sp, (off, _count) in enumerate(species):
+    # each wiring by its code, a negative int that no boundary entry of a
+    # key equals: the other end of each leg's strand, and the order nrot of
+    # the rotations j -> j+k that keep it, a subgroup of Z4 whose orbits on
+    # the legs are the residues mod 4 // nrot, each of nrot legs, so legs
+    # 0 .. 4 // nrot - 1 stand for all.  ``untouched`` counts the vertices
+    # of each wiring, species of one wiring together; ``lowest`` is the
+    # wiring of the lowest label
+    wirings = {}
+    untouched = {}
+    lowest = None
+    for off, count in species:
+        code = -1 - sum(o << 2 * j for j, o in enumerate(off))
         nrot = sum(all(off[(j + k) & 3] == (off[j] + k) & 3 for j in range(4))
                    for k in range(4))
-        code = -1 - sum(o << 2 * j for j, o in enumerate(off))
-        kinds.append((sp, off, nrot, range(4 // nrot), code))
-    kinds.sort(key=lambda kind: kind[4])
-    left = [count for _, count in species]
+        wirings[code] = off, nrot
+        untouched[code] = untouched.get(code, 0) + count
+        if count and lowest is None:
+            lowest = code
 
     # the first active ring: the marked legs, or else the four legs of the
-    # lowest label (of the first species with a nonzero count, weight 1);
-    # ``fresh`` is the first id past it, leg 0 of the next vertex to touch
+    # lowest label (weight 1); ``fresh`` is the first id past it, leg 0 of
+    # the next vertex to touch
     fresh = legs
     if legs == 2:
         oth[:2] = 1, 0
@@ -390,25 +394,30 @@ def _fast_search(legs, species, planar_only, twopi):
         oth[:4] = 2, 3, 0, 1
         sext[:4] = True, True, True, True
     elif V:
-        sp = next(sp for sp, count in enumerate(left) if count)
-        left[sp] -= 1
-        oth[:4] = species[sp][0]  # its strands
+        untouched[lowest] -= 1
+        oth[:4] = wirings[lowest][0]  # its strands
         fresh = 4
     else:
         return {}
+    # the untouched vertices as the key's tail: each wiring code that has
+    # any, in code order, and their count, so not the label order
+    tail = ()
+    for code in sorted(untouched):
+        if untouched[code]:
+            tail += code, untouched[code]
 
     # the transposition table, from a state key to what ``rec`` returns for
     # that state: the cells of its subtree, counted from its node.  It is
     # shared with every search in this mode; 2PI, whose leaf test reads the
-    # whole matching, has none.  ``rk`` ranks the active half-edges for the
-    # key
+    # whole matching, has none.  ``rk`` ranks the active half-edges, for
+    # the key and the partners
     table = None if twopi else _search_table(planar_only)
     rk = [0] * S
 
-    def rec(a, b, fresh, nfree, tail,
-            match=match, nxt=nxt, prv=prv, fnx=fnx, fpv=fpv, oth=oth, sext=sext,
-            HEAD=HEAD, planar_only=planar_only, twopi=twopi,
-            kinds=kinds, left=left, table=table, rk=rk):
+    def rec(a, b, fresh, free, tail,
+            match=match, nxt=nxt, prv=prv, oth=oth, sext=sext,
+            planar_only=planar_only, twopi=twopi,
+            wirings=wirings, table=table, rk=rk):
         # the packed cell of the faces and loops that the gluing a-b itself
         # closes, returned beside the cells below it for the caller to shift
         # them by
@@ -417,10 +426,6 @@ def _fast_search(legs, species, planar_only, twopi):
             # ---- glue a-b (the root call, a = -1, glues nothing); what
             # this block binds is read back by the undo at the end, so the
             # rest of the body leaves those names alone ----
-            fnx[fpv[a]] = fnx[a]
-            fpv[fnx[a]] = fpv[a]
-            fnx[fpv[b]] = fnx[b]
-            fpv[fnx[b]] = fpv[b]
             match[a] = b
             match[b] = a
             # a-b closes the strand segment they both end (a loop) or
@@ -472,72 +477,71 @@ def _fast_search(legs, species, planar_only, twopi):
 
         # ---- the transposition table: the rest of the search depends on
         # this node's state alone, so each distinct state is expanded once.
-        # The key: for each active half-edge in free-list order, its ring
-        # successor and the other end of its strand segment, both as ranks
-        # in that order, and its segment's external flag; then ``tail`` ----
+        # The key: for each active half-edge in ``free``, its ring successor
+        # and the other end of its strand segment, both as ranks in
+        # ``free``, and its segment's external flag; then ``tail`` ----
+        nfree = len(free)
+        for i, f in enumerate(free):
+            rk[f] = i
         sub = None
         if table is not None:
-            f = fnx[HEAD]
-            for i in range(nfree):
-                rk[f] = i
-                f = fnx[f]
             key = []
-            f = fnx[HEAD]
-            for _ in range(nfree):
+            for f in free:
                 key.append((rk[nxt[f]] * nfree + rk[oth[f]]) * 2 + sext[f])
-                f = fnx[f]
             key = (*key, *tail)
             sub = table.get(key)
         if sub is None:
             sub = {}
-            s0 = fnx[HEAD]
+            s0 = free[0]
             if nfree == 2 and not tail:
                 # ---- the leaf: every vertex placed, and the last gluing
                 # s0-t classified in place.  s0 and t end the one open strand
                 # segment, so it closes one loop, external by its flag, and
                 # two faces if they are a ring of 2, one if each is alone ----
-                t = fnx[s0]
+                t = free[1]
                 if not (twopi and _leaf_two_particle_reducible(s0, t)):
                     sub[(2 << 20 if nxt[s0] == t else 1 << 20)
                         + (1 if sext[s0] else 1 << 10)] = 1
             else:
                 # each child's result, with its multiplicity
                 kids = []
-                # -- partners among the active half-edges: the rest of the
-                # active free list, or in planar mode the partners at odd
+                # -- partners among the active half-edges, by their places
+                # in ``free``: all past s0, or in planar mode those at odd
                 # steps along s0's own boundary ring up to prv[s0] (a partner
                 # on another cycle would add a handle, and one at an even
-                # step would leave two odd arcs, which never close).  With
-                # vertices left, gluing the last two half-edges is a dead
-                # end --
-                t = prv[s0] if planar_only else s0
-                for i in range(nfree - 1 if nfree > 2 else 0):
-                    if not planar_only:
-                        t = fnx[t]
-                    elif i and t == prv[s0]:
-                        break
-                    else:
+                # step would leave two odd arcs, which never close), ranked
+                # before any child overwrites ``rk``.  With vertices left,
+                # gluing the last two half-edges is a dead end --
+                places = range(1, nfree) if nfree > 2 else ()
+                if planar_only and places:
+                    t = nxt[s0]
+                    places = [rk[t]]
+                    while t != prv[s0]:
                         t = nxt[nxt[t]]
-                    kids.append((1, rec(s0, t, fresh, nfree - 2, tail)))
+                        places.append(rk[t])
+                for i in places:
+                    t = free[i]
+                    child = free[1:i] + free[i + 1:]
+                    kids.append((1, rec(s0, t, fresh, child, tail)))
 
                 # -- partners on a fresh vertex: touch the next label, wire its
-                # strands by its species, and glue s0 to one leg per orbit;
-                # only here does ``left`` change, so only here is a new key
-                # tail built --
-                if tail:
-                    for sp, off, nrot, orbit_legs, _ in kinds:
-                        m = left[sp]
-                        if not m:
-                            continue
-                        left[sp] = m - 1
-                        tail = _key_tail(kinds, left)
-                        oth[fresh] = fresh + off[0]
-                        oth[fresh + 1] = fresh + off[1]
-                        oth[fresh + 2] = fresh + off[2]
-                        oth[fresh + 3] = fresh + off[3]
-                        for j in orbit_legs:
-                            kids.append((m * nrot, rec(s0, fresh + j, fresh + 4, nfree + 2, tail)))
-                        left[sp] = m
+                # strands by a wiring that has untouched vertices, and glue s0
+                # to one leg per orbit; the other three legs join ``free``
+                # after every active one, and the wiring's count drops by
+                # one in the child's tail --
+                for k in range(0, len(tail), 2):
+                    m = tail[k + 1]
+                    off, nrot = wirings[tail[k]]
+                    down = (tail[:k + 1] + (m - 1,) + tail[k + 2:] if m > 1
+                            else tail[:k] + tail[k + 2:])
+                    new = (fresh, fresh + 1, fresh + 2, fresh + 3)
+                    oth[fresh] = fresh + off[0]
+                    oth[fresh + 1] = fresh + off[1]
+                    oth[fresh + 2] = fresh + off[2]
+                    oth[fresh + 3] = fresh + off[3]
+                    for j in range(4 // nrot):
+                        child = free[1:] + new[:j] + new[j + 1:]
+                        kids.append((m * nrot, rec(s0, fresh + j, fresh + 4, child, down)))
 
                 # -- each child's cells, shifted by the faces and loops its
                 # own gluing closed and weighted by its multiplicity --
@@ -561,10 +565,6 @@ def _fast_search(legs, species, planar_only, twopi):
                 oth[ob] = b
                 sext[oa] = sext[a]
                 sext[ob] = sext[b]
-            fpv[fnx[b]] = b
-            fnx[fpv[b]] = b
-            fpv[fnx[a]] = a
-            fnx[fpv[a]] = a
         return shift, sub
 
     def _leaf_two_particle_reducible(x, y) -> bool:
@@ -602,17 +602,7 @@ def _fast_search(legs, species, planar_only, twopi):
                     return True
         return False
 
-    return _genus_cells(rec(-1, -1, fresh, fresh, _key_tail(kinds, left))[1], legs, V)
-
-
-def _key_tail(kinds, left):
-    """The tail of a search state's key: the code of each species that has
-    untouched vertices, in code order, and their count."""
-    tail = []
-    for sp, _off, _nrot, _orbits, code in kinds:
-        if left[sp]:
-            tail += code, left[sp]
-    return tuple(tail)
+    return _genus_cells(rec(-1, -1, fresh, tuple(range(fresh)), tail)[1], legs, V)
 
 
 def _genus_cells(by_faces, legs, V):

@@ -4,7 +4,10 @@ Each test prints one PASS/FAIL line (run pytest with -s to watch them).  The
 oracle checks of criterion 1 reach V = 6 under `oracle.CEILING`, and V = 7
 where a test raises that constant for its own duration (planar searches);
 the tangle counts, raw and renormalized, reach V = 8 the same way (about
-1.7 s and 58 MB for the two tests, in one process on a 2-core VM).
+1.7 s and 58 MB for the two tests, in one process on a 2-core VM), and the
+closed-diagram and two-point counts (1a, 1b) reach V = 9 (about 0.5 s and
+0.9 s, and 27 MB over the suite's own footprint, in one process on a 2-core
+VM).
 The totals of criterion 2 and the genus strata of criterion 2b reach V = 5
 in one test each, and V = 6 and V = 7 in one test each per V; each V shares
 one all-genus table between its two tests (about 0.2 s at V = 6 and 2 s at
@@ -31,6 +34,7 @@ VMAX = 5
 VDEEP = 6
 VGATE = 7
 VTANGLE = 8
+VPLANAR = 9
 
 
 def report(label: str, ok: bool, detail: str = "") -> None:
@@ -75,13 +79,17 @@ def test_criterion_1_optional_v6_free_energy():
 # criteria 1a-1c at V = 7, above the ceiling: planar searches only
 
 
-@pytest.fixture
-def gate_ceiling(monkeypatch):
-    monkeypatch.setattr(oc, "CEILING", VGATE)
+def _raised_ceiling(monkeypatch, vmax):
+    monkeypatch.setattr(oc, "CEILING", vmax)
     yield
     # the transposition tables outlive their searches: free them all, the
-    # V = 7 ones with them
+    # ones above the ceiling with them
     oc._search_table.cache_clear()
+
+
+@pytest.fixture
+def gate_ceiling(monkeypatch):
+    yield from _raised_ceiling(monkeypatch, VGATE)
 
 
 def test_criterion_1_free_energy_oracle_equivalence_v7(gate_ceiling):
@@ -111,9 +119,7 @@ def test_criterion_1_tangle_oracle_equivalence_v7(gate_ceiling):
 
 @pytest.fixture
 def tangle_ceiling(monkeypatch):
-    monkeypatch.setattr(oc, "CEILING", VTANGLE)
-    yield
-    oc._search_table.cache_clear()
+    yield from _raised_ceiling(monkeypatch, VTANGLE)
 
 
 def test_criterion_1_tangle_oracle_equivalence_v8(tangle_ceiling):
@@ -129,6 +135,29 @@ def test_criterion_1_reduced_tangles_from_oracle_v8(tangle_ceiling):
     closed = om.gamma_reduced_series(VTANGLE)
     report("1c renormalized oracle tangles == reduced closed form through p = 8",
            renormalized == closed, f"oracle {renormalized.coeffs} vs closed {closed.coeffs}")
+
+
+# criteria 1a and 1b at V = 9: planar closed and two-leg searches with the
+# transposition table
+
+
+@pytest.fixture
+def planar_ceiling(monkeypatch):
+    yield from _raised_ceiling(monkeypatch, VPLANAR)
+
+
+def test_criterion_1_free_energy_oracle_equivalence_v9(planar_ceiling):
+    closed = om.free_energy_raw_series(VPLANAR)
+    counted = oc.free_energy_series(VPLANAR)
+    report("1a closed-diagram counts == oracle at V = 9", closed == counted,
+           f"closed {closed.coeffs[VPLANAR]} vs oracle {counted.coeffs[VPLANAR]}")
+
+
+def test_criterion_1_two_point_oracle_equivalence_v9(planar_ceiling):
+    closed = om.g2_raw_series(VPLANAR)
+    counted = oc.g2_series(VPLANAR)
+    report("1b two-point counts == oracle at V = 9", closed == counted,
+           f"closed {closed.coeffs[VPLANAR]} vs oracle {counted.coeffs[VPLANAR]}")
 
 
 # -- 2. double-factorial totals ------------------------------------------------------

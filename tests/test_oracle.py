@@ -510,6 +510,21 @@ def test_wiring_sets_share_the_table():
     oc._search_table.cache_clear()
 
 
+def test_one_wiring_in_two_species_is_one_species():
+    """The key tail counts the untouched vertices of one wiring together,
+    whichever species lists them, so three crossings and one more search as
+    four: the same cells, from states all in the table that four left."""
+    off = oc._strand_offsets(CROSSING)
+    for planar in (True, False):
+        for legs in (0, 2, 4):
+            oc._search_table.cache_clear()
+            one = oc._fast_search(legs, ((off, 4),), planar, False)
+            size = len(oc._search_table(planar))
+            assert oc._fast_search(legs, ((off, 3), (off, 1)), planar, False) == one
+            assert len(oc._search_table(planar)) == size, (legs, planar)
+    oc._search_table.cache_clear()
+
+
 class _Stop(Exception):
     pass
 
