@@ -18,7 +18,7 @@ of scope; only the endpoints above are implemented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import onematrix, oracle
 from .series import Series, derivative, integrate
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CriticalConstants:
+class CriticalConstants(NamedTuple):
     g_critical: float
     t_critical: float
     growth: float

@@ -20,8 +20,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, asdict
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import abab, flype, onematrix
 from .series import BivariatePoly
@@ -49,17 +49,16 @@ _RICHARDSON_LEVELS = 4
 _REDUCED_TERMS = 12
 
 
-@dataclass(frozen=True)
 class CountingSequence:
     """A named coefficient sequence indexed by crossing number."""
 
+    __slots__ = ("name", "coefficients")
     name: str
     coefficients: tuple  # Fraction per crossing number, starting at p = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
+    def __init__(self, name: str, coefficients) -> None:
+        self.name = name
+        self.coefficients = tuple(Fraction(c) for c in coefficients)
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -108,8 +107,7 @@ def load_external_sequence(path: str, name: str | None = None) -> CountingSequen
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Growth constant and power-law exponent estimated from coefficients.
 
     ``diagnostics`` is the deepest Richardson extrapolant sequence for the
@@ -189,8 +187,7 @@ def ratio_asymptotics(seq: CountingSequence) -> AsymptoticEstimate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantRow:
+class ConstantRow(NamedTuple):
     name: str
     paper_value: object        # float, or a formula string for metadata rows
     computed_value: float | None
@@ -301,4 +298,4 @@ def constants_to_csv(rows) -> str:
 
 
 def constants_to_json(rows) -> str:
-    return json.dumps([asdict(row) for row in rows], indent=2, sort_keys=True)
+    return json.dumps([row._asdict() for row in rows], indent=2, sort_keys=True)

@@ -40,10 +40,10 @@ Python integers: no computer-algebra system is imported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .series import (
     AlgebraicSystem,
@@ -232,8 +232,7 @@ def gamma_tilde(order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlypeSingularity:
+class FlypeSingularity(NamedTuple):
     """Exact location of the flype-class singularity and its tracked fold."""
 
     minimal_polynomial: tuple   # integer coefficients, ascending, root = g_c

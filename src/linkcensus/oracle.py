@@ -80,12 +80,12 @@ here carry no additional factor of two and consumers must not divide again.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .series import Series
 
@@ -137,8 +137,7 @@ class CeilingError(ValueError):
         return f"V = {self.vertices} exceeds the enumeration ceiling {self.ceiling}"
 
 
-@dataclass(frozen=True)
-class VertexType:
+class VertexType(NamedTuple):
     """A four-valent vertex species: its name and strand wiring."""
 
     name: str
@@ -149,8 +148,7 @@ CROSSING = VertexType("crossing", ((0, 2), (1, 3)))
 TANGENCY = VertexType("tangency", ((0, 1), (2, 3)))
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Exact pairing counts for closed diagrams at fixed vertex content.
 
     ``cells`` maps ``(genus, strands, connected)`` to the number of labeled
@@ -174,8 +172,7 @@ class CountTable:
         return prod(4**c * factorial(c) for _, c in self.vertex_counts)
 
 
-@dataclass(frozen=True)
-class TwoPointTable:
+class TwoPointTable(NamedTuple):
     """Counts for diagrams with one marked boundary carrying 2 or 4 legs.
 
     ``cells`` maps ``(genus, internal_strands, boundary_strands)`` to counts.

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -109,10 +108,10 @@ class Series:
         _init(self, tuple(c.numerator * (den // c.denominator) for c in values), den)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Series:
@@ -153,22 +152,25 @@ class Series:
 
     @classmethod
     def zero(cls, order: int) -> "Series":
-        return cls.from_coeffs([], order)
+        return cls.constant(0, order)
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls.from_coeffs([1], order)
+        return cls.constant(1, order)
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> "Series":
-        return cls.from_coeffs([value], order)
+        if order < 0:
+            raise SeriesError("order must be nonnegative")
+        c = _exact(value)
+        return _series([c.numerator] + [0] * order, c.denominator)
 
     @classmethod
     def identity(cls, order: int) -> "Series":
         """The series for the coupling g itself."""
         if order < 1:
             raise SeriesError("the identity series needs order >= 1")
-        return cls.from_coeffs([0, 1], order)
+        return _series([0, 1] + [0] * (order - 1), 1)
 
     # -- basic structure ---------------------------------------------------
 
@@ -505,8 +507,7 @@ def integrate(s: Series) -> Series:
 # -- algebraic branches ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BivariatePoly:
+class BivariatePoly(NamedTuple):
     """Polynomial P(x, y) over the rationals, stored as ``{(i, j): c}``."""
 
     terms: tuple
@@ -560,18 +561,19 @@ class BivariatePoly:
         return out
 
 
-@dataclass(frozen=True)
 class AlgebraicSystem:
     """A branch of an algebraic curve: P(g, y) = 0 with y(0) = branch_point."""
 
+    __slots__ = ("relation", "branch_point")
     relation: BivariatePoly
     branch_point: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "branch_point", _frac(self.branch_point))
-        if self.relation.eval_rational(Fraction(0), self.branch_point) != 0:
+    def __init__(self, relation: BivariatePoly, branch_point: Rational) -> None:
+        self.relation = relation
+        self.branch_point = _frac(branch_point)
+        if relation.eval_rational(Fraction(0), self.branch_point) != 0:
             raise SeriesError("branch point does not satisfy P(0, y0) = 0")
-        dy = self.relation.partial_y().eval_rational(Fraction(0), self.branch_point)
+        dy = relation.partial_y().eval_rational(Fraction(0), self.branch_point)
         if dy == 0:
             raise SeriesError(
                 "dP/dy vanishes at (0, branch_point): the branch is not simple, "

@@ -188,5 +188,6 @@ def test_constants_json_round_trip(report):
     payload = json.loads(census.constants_to_json(report))
     names = {row["name"] for row in payload}
     assert "two-color-growth" in names
-    assert all(set(row) >= {"name", "paper_value", "computed_value", "abs_error", "anchor"}
+    assert all(set(row) == {"name", "paper_value", "computed_value", "abs_error", "anchor",
+                            "kind"}
                for row in payload)
