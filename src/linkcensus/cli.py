@@ -8,26 +8,30 @@ constants   print the constants table
 crosscheck  closed forms vs. the enumeration oracle; nonzero exit on mismatch
 asymptotics ratio-method growth/exponent estimate with full diagnostics
 
-Exit codes: 0 success, 1 crosscheck mismatch, 2 usage error (among them
-an ``asymptotics`` fit whose last two growth extrapolants differ by more
-than 1e-3 relative: a larger ``--terms`` is needed), 3 a library
-self-check failed (a lost or ambiguous series branch in the flype
-singularity analysis, a Newton residual that does not cancel, an inexact
-polynomial division in the flype elimination, an odd Euler numerator at an
-oracle leaf, which means a miscounted face, or a negative tangle count,
-which means a two-leg or four-leg count is off); codes 2 and 3 print a
-one-line ``error:`` message on stderr.  Enumerations run in a single
-process, so identical configurations produce byte-identical output.
+Syntax: ``linkcensus [--threads N] COMMAND [--opt VALUE | --opt=VALUE |
+--switch] ...``; ``-h`` or ``--help`` prints the help, generated from the
+same table that parsing reads, and exits 0.
+
+Exit codes: 0 success (help included), 1 crosscheck mismatch, 2 usage
+error (an unknown command or option, an abbreviated option, a missing or
+bad value, a stray word, and an ``asymptotics`` fit whose last two growth
+extrapolants differ by more than 1e-3 relative: a larger ``--terms`` is
+needed), 3 a library self-check failed (a lost or ambiguous series branch
+in the flype singularity analysis, a Newton residual that does not cancel,
+an inexact polynomial division in the flype elimination, an odd Euler
+numerator at an oracle leaf, which means a miscounted face, or a negative
+tangle count, which means a two-leg or four-leg count is off); codes 2 and
+3 print a one-line ``error:`` message on stderr.  Enumerations run in a
+single process, so identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import abab, census, flype, onematrix, oracle
 from .series import Series, rational_to_str
@@ -35,7 +39,7 @@ from .series import Series, rational_to_str
 __all__ = ["main"]
 
 
-def _series_for(args: argparse.Namespace) -> Series:
+def _series_for(args: SimpleNamespace) -> Series:
     model, what, order = args.model, args.what, args.order
     # refused rather than ignored: a flag a model does not read would print
     # some other series than the one asked for
@@ -72,12 +76,14 @@ def _emit_series(series: Series, output: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: SimpleNamespace) -> int:
     print(_emit_series(_series_for(args), args.output))
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
+    if args.vertices is None:
+        raise ValueError("enumerate needs --vertices")
     counts = {"crossing": args.vertices - args.tangencies, "tangency": args.tangencies}
     table = oracle.enumerate_pairings(args.vertices, type_counts=counts, planar_only=args.planar,
                                       connected_only=args.connected)
@@ -98,7 +104,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
+def _cmd_constants(args: SimpleNamespace) -> int:
     rows = census.constants_report()
     if args.output == "csv":
         sys.stdout.write(census.constants_to_csv(rows))
@@ -107,7 +113,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_crosscheck(args: argparse.Namespace) -> int:
+def _cmd_crosscheck(args: SimpleNamespace) -> int:
     """Closed forms against the oracle, coefficient by coefficient."""
     vmax = args.vmax
     if vmax < 1:
@@ -136,7 +142,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_asymptotics(args: argparse.Namespace) -> int:
+def _cmd_asymptotics(args: SimpleNamespace) -> int:
     builders = {
         "raw-links": census.raw_link_diagrams,
         "reduced-links": census.reduced_link_diagrams,
@@ -165,68 +171,122 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     return 0
 
 
+# command -> (handler, help, options); option -> (attribute, kind, default, help),
+# where a kind is int, Fraction, a tuple of choices, or bool for a switch.
+# Parsing, the defaults and the help all read this one table
 _COMMANDS = {
-    "series": _cmd_series,
-    "enumerate": _cmd_enumerate,
-    "constants": _cmd_constants,
-    "crosscheck": _cmd_crosscheck,
-    "asymptotics": _cmd_asymptotics,
+    "series": (_cmd_series, "print a generating function", {
+        "--model": ("model", ("raw", "reduced", "flype", "on", "two-color"), "reduced",
+                    "which diagrams are counted"),
+        "--what": ("what", ("links", "tangles"), "links", "closed links or four-leg tangles"),
+        "--n": ("n", Fraction, None, "loop weight for --model on (a rational, e.g. 1/2; "
+                                     "default 1)"),
+        "--reduced": ("reduced", bool, False, "renormalized variant (two-color model)"),
+        "--order": ("order", int, 8, "truncation order in g"),
+        "--format": ("output", ("json", "csv"), "json", "output format"),
+    }),
+    "enumerate": (_cmd_enumerate, "dump an exact pairing count table", {
+        "--vertices": ("vertices", int, None, "number of vertices (required)"),
+        "--planar": ("planar", bool, False, "planar diagrams only"),
+        "--connected": ("connected", bool, False, "connected diagrams only"),
+        "--tangencies": ("tangencies", int, 0, "how many vertices use the tangency wiring"),
+        "--format": ("output", ("csv", "json"), "csv", "output format"),
+    }),
+    "constants": (_cmd_constants, "print the constants table", {
+        "--format": ("output", ("json", "csv"), "json", "output format"),
+    }),
+    "crosscheck": (_cmd_crosscheck, "closed forms vs. the oracle", {
+        "--vmax": ("vmax", int, 4, "largest number of vertices compared"),
+    }),
+    "asymptotics": (_cmd_asymptotics, "ratio-method growth estimate", {
+        "--sequence": ("sequence", ("raw-links", "reduced-links", "reduced-tangles",
+                                    "flype-classes"), "reduced-links", "counting sequence"),
+        "--terms": ("terms", int, 30, "number of terms fitted"),
+    }),
 }
+# the options before the command: --threads is accepted and ignored, so that
+# scripts written for the former worker-count option still parse (enumeration
+# is single-process), and it is left out of the help
+_GLOBAL_OPTIONS = {"--threads": ("threads", int, None, "")}
 
 
-def _fraction(text: str) -> Fraction:
-    """A rational option value such as ``1/2``; a zero denominator is a usage error."""
+def _cmd_help(args: SimpleNamespace) -> int:
+    """Print the help of ``args.command``, or the program's when it is None."""
+    if args.command is None:
+        lines = ["usage: linkcensus COMMAND [options]", "",
+                 "Exact counting of alternating link/tangle diagrams and flype classes.", "",
+                 "commands:"]
+        lines += [f"  {name:<13}{text}" for name, (_, text, _) in _COMMANDS.items()]
+        lines += ["", "linkcensus COMMAND --help lists the options of a command."]
+    else:
+        _, text, options = _COMMANDS[args.command]
+        lines = [f"usage: linkcensus {args.command} [options]", "", text, "", "options:"]
+        for name, (attr, kind, default, doc) in options.items():
+            if isinstance(kind, tuple):
+                name += " {" + ",".join(kind) + "}"
+            elif kind is not bool:
+                name += " " + attr.upper()
+            if default is not None and kind is not bool:
+                doc += f" (default: {default})"
+            lines += [f"  {name}", f"      {doc}"]
+    print("\n".join(lines))
+    return 0
+
+
+def _value(option: str, kind, text: str):
+    """An option's value from its word; a bad value is a usage error."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"{option}: invalid choice {text!r} (choose from "
+                             f"{', '.join(kind)})")
+        return text
     try:
-        return Fraction(text)
+        return kind(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+        raise ValueError(f"{option}: invalid {kind.__name__} value {text!r}") from None
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and reused for the
-    life of the process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
-        prog="linkcensus",
-        description="Exact counting of alternating link/tangle diagrams and flype classes.",
-    )
-    # accepted and ignored, so that scripts written for the former worker-count
-    # option still parse; enumeration is single-process
-    parser.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse(words):
+    """The handler for a command line and the arguments to call it with.
 
-    p_series = sub.add_parser("series", help="print a generating function")
-    p_series.add_argument("--model", choices=["raw", "reduced", "flype", "on", "two-color"],
-                          default="reduced")
-    p_series.add_argument("--what", choices=["links", "tangles"], default="links")
-    p_series.add_argument("--n", type=_fraction, default=None,
-                          help="loop weight for --model on (a rational, e.g. 1/2; default 1)")
-    p_series.add_argument("--reduced", action="store_true",
-                          help="renormalized variant (two-color model)")
-    p_series.add_argument("--order", type=int, default=8)
-    p_series.add_argument("--format", dest="output", choices=["json", "csv"], default="json")
-
-    p_enum = sub.add_parser("enumerate", help="dump an exact pairing count table")
-    p_enum.add_argument("--vertices", type=int, required=True)
-    p_enum.add_argument("--planar", action="store_true")
-    p_enum.add_argument("--connected", action="store_true")
-    p_enum.add_argument("--tangencies", type=int, default=0,
-                        help="how many vertices use the tangency wiring")
-    p_enum.add_argument("--format", dest="output", choices=["csv", "json"], default="csv")
-
-    p_const = sub.add_parser("constants", help="print the constants table")
-    p_const.add_argument("--format", dest="output", choices=["json", "csv"], default="json")
-
-    p_cross = sub.add_parser("crosscheck", help="closed forms vs. the oracle")
-    p_cross.add_argument("--vmax", type=int, default=4)
-
-    p_asym = sub.add_parser("asymptotics", help="ratio-method growth estimate")
-    p_asym.add_argument("--sequence", choices=["raw-links", "reduced-links",
-                                               "reduced-tangles", "flype-classes"],
-                        default="reduced-links")
-    p_asym.add_argument("--terms", type=int, default=30)
-
-    return parser
+    Accepted: ``[--threads N] COMMAND`` followed by ``--opt VALUE``,
+    ``--opt=VALUE`` or ``--switch``, or ``-h``/``--help`` in place of an
+    option.  A
+    repeated option keeps its last value, and a value word may start with
+    ``-``.  Anything else, an abbreviated option among them, is a usage
+    error (ValueError).
+    """
+    command, options, given = None, _GLOBAL_OPTIONS, {}
+    words = iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            return _cmd_help, SimpleNamespace(command=command)
+        if not word.startswith("-"):
+            if command is not None or word not in _COMMANDS:
+                raise ValueError(f"unrecognized {'argument' if command else 'command'} "
+                                 f"{word!r}; see linkcensus --help")
+            command, options, given = word, _COMMANDS[word][2], {}
+            continue
+        option, has_value, text = word.partition("=")
+        if option not in options:
+            raise ValueError(f"unrecognized option {option!r}"
+                             + (f" of {command}" if command else " before the command"))
+        attr, kind, _, _ = options[option]
+        if kind is bool:
+            if has_value:
+                raise ValueError(f"{option} takes no value")
+            given[attr] = True
+            continue
+        if not has_value:
+            text = next(words, None)
+            if text is None:
+                raise ValueError(f"{option} needs a value")
+        given[attr] = _value(option, kind, text)
+    if command is None:
+        raise ValueError("no command given; see linkcensus --help")
+    handler, _, options = _COMMANDS[command]
+    defaults = {attr: default for attr, _, default, _ in options.values()}
+    return handler, SimpleNamespace(**{**defaults, **given})
 
 
 def main(argv=None) -> int:
@@ -237,9 +297,9 @@ def main(argv=None) -> int:
     # benchmark's child) freeze too, once per call; what they freeze and
     # later drop in a reference cycle is never collected
     gc.freeze()
-    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except oracle.CeilingError as exc:
         # the command line cannot raise the ceiling, so it names it as a fixed limit
         print(f"error: V = {exc.vertices} exceeds the enumeration ceiling: the "

@@ -508,16 +508,18 @@ def integrate(s: Series) -> Series:
 
 
 class BivariatePoly(NamedTuple):
-    """Polynomial P(x, y) over the rationals, stored as ``{(i, j): c}``."""
+    """Polynomial P(x, y) over the rationals.
+
+    ``terms`` is a sorted tuple of ``((i, j), c)`` pairs, one for each nonzero
+    Fraction coefficient c of x^i y^j.
+    """
 
     terms: tuple
 
     @classmethod
     def from_dict(cls, data: Mapping[tuple, Rational]) -> "BivariatePoly":
-        cleaned = tuple(
-            sorted(((int(i), int(j)), _frac(c)) for (i, j), c in data.items() if _frac(c) != 0)
-        )
-        return cls(cleaned)
+        converted = (((int(i), int(j)), _frac(c)) for (i, j), c in data.items())
+        return cls(tuple(sorted(term for term in converted if term[1] != 0)))
 
     def degree_x(self) -> int:
         return max((i for (i, _), _ in self.terms), default=0)

@@ -1,9 +1,13 @@
-"""The command-line surface: outputs, exit codes, determinism."""
+"""The command-line surface: outputs, exit codes, syntax, help, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import linkcensus
 from linkcensus import cli, flype, oracle, series
 
 
@@ -11,6 +15,17 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def usage_error(capsys, argv) -> str:
+    """The one stderr line of a usage error, which exits 2 and prints nothing on stdout."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == "", argv
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, captured.err)
+    return lines[0]
 
 
 def test_series_reduced_tangles(capsys):
@@ -79,7 +94,10 @@ def test_threads_option_is_accepted_and_ignored(capsys, threads):
     code, threaded = run_cli(capsys, "--threads", threads, "enumerate", "--vertices", "3")
     assert code == 0
     assert threaded == plain
-    assert "--threads" not in cli._build_parser().format_help()
+    for argv in (["--help"], ["enumerate", "--help"]):
+        code, text = run_cli(capsys, *argv)
+        assert code == 0
+        assert "--threads" not in text
 
 
 def test_threads_environment_variable_is_ignored(capsys, monkeypatch):
@@ -212,16 +230,83 @@ def test_asymptotics_refuses_an_unsettled_fit(capsys):
     assert abs(payload["exponent"] + 2.5) < 1e-2
 
 
-def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as wrapped:
-        cli.main(["series", "--model", "bogus"])
-    assert wrapped.value.code == 2
-    with pytest.raises(SystemExit) as wrapped:
-        cli.main(["no-such-command"])
-    assert wrapped.value.code == 2
-    with pytest.raises(SystemExit) as wrapped:
-        cli.main(["series", "--model", "on", "--n", "1/0", "--order", "2"])
-    assert wrapped.value.code == 2
+def test_usage_error_exits_two(capsys):
+    # a usage error is reported like every other exit-2 path: one error line
+    for argv in (
+        [],
+        ["no-such-command"],
+        ["series", "--model", "bogus"],
+        ["series", "--order", "x"],
+        ["series", "--model", "on", "--n", "1/0", "--order", "2"],
+        ["series", "--order"],
+        ["series", "--no-such-option", "1"],
+        ["series", "stray"],
+        ["enumerate"],
+        ["enumerate", "--vertices", "2", "--planar=yes"],
+        ["enumerate", "--vert", "3"],  # abbreviations are refused
+        ["--threads", "x", "enumerate", "--vertices", "2"],
+        ["series", "--threads", "2"],  # --threads goes before the command
+    ):
+        usage_error(capsys, argv)
+
+
+def test_option_syntax(capsys):
+    spaced = run_cli(capsys, "series", "--model", "raw", "--order", "5")
+    assert spaced[0] == 0
+    assert run_cli(capsys, "series", "--model=raw", "--order=5") == spaced
+    assert run_cli(capsys, "--threads=2", "series", "--model", "raw", "--order", "5") == spaced
+    # a repeated option keeps its last value
+    assert run_cli(capsys, "series", "--model", "on", "--model", "raw", "--order", "9",
+                   "--order=5") == spaced
+    # a value word may start with "-"
+    code, out = run_cli(capsys, "series", "--model", "on", "--n", "-1/2", "--order", "3")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == ["0", "-1/4", "-15/32", "-3/2"]
+
+
+HELP_LISTS = {
+    None: ["series", "enumerate", "constants", "crosscheck", "asymptotics"],
+    "series": ["--model {raw,reduced,flype,on,two-color}", "--what {links,tangles}", "--n",
+               "--reduced", "--order", "--format {json,csv}"],
+    "enumerate": ["--vertices", "--planar", "--connected", "--tangencies",
+                  "--format {csv,json}"],
+    "constants": ["--format {json,csv}"],
+    "crosscheck": ["--vmax"],
+    "asymptotics": ["--sequence {raw-links,reduced-links,reduced-tangles,flype-classes}",
+                    "--terms"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_LISTS))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_option(capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    code, text = run_cli(capsys, *argv)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    for item in HELP_LISTS[command]:
+        assert item in text, item
+    assert "--threads" not in text
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    # `python -m linkcensus.cli` calls main() with no argv, so it parses sys.argv
+    src = os.path.dirname(os.path.dirname(linkcensus.__file__))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "linkcensus.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    bare = run()
+    assert bare.returncode == 2
+    assert bare.stdout == ""
+    assert len(bare.stderr.splitlines()) == 1 and bare.stderr.startswith("error: ")
+    argv = ["series", "--model", "raw", "--order", "2"]
+    result = run(*argv)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout == run_cli(capsys, *argv)[1]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -247,10 +332,8 @@ def test_zero_loop_weight_is_a_loop_weight(capsys):
     assert json.loads(out)["coeffs"] == ["0", "0", "0", "0"]
 
 
-def test_asymptotics_has_no_format_option():
-    with pytest.raises(SystemExit) as wrapped:
-        cli.main(["asymptotics", "--format", "json"])
-    assert wrapped.value.code == 2
+def test_asymptotics_has_no_format_option(capsys):
+    assert "--format" in usage_error(capsys, ["asymptotics", "--format", "json"])
 
 
 def test_domain_error_exits_two(capsys):

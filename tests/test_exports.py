@@ -1,6 +1,6 @@
 """Exported names resolve and are each read somewhere, and so do the names the
-benchmark tracer wraps; commands load no numpy, dataclasses or inspect, no
-module imports sympy, and every command runs with sympy refused."""
+benchmark tracer wraps; commands load no numpy, dataclasses, inspect or
+argparse, no module imports sympy, and every command runs with sympy refused."""
 
 import ast
 import importlib
@@ -179,16 +179,19 @@ def test_tracer_targets_resolve():
         mode: mode for mode in calls}
 
 
-def test_commands_load_no_numpy_dataclasses_or_inspect():
+def test_commands_load_no_numpy_dataclasses_inspect_or_argparse():
     # dataclasses, with the inspect it imports, would add about a sixth to
-    # the start-up that every command pays
+    # the start-up that every command pays; argparse, with the gettext it
+    # imports and the locale its first message lookup imports, would take
+    # about half of a short command's run
     script = (
         "import contextlib, io, sys\n"
         "from linkcensus import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['crosscheck', '--vmax', '2']) == 0\n"
         "    assert cli.main(['constants']) == 0\n"
-        "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "loaded = {'numpy', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+        "loaded &= set(sys.modules)\n"
         "assert not loaded, f'{sorted(loaded)} imported'\n"
     )
     src = os.path.dirname(os.path.dirname(linkcensus.__file__))

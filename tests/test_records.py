@@ -58,3 +58,9 @@ def test_algebraic_system_holds_a_fraction_branch_point():
     assert type(system.branch_point) is Fraction and system.branch_point == 1
     with pytest.raises(SeriesError, match="exact rationals, got float"):
         AlgebraicSystem(system.relation, 1.0)
+
+
+def test_bivariate_terms_are_sorted_nonzero_fraction_pairs():
+    poly = BivariatePoly.from_dict({(1, 0): -1, (0, 2): F(0), (0, 1): 2})
+    assert poly.terms == (((0, 1), F(2)), ((1, 0), F(-1)))
+    assert all(type(c) is F for _, c in poly.terms)
